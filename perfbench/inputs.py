@@ -8,7 +8,12 @@ Generation runs before any timing starts.
 Each workload is a list of pass *variants*; a pass is one closed-loop
 sequence of CLI commands, and the timed phase repeats whole passes,
 cycling through the variants. Seeds change parameter values, never the
-number or size of the commands.
+number or size of the commands; the Ramsey signals of analysis-mix do not
+depend on the seed at all (see _mix_pass).
+
+The number of passes is fixed by --seconds (see SECONDS_PER_PASS), never
+by a clock, so a given seed and --seconds attempt exactly the same
+commands on every run and every host, and meet the same known defects.
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ RAMSEY_NOISE = 0.02 * RAMSEY_AMPLITUDE
 # Sweeps as long as optimal-n, so the median command lands inside one
 # cluster of similar latencies instead of on the edge between two.
 SWEEP_GRID = "0.001:10:log:8"
+
+# The timed phase runs ceil(seconds / SECONDS_PER_PASS) passes: at
+# --seconds 20, 6 ti-band, 3 trace-export, 3 strain-analyze and 5
+# analysis-mix passes, 20-25 s of commands on a shared 2-vCPU Xeon
+# (Python 3.11, numpy 2.4). Longer runs would not be steadier there: the
+# host's speed drifts by 10-30 % over minutes, and cutting the same runs
+# down to their first pass or two leaves their spread from seed to seed
+# about where it is.
+SECONDS_PER_PASS = {"ti-band": 3.4, "trace-export": 7.0, "strain-analyze": 7.0,
+                    "analysis-mix": 4.0}
 
 # Reduced sizes for the self-test: same commands, far less work.
 SMALL = {
@@ -253,21 +268,24 @@ def _mix_pass(work, rng, rounds, v):
 
     # Ramsey (T2*, detuning) pairs: one per equal slice of each range, so
     # every pass covers both ranges, the a/2 defect region included. Fit
-    # cost swings 2x with the pairs, so they depend on the pass variant
-    # only; the seed draws the noise and every other input.
+    # cost swings 2x with the pairs and, through the least-squares
+    # iteration count, up to 100x with the noise draw (7 ms to 2.4 s per
+    # fit, slowest above a/2), so the Ramsey signals -- pairs and noise --
+    # depend on the pass variant only, and every run meets the same fits
+    # and the same known-defect failures. The seed draws every other input.
     design = _rng(v, "ramsey-design")
 
     def strata(lo, hi):
         return lo + (hi - lo) * (design.permutation(rounds) + design.uniform(size=rounds)) / rounds
 
     t2s, detunings = strata(*RAMSEY_T2_US), strata(*RAMSEY_DETUNING_MHZ)
+    synth_seeds = design.integers(1 << 31, size=rounds)
     commands = []
     for i in range(rounds):
         j = (i + 1) % rounds
         protocol = "sq" if i % 2 == 0 else "dq"
         t2, detuning = t2s[i], detunings[i]
         p = 2.0 if i % 4 == 3 else 1.0
-        synth_seed = int(rng.integers(1 << 31))
         tag = f"{v}_{i}"
         signal = str(out / f"ramsey_{tag}.csv")
         (measured, minus, zero), psi = spectra(work, rng, f"spectrum_{tag}")
@@ -275,7 +293,7 @@ def _mix_pass(work, rng, rounds, v):
             _cmd(f"ramsey-synth/{tag}", "ramsey-synth",
                  ["ramsey", "synth", "--t2", _fmt(t2), "--p", _fmt(p),
                   "--detuning", _fmt(detuning), "--amplitude", _fmt(RAMSEY_AMPLITUDE),
-                  "--noise-sigma", _fmt(RAMSEY_NOISE), "--seed", str(synth_seed),
+                  "--noise-sigma", _fmt(RAMSEY_NOISE), "--seed", str(synth_seeds[i]),
                   "--out", signal],
                  signal, rows=len(np.arange(0.06, 3.0 * t2 + 0.03, 0.06))),
             _cmd(f"ramsey-fit/{tag}", "ramsey-fit",
@@ -344,5 +362,6 @@ PLANS = {
 def make_plan(workload: str, seed: int, small: bool, work: Path) -> dict:
     (work / "out").mkdir(parents=True, exist_ok=True)
     plan = PLANS[workload](work, seed, small)
-    plan.update(workload=workload, seed=seed, small=small)
+    plan.update(workload=workload, seed=seed, small=small,
+                seconds_per_pass=SECONDS_PER_PASS[workload])
     return plan

@@ -13,11 +13,13 @@ Run from the repository root. Workloads (see inputs.py for why each):
 
 Each run generates its inputs from the seed (untimed), times set-up in fresh
 interpreters, then runs whole passes of the workload's commands in one fresh
-process, a closed loop with one client and the libraries' default threads,
-until S seconds have passed. Every output is checked. With --trace 1 the
-passes alternate untraced and traced, and the per-layer metrics come from
-the traced ones. The last line of stdout is the JSON result; lines before
-it name each metric as <workload>/<metric> with unit and sample count.
+process, a closed loop with one client and the libraries' default threads.
+The timed phase is a fixed number of passes, ceil(S / SECONDS_PER_PASS) (see
+inputs.py), so the same seed attempts the same commands on every run. Every
+output is checked. With --trace 1 the passes alternate untraced and traced,
+and the per-layer metrics come from the traced ones. The last line of stdout
+is the JSON result; lines before it name each metric as <workload>/<metric>
+with unit and sample count.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ sys.path.insert(0, str(HERE))
 import inputs  # noqa: E402
 from checks import KNOWN_DEFECT_KINDS  # noqa: E402
 
-SETUP_PROBES = 3  # fresh interpreters timed to "ready", besides the worker
+SETUP_PROBES = 2  # fresh interpreters timed to "ready", besides the worker
 WORKER_TIMEOUT_S = 150
 REFERENCE = HERE / "reference.json"
 
@@ -119,18 +121,20 @@ def median(values):
 
 
 def end_to_end(result, setup):
-    """Pass times are medians over passes; command latencies pool every
-    untraced command of the run, so a percentile falls inside a cluster of
-    like commands rather than on one command of one pass."""
+    """Wall and CPU time are totals over the timed phase's fixed set of
+    passes, so costly commands (slow Ramsey fits, say) average out over the
+    whole run; command latencies pool every untraced command of the run, so
+    a percentile falls inside a cluster of like commands rather than on one
+    command of one pass."""
     untraced = [p for p in result["passes"] if not p["traced"]]
     latencies = [r["latency"] for r in result["records"] if not r["traced"]]
-    per_pass = f"median over {len(untraced)} passes"
+    timed = f"timed phase, {len(untraced)} passes of {len(latencies)} commands"
     n_cmds = f"n={len(latencies)} commands"
     return {
-        "wall_s": (median([p["wall"] for p in untraced]), per_pass),
+        "wall_s": (sum(p["wall"] for p in untraced), timed),
         "cmd_p50_s": (median(latencies), n_cmds),
         "cmd_p90_s": (float(np.percentile(latencies, 90)), n_cmds),
-        "cpu_s": (median([p["cpu"] for p in untraced]), per_pass),
+        "cpu_s": (sum(p["cpu"] for p in untraced), timed),
         "setup_s": (median(setup), f"median of {len(setup)} fresh interpreters"),
         "peak_rss_mb": (result["peak_rss_mb"], "worker high-water RSS"),
     }
@@ -162,14 +166,14 @@ def per_layer(result):
     ) / n
     traced = [p["wall"] for p in result["passes"] if p["traced"]]
     untraced = [p["wall"] for p in result["passes"] if not p["traced"]]
-    wall = median(traced)
+    wall = sum(traced) / n
     for m in _MODULES:
         values[f"{m}.self_s"] = sum(
             v["self_s"] for k, v in spans.items() if k.split(".")[0] == m) / n
         values[f"{m}.share"] = values[f"{m}.self_s"] / wall
     values["trace.wall_s"] = wall
-    values["trace.untraced_wall_s"] = median(untraced)
-    values["trace.overhead_s"] = wall - median(untraced)
+    values["trace.untraced_wall_s"] = sum(untraced) / max(len(untraced), 1)
+    values["trace.overhead_s"] = wall - values["trace.untraced_wall_s"]
     values["trace.spans"] = tr["spans"] / n
     values["trace.absent"] = len(tr["absent"])
     return {k: (v, note) for k, v in values.items()}

@@ -15,12 +15,16 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import platform
 import resource
 import sys
 import time
 from pathlib import Path
+
+MAX_TIMED_S = 100.0  # stop starting passes after this, to end within the run limit
+
 
 def _cpu_seconds() -> float:
     ru = resource.getrusage(resource.RUSAGE_SELF)  # all threads of the process
@@ -62,8 +66,8 @@ def cpu_model():
 def host_probe() -> float:
     """Fixed pure-Python plus numpy work, for judging host-speed drift.
 
-    Recorded only; it never normalises a metric. The first round warms
-    caches and BLAS threads and is not timed.
+    Recorded only; it never normalises a metric. It runs after the
+    warm-up commands, so nvsk's imports and BLAS threads are warm.
     """
     import numpy as np
 
@@ -76,7 +80,6 @@ def host_probe() -> float:
             a = np.tanh(a @ a)
         np.sort(np.random.default_rng(1).standard_normal(1_000_000))
 
-    work()
     start = time.perf_counter()
     work()
     return time.perf_counter() - start
@@ -138,18 +141,26 @@ def main() -> int:
     record = args.mode == "record"
     trace = bool(args.trace)
     per_variant = 2 if trace else 1  # trace mode pairs untraced/traced passes
-    # record: the first two pass variants; corrupt: the first pass that
-    # repeats an earlier one, so its outputs have something to match
-    min_passes = min(len(variants), 2) if record else per_variant
+    # A fixed number of passes, so the same seed always attempts the same
+    # commands; in trace mode half of them are traced.
+    rounds = math.ceil(args.seconds / plan["seconds_per_pass"] / per_variant)
+    n_passes = per_variant * max(1, rounds)
+    if record:  # the first two pass variants
+        n_passes = min(len(variants), 2)
+    # corrupt: the first pass that repeats an earlier one, so its outputs
+    # have something to match
     corrupt_pass = len(variants) * per_variant if args.corrupt else -1
-    if args.corrupt:
-        min_passes = corrupt_pass + 1
+    n_passes = max(n_passes, corrupt_pass + 1)
     tracer = Tracer() if trace else None
     seen = {}
     records, passes = [], []
     start = time.perf_counter()
     p = 0
-    while p < min_passes or (not record and time.perf_counter() - start < args.seconds):
+    truncated = False
+    while p < n_passes:
+        if time.perf_counter() - start > MAX_TIMED_S:  # a host far slower than nominal
+            truncated = True
+            break
         traced = trace and p % 2 == 1
         variant = (p // per_variant) % len(variants)
         if traced:
@@ -202,6 +213,7 @@ def main() -> int:
             "cpu_model": cpu_model(),
             "blas_threads": blas_threads(),
             "host_probe_s": [probe_start, probe_end],
+            "truncated": truncated,
         },
     }
     if record:
