@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,20 +24,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are validation errors (exit 1)
         self.print_usage(sys.stderr)
         raise ValidationError(message)
-
-
-def _threads_cap() -> int:
-    """Upper bound on worker threads; computations are currently serial."""
-    raw = os.environ.get("NVSK_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"NVSK_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValidationError(f"NVSK_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
@@ -89,14 +74,13 @@ def _load_config(path) -> ResolvedConfig:
     return parse_config(path) if path else default_config()
 
 
-def _manifest(args, cfg: ResolvedConfig, seed=None) -> dataio.RunManifest:
-    manifest = dataio.RunManifest(
-        command=sys.argv[1:] if sys.argv[0].endswith(("nvsk", "cli.py")) else list(sys.argv),
-        config=cfg.as_dict(),
-        seed=seed,
-    )
-    if getattr(args, "config", None):
-        manifest.add_input("config", args.config)
+def _manifest(args, config: dict, seed=None, inputs=("config",)) -> dataio.RunManifest:
+    """Manifest of this run: the argv main() parsed, the resolved config,
+    and the hashes of the input files named by the `inputs` arguments."""
+    manifest = dataio.RunManifest(command=list(args.argv), config=config, seed=seed)
+    for label in inputs:
+        if getattr(args, label, None):
+            manifest.add_input(label, getattr(args, label))
     return manifest
 
 
@@ -122,7 +106,7 @@ def cmd_dephasing(args) -> int:
     result["t2_star_sq_us"] = full.t2_star_total
     result["t2_star_dq_us"] = dq_t2star(full)
     if args.out:
-        dataio.emit_json(result, args.out, _manifest(args, cfg))
+        dataio.emit_json(result, args.out, _manifest(args, cfg.as_dict()))
     else:
         print(dataio.format_json(result))
     return 0
@@ -160,9 +144,6 @@ def cmd_sensitivity_sweep(args) -> int:
         lo, hi = table.intensity_range
         grid = np.logspace(math.log10(lo), math.log10(hi), 25)
     rows = _sweep_rows(sample, table, grid, args.protocol, cfg)
-    manifest = dataio.RunManifest(command=sys.argv[1:], config=cfg.as_dict())
-    manifest.add_input("sample", args.sample)
-    manifest.add_input("table", args.table)
     dataio.emit_csv(
         [
             ("intensity_mw_um2", [r.intensity for r in rows]),
@@ -170,7 +151,7 @@ def cmd_sensitivity_sweep(args) -> int:
             ("eta_g_sqrt_us_cm3", [r.eta for r in rows]),
         ],
         args.out,
-        manifest,
+        _manifest(args, cfg.as_dict(), inputs=("sample", "table")),
     )
     return 0
 
@@ -184,7 +165,7 @@ def cmd_sensitivity_optimal_n(args) -> int:
     dataio.emit_csv(
         [("t_overhead_us", grid), ("n_opt_ppm", n_opt)],
         args.out,
-        _manifest(args, cfg),
+        _manifest(args, cfg.as_dict()),
     )
     return 0
 
@@ -213,16 +194,11 @@ def cmd_sensitivity_compare(args) -> int:
         )
         for intensity in grid
     ]
-    manifest = dataio.RunManifest(
-        command=sys.argv[1:], config={"a": cfg_a.as_dict(), "b": cfg_b.as_dict()}
+    manifest = _manifest(
+        args,
+        {"a": cfg_a.as_dict(), "b": cfg_b.as_dict()},
+        inputs=("sample_a", "table_a", "sample_b", "table_b"),
     )
-    for label, p in (
-        ("sample_a", args.sample_a),
-        ("table_a", args.table_a),
-        ("sample_b", args.sample_b),
-        ("table_b", args.table_b),
-    ):
-        manifest.add_input(label, p)
     dataio.emit_csv(
         [("intensity_mw_um2", grid), ("eta_ratio_a_over_b", ratios)],
         args.out,
@@ -254,7 +230,7 @@ def cmd_photophysics_simulate(args) -> int:
         params, args.intensity, args.isat, t_end=t_end, dt=dt
     )
     n = min(len(trace.values), len(curve.contrast))
-    manifest = _manifest(args, cfg)
+    manifest = _manifest(args, cfg.as_dict())
     dataio.emit_csv(
         [
             ("t_us", trace.times[:n]),
@@ -279,7 +255,7 @@ def cmd_photophysics_ti_band(args) -> int:
             ("t_i_upper_us", band.upper),
         ],
         args.out,
-        _manifest(args, cfg),
+        _manifest(args, cfg.as_dict()),
     )
     return 0
 
@@ -303,7 +279,7 @@ def cmd_ramsey_synth(args) -> int:
     dataio.emit_csv(
         [("tau_us", tau), ("contrast", signal)],
         args.out,
-        _manifest(args, cfg, seed=args.seed),
+        _manifest(args, cfg.as_dict(), seed=args.seed),
     )
     return 0
 
@@ -318,8 +294,7 @@ def cmd_ramsey_fit(args) -> int:
     payload["t2_star_formatted"] = parenthesis_format(
         result.t2_star, result.t2_star_sigma, " us"
     )
-    manifest = _manifest(args, cfg)
-    manifest.add_input("signal", args.signal)
+    manifest = _manifest(args, cfg.as_dict(), inputs=("config", "signal"))
     if args.out:
         dataio.emit_json(payload, args.out, manifest)
     else:
@@ -358,8 +333,7 @@ def cmd_strain_analyze(args) -> int:
         "partitions": [s.as_dict() for s in stats],
         "scaling": scaling.as_dict(),
     }
-    manifest = _manifest(args, cfg)
-    manifest.add_input("map", args.map)
+    manifest = _manifest(args, cfg.as_dict(), inputs=("config", "map"))
     if args.out:
         dataio.emit_json(result, args.out, manifest)
     else:
@@ -384,7 +358,7 @@ def cmd_strain_synth(args) -> int:
             seed=args.seed,
         )
     dataio.save_strain_map(strain_map, args.out)
-    manifest = _manifest(args, _load_config(args.config), seed=args.seed)
+    manifest = _manifest(args, _load_config(args.config).as_dict(), seed=args.seed)
     dataio.write_manifest(args.out, manifest)
     return 0
 
@@ -403,13 +377,11 @@ def cmd_charge_decompose(args) -> int:
         brightness_ratio=args.brightness_ratio,
         intensity_mw_um2=args.intensity,
     )
-    manifest = _manifest(args, _load_config(args.config))
-    for label, p in (
-        ("measured", args.measured),
-        ("basis_minus", args.basis_minus),
-        ("basis_zero", args.basis_zero),
-    ):
-        manifest.add_input(label, p)
+    manifest = _manifest(
+        args,
+        _load_config(args.config).as_dict(),
+        inputs=("config", "measured", "basis_minus", "basis_zero"),
+    )
     if args.out:
         dataio.emit_json(result.as_dict(), args.out, manifest)
     else:
@@ -543,10 +515,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _threads_cap()
         args = parser.parse_args(argv)
+        args.argv = argv
         if getattr(args, "command", None) == "ramsey" and getattr(args, "verb", "") == "synth":
             if args.tau_end is None:
                 args.tau_end = 3.0 * args.t2

@@ -18,12 +18,12 @@ shelves into the singlet more readily (k45 > k35), so a spin-polarized
 ensemble read out optically appears dimmer until optical pumping returns it
 to m_s=0; the decay of that contrast defines the initialization time.
 
-The system is linear with a constant rate matrix, so trajectories are also
-available in closed form through the eigenmode expansion; the contrast and
-initialization-time routines use that exact path, while evolve() integrates
-the equations with an adaptive Runge-Kutta method on a fixed output grid.
-Both paths agree to integrator tolerance and are cross-checked in the test
-suite.
+The system is linear with a constant rate matrix A, so one output step is
+the exact propagator P = expm(A dt). The contrast and initialization-time
+routines advance the Sig and Ref populations with powers of P, while evolve()
+integrates the equations with an adaptive Runge-Kutta method on the same
+grid; the two paths agree to integrator tolerance and are cross-checked in
+the test suite. The steady state is a linear solve on A.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eig as dense_eig
+from scipy.linalg import expm
 from scipy.ndimage import uniform_filter1d
-from scipy.signal import butter, lfilter
+from scipy.signal import butter, sosfilt
 
 from .core import as_mw_per_um2
 from .errors import ComputationError, ValidationError
@@ -45,7 +45,6 @@ DEFAULT_FILTER_ORDER = 4
 DEFAULT_FILTER_CUTOFF_MHZ = 1.7
 
 _POPULATION_TOL = 1e-9
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,6 @@ class StateVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.n1, self.n2, self.n3, self.n4, self.n5], dtype=float)
 
-    @classmethod
-    def from_array(cls, arr) -> "StateVector":
-        return cls(*(float(x) for x in arr))
-
 
 GROUND_MS0 = StateVector(1.0, 0.0, 0.0, 0.0, 0.0)
 GROUND_MS_PM1 = StateVector(0.0, 1.0, 0.0, 0.0, 0.0)
@@ -175,9 +170,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def __getitem__(self, i) -> StateVector:
-        return StateVector.from_array(self.populations[i])
-
     def conservation_error(self) -> float:
         return float(np.abs(self.populations.sum(axis=1) - 1.0).max())
 
@@ -212,7 +204,8 @@ def evolve(
 
 
 def steady_state(params: FiveLevelParams, s: float) -> StateVector:
-    """Stationary distribution of the rate matrix (null-space solve).
+    """Stationary distribution: A n = 0 with the last equation replaced by
+    conservation, sum n = 1.
 
     Unique only under optical pumping; at s = 0 every ground-state mixture
     is stationary, so that case is refused.
@@ -220,10 +213,8 @@ def steady_state(params: FiveLevelParams, s: float) -> StateVector:
     if not s > 0:
         raise ValidationError("steady state is not unique without pumping (s = 0)")
     a = rate_matrix(params, s)
-    w, v = np.linalg.eig(a)
-    i = int(np.argmin(np.abs(w)))
-    vec = np.clip(np.real(v[:, i]) / np.real(v[:, i]).sum(), 0.0, 1.0)
-    return StateVector.from_array(vec / vec.sum())
+    a[-1] = 1.0
+    return StateVector(*np.linalg.solve(a, np.eye(5)[-1]).tolist())
 
 
 @dataclass
@@ -269,7 +260,7 @@ def _design_lowpass(dt: float, order: int, f_cut_mhz: float):
             f"trace undersampled for filtering: sample rate {fs:g} MHz "
             f"< 10 x cutoff {f_cut_mhz:g} MHz"
         )
-    return butter(order, f_cut_mhz, btype="low", fs=fs)
+    return butter(order, f_cut_mhz, btype="low", fs=fs, output="sos")
 
 
 def lowpass(
@@ -283,27 +274,12 @@ def lowpass(
     causal (startup transient included), matching how the instrument sees a
     signal that switches on at t = 0.
     """
-    b, a = _design_lowpass(trace.dt, order, f_cut_mhz)
-    values = lfilter(b, a, trace.values)
+    sos = _design_lowpass(trace.dt, order, f_cut_mhz)
+    values = sosfilt(sos, trace.values)
     return PLTrace(
         times=trace.times, values=values, s=trace.s, filtered=True,
         params=trace.params,
     )
-
-
-# --- closed-form evaluation of the linear system ---
-
-
-def _pl_modes(params: FiveLevelParams, s: float, initial: np.ndarray):
-    """PL(t) = Re sum_j w_j exp(lam_j t) for the constant rate matrix."""
-    a = rate_matrix(params, s)
-    lam, v = dense_eig(a)
-    coeff = np.linalg.solve(v, initial.astype(complex))
-    recon = (v * lam) @ np.linalg.solve(v, np.eye(5))
-    if not np.allclose(recon, a, rtol=1e-8, atol=1e-12 * max(1.0, abs(a).max())):
-        raise ComputationError("rate matrix eigendecomposition is ill-conditioned")
-    weights = params.gamma_rad * (v[2, :] + v[3, :]) * coeff
-    return lam, weights
 
 
 def _slowest_relaxation(params: FiveLevelParams, s: float) -> float:
@@ -347,31 +323,41 @@ def _contrast_arrays(
     sig_initial: StateVector = GROUND_MS_PM1,
     ref_initial: StateVector = GROUND_MS0,
 ):
-    """Chunked exact evaluation of the filtered Sig/Ref contrast."""
+    """Filtered Sig/Ref contrast on the grid k * dt, keeping every
+    keep_stride-th sample.
+
+    Sig and Ref advance together as the (5, 2) population state under the
+    exact one-step propagator P. Output comes in blocks of about sqrt(n)
+    steps (a multiple of keep_stride): the PL rows gamma (e3 + e4) P^j,
+    j < block, are built once by doubling, so each block is one product
+    with the state, and the state then advances by P^block.
+    """
     n_steps = _check_grid(params, s, t_end, dt)
-    lam_sig, w_sig = _pl_modes(params, s, sig_initial.as_array())
-    lam_ref, w_ref = _pl_modes(params, s, ref_initial.as_array())
-    b, a = _design_lowpass(dt, DEFAULT_FILTER_ORDER, DEFAULT_FILTER_CUTOFF_MHZ)
-    zi_len = max(len(a), len(b)) - 1
-    zi_sig = np.zeros(zi_len)
-    zi_ref = np.zeros(zi_len)
     total = n_steps + 1
-    kept_t, kept_c = [], []
+    prop = expm(rate_matrix(params, s) * dt)
+    block = keep_stride * max(1, math.ceil(math.sqrt(total) / keep_stride))
+    rows = params.gamma_rad * np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])
+    power = prop
+    while len(rows) < block:
+        rows = np.vstack([rows, rows @ power])
+        power = power @ power
+    rows_t = rows[:block].T
+    step = np.linalg.matrix_power(prop, block)
+    state = np.column_stack([sig_initial.as_array(), ref_initial.as_array()])
+    sos = _design_lowpass(dt, DEFAULT_FILTER_ORDER, DEFAULT_FILTER_CUTOFF_MHZ)
+    zi = np.zeros((len(sos), 2, 2))
+    kept = []
     ref_scale = 0.0
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        t = np.arange(lo, hi) * dt
-        sig = (np.exp(np.outer(t, lam_sig)) @ w_sig).real
-        ref = (np.exp(np.outer(t, lam_ref)) @ w_ref).real
-        sig, zi_sig = lfilter(b, a, sig, zi=zi_sig)
-        ref, zi_ref = lfilter(b, a, ref, zi=zi_ref)
+    for lo in range(0, total, block):
+        pl = state.T @ rows_t[:, : total - lo]
+        (sig, ref), zi = sosfilt(sos, pl, zi=zi)
         ref_scale = max(ref_scale, float(np.abs(ref).max()))
         contrast = np.ones_like(ref)
         live = np.abs(ref) > 1e-9 * ref_scale
         np.divide(sig, ref, out=contrast, where=live)
-        kept_t.append(t[::keep_stride])
-        kept_c.append(contrast[::keep_stride])
-    return np.concatenate(kept_t), np.concatenate(kept_c)
+        kept.append(contrast[::keep_stride])
+        state = step @ state
+    return np.arange(0, total, keep_stride) * dt, np.concatenate(kept)
 
 
 _MAX_CURVE_SAMPLES = 20_000_000

@@ -236,6 +236,25 @@ def test_sensitivity_sweep_and_compare(tmp_path, sample_cfg):
     assert ratios[0] < 1.0 < ratios[-1]
 
 
+def test_manifest_records_the_argv_given_to_main(tmp_path, sample_cfg):
+    table = tmp_path / "low.csv"
+    table.write_text(table_rows_to_csv_text(LOW_N_ROWS))
+    runs = {
+        "budget.json": ["dephasing", "--config", sample_cfg],
+        "curve.csv": ["sensitivity", "sweep", "--sample", sample_cfg, "--table",
+                      str(table), "--protocol", "sq", "--grid", "1e-3:1e1:log:3"],
+        "ratio.csv": ["sensitivity", "compare", "--sample-a", sample_cfg,
+                      "--table-a", str(table), "--sample-b", sample_cfg,
+                      "--table-b", str(table), "--grid", "1e-3:1e1:log:3"],
+    }
+    for name, argv in runs.items():
+        argv = argv + ["--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["command"] == argv
+    assert set(manifest["inputs"]) == {"sample_a", "table_a", "sample_b", "table_b"}
+
+
 def test_photophysics_simulate(tmp_path):
     out = tmp_path / "trace.csv"
     assert (

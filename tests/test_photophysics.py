@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from nvsk.errors import ValidationError
@@ -12,6 +14,7 @@ from nvsk.photophysics import (
     FiveLevelParams,
     PLTrace,
     StateVector,
+    _contrast_arrays,
     contrast_trace,
     default_trace_window,
     evolve,
@@ -275,3 +278,80 @@ def test_default_window_covers_decay():
         curve = contrast_trace(PARAMS, s * 2.0, 2.0, t_end=window)
         dev = np.abs(1.0 - curve.contrast)
         assert dev[-1] < 0.01 * dev.max()
+
+
+def test_filter_insensitive_to_input_rounding():
+    # s = 100 samples at ~3900x the cutoff; a transfer-function (b, a)
+    # realisation amplifies a 1e-13 input perturbation to ~1e-6 here
+    s = 100.0
+    dt = max_stable_dt(PARAMS, s)
+    n = 200_000
+    t = np.arange(n) * dt
+    values = 2.0 + np.sin(2 * np.pi * 0.5 * t)
+    perturbed = values * (1.0 + 1e-13 * np.random.default_rng(0).standard_normal(n))
+    out = lowpass(PLTrace(times=t, values=values, s=s)).values
+    moved = lowpass(PLTrace(times=t, values=perturbed, s=s)).values
+    assert np.abs(moved - out).max() < 1e-9 * np.abs(out).max()
+
+
+def test_decimated_grid_is_uniform_and_matches_full_resolution():
+    s = 1e-3
+    t_end = default_trace_window(PARAMS, s)
+    dt = max_stable_dt(PARAMS, s)
+    times, contrast = _contrast_arrays(PARAMS, s, t_end, dt, keep_stride=3)
+    full_t, full_c = _contrast_arrays(PARAMS, s, t_end, dt)
+    n = len(full_t)
+    assert n == 3_743_824 and n % 3 != 0
+    assert np.array_equal(times, np.arange(0, n, 3) * dt)
+    assert np.abs(contrast - full_c[::3]).max() < 1e-12
+
+
+# --- physical invariants over random rates and pump strengths ---
+
+rates = st.builds(
+    lambda g, k35, ratio, k52, k51: FiveLevelParams(
+        gamma_rad=g, kappa_35=k35, kappa_45=k35 * ratio, kappa_52=k52, kappa_51=k51
+    ),
+    g=st.floats(0.5, 2.0),
+    k35=st.floats(0.02, 0.5),
+    ratio=st.floats(2.0, 20.0),
+    k52=st.floats(0.005, 0.2),
+    k51=st.floats(0.005, 0.2),
+)
+pump = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=rates, s=pump)
+def test_property_rate_matrix_columns_sum_to_zero(params, s):
+    a = rate_matrix(params, s)
+    assert np.abs(a.sum(axis=0)).max() <= 1e-14 * np.abs(a).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=rates, s=pump)
+def test_property_steady_state_is_the_kernel(params, s):
+    a = rate_matrix(params, s)
+    ss = steady_state(params, s).as_array()
+    assert np.abs(ss - null_space_state(params, s)).max() < 1e-10
+    assert np.abs(a @ ss).max() < 1e-12 * np.abs(a).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dt=st.floats(1e-4, 0.05), level=st.floats(1e-3, 1e3))
+def test_property_lowpass_unity_dc_gain(dt, level):
+    n = int(math.ceil(20.0 / dt))  # 34 cutoff periods: well settled
+    trace = PLTrace(times=np.arange(n) * dt, values=np.full(n, level), s=0.0)
+    out = lowpass(trace).values
+    assert np.abs(out[n // 2 :] - level).max() < 1e-9 * level
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=rates, s=pump)
+def test_property_contrast_returns_to_one(params, s):
+    window = default_trace_window(params, s)
+    dt = max_stable_dt(params, s)
+    stride = max(1, math.ceil(window / dt / 200_000))
+    _, contrast = _contrast_arrays(params, s, window, dt, keep_stride=stride)
+    dev = np.abs(1.0 - contrast)
+    assert dev[-1] < 0.01 * dev.max()
