@@ -37,6 +37,8 @@ def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
         start, stop = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValidationError(f"bad grid endpoints in {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"grid endpoints must be finite, got {spec!r}")
     scale = parts[2]
     count = default_count
     if len(parts) == 4:
@@ -274,6 +276,9 @@ def cmd_ramsey_synth(args) -> int:
         amplitude=args.amplitude,
         baseline=args.baseline,
     )
+    for flag, value in (("--dtau", args.dtau), ("--tau-end", args.tau_end)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{flag} must be finite and > 0, got {value:g}")
     tau = np.arange(args.dtau, args.tau_end + 0.5 * args.dtau, args.dtau)
     signal = ramsey.synthesize(model, tau, noise_sigma=args.noise_sigma, seed=args.seed)
     dataio.emit_csv(
@@ -342,8 +347,11 @@ def cmd_strain_analyze(args) -> int:
 
 
 def cmd_strain_synth(args) -> int:
-    shape = tuple(int(x) for x in args.shape.split("x"))
-    if len(shape) != 2:
+    try:
+        shape = tuple(int(x) for x in args.shape.split("x"))
+    except ValueError:
+        shape = ()
+    if len(shape) != 2 or min(shape) <= 0:
         raise ValidationError(f"--shape must be ROWSxCOLS, got {args.shape!r}")
     if args.model == "stationary":
         strain_map = strainmap.synth_stationary(

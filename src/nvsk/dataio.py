@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -105,42 +104,54 @@ def format_json(result: dict) -> str:
     return json.dumps(_round_floats(result), indent=2)
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
+def _column_cells(values: np.ndarray):
+    """Cell format of one column and a function turning a slice of it into
+    the values that format takes: floats print with FLOAT_FORMAT, anything
+    else as its str()."""
+    if values.dtype.kind == "f":
+        return FLOAT_FORMAT, np.ndarray.tolist
+    if values.dtype.kind in "biuUS":
+        return "%s", np.ndarray.tolist
+
+    def cells(part):
+        return [
+            FLOAT_FORMAT % float(v) if isinstance(v, (float, np.floating)) else str(v)
+            for v in part
+        ]
+
+    return "%s", cells
+
+
 def emit_csv(columns, path, manifest: Optional[RunManifest] = None) -> None:
     """Write named columns as CSV; headers carry the unit suffixes.
 
-    columns is a sequence of (header, values) pairs of equal length.
+    columns is a sequence of (header, values) pairs of equal length. Rows
+    are formatted and written in blocks of _CSV_BLOCK_ROWS, one % on a
+    repeated row template per block.
     """
     headers = [h for h, _ in columns]
     arrays = [np.asarray(v) for _, v in columns]
+    if any(a.ndim != 1 for a in arrays):
+        raise ValidationError("CSV columns must be one-dimensional")
     lengths = {len(a) for a in arrays}
     if len(lengths) != 1:
         raise ValidationError(f"column lengths differ: {sorted(lengths)}")
-    buf = io.StringIO()
-    buf.write(",".join(headers) + "\n")
-    for row in zip(*arrays):
-        cells = []
-        for value in row:
-            if isinstance(value, (float, np.floating)):
-                cells.append(FLOAT_FORMAT % float(value))
-            else:
-                cells.append(str(value))
-        buf.write(",".join(cells) + "\n")
-    _write_bytes(path, buf.getvalue())
+    n_rows, width = lengths.pop(), len(arrays)
+    formats, converters = zip(*(_column_cells(a) for a in arrays))
+    row_template = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(headers) + "\n")
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
+            flat = [None] * ((hi - lo) * width)
+            for j, (a, convert) in enumerate(zip(arrays, converters)):
+                flat[j::width] = convert(a[lo:hi])
+            handle.write(row_template * (hi - lo) % tuple(flat))
     if manifest is not None:
         write_manifest(path, manifest)
-
-
-def emit_results(result, fmt: str, path, manifest: Optional[RunManifest] = None) -> None:
-    """Write a result artifact in the requested format plus its manifest.
-
-    fmt "json" takes a dict; fmt "csv" takes (header, values) column pairs.
-    """
-    if fmt == "json":
-        emit_json(result, path, manifest)
-    elif fmt == "csv":
-        emit_csv(result, path, manifest)
-    else:
-        raise ValidationError(f"format must be 'json' or 'csv', got {fmt!r}")
 
 
 # --- intensity tables ---
@@ -253,11 +264,22 @@ def load_strain_map(path) -> StrainMap:
     sidecar_path = _sidecar_path(path)
     if not sidecar_path.is_file():
         raise ValidationError(f"strain map sidecar not found: {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{sidecar_path}: not valid JSON: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise ValidationError(f"{sidecar_path}: expected a JSON object")
     units = sidecar.get("units")
     if units != "kHz":
         raise ValidationError(f"{sidecar_path}: expected units 'kHz', got {units!r}")
     pitch = sidecar.get("pixel_pitch_um")
+    try:
+        pitch = float(pitch)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{sidecar_path}: pixel_pitch_um must be a number, got {pitch!r}"
+        ) from None
     orientation = sidecar.get("orientation", "nv1")
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"{sidecar_path}: unknown orientation {orientation!r}")
@@ -265,7 +287,7 @@ def load_strain_map(path) -> StrainMap:
         values = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"{path}: cannot parse numeric grid: {exc}") from None
-    return StrainMap(values=values, pixel_pitch_um=float(pitch), orientation=orientation)
+    return StrainMap(values=values, pixel_pitch_um=pitch, orientation=orientation)
 
 
 # --- spectra ---

@@ -130,7 +130,8 @@ GROUND_MS_PM1 = StateVector(0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def max_stable_dt(params: FiveLevelParams, s: float) -> float:
-    """Largest output step that resolves the fastest relaxation channel."""
+    """Largest output step that resolves the fastest relaxation channel and
+    samples the readout filter at ten times its cutoff."""
     fastest = max(
         1.0,
         s,
@@ -138,7 +139,9 @@ def max_stable_dt(params: FiveLevelParams, s: float) -> float:
         1.0 + params.kappa_45,
         params.kappa_51 + params.kappa_52,
     )
-    return 0.01 / (params.gamma_rad * fastest)
+    return min(
+        0.01 / (params.gamma_rad * fastest), 1.0 / (10.0 * DEFAULT_FILTER_CUTOFF_MHZ)
+    )
 
 
 def _check_grid(params, s, t_end, dt):
@@ -200,7 +203,7 @@ def evolve(
     )
     if not sol.success:
         raise ComputationError(f"integration failed: {sol.message}")
-    return Trajectory(sol.t, sol.y.T.copy(), s=s, params=params)
+    return Trajectory(sol.t, sol.y.T, s=s, params=params)
 
 
 def steady_state(params: FiveLevelParams, s: float) -> StateVector:
@@ -314,6 +317,9 @@ class ContrastCurve:
         return float(self.times[1] - self.times[0])
 
 
+_READOUT_BLOCK = 2**14
+
+
 def _contrast_arrays(
     params: FiveLevelParams,
     s: float,
@@ -327,16 +333,25 @@ def _contrast_arrays(
     keep_stride-th sample.
 
     Sig and Ref advance together as the (5, 2) population state under the
-    exact one-step propagator P. Output comes in blocks of about sqrt(n)
-    steps (a multiple of keep_stride): the PL rows gamma (e3 + e4) P^j,
-    j < block, are built once by doubling, so each block is one product
-    with the state, and the state then advances by P^block.
+    exact one-step propagator P. Output comes in blocks of _READOUT_BLOCK
+    steps (the whole trace if shorter, rounded up to a multiple of
+    keep_stride): the PL rows gamma (e3 + e4) P^j, j < block, are built once
+    by doubling, so each block is one product with the state, filtered with
+    the carried filter state, and the state then advances by P^block.
+    Where the filtered Ref PL is not above 1e-9 of its steady-state level,
+    the ratio is taken as undefined and the contrast as one; the floor is
+    fixed by the model, so a sample's value does not depend on the trace
+    length. Without pumping (s = 0) there is no PL and the contrast is one
+    throughout.
     """
     n_steps = _check_grid(params, s, t_end, dt)
     total = n_steps + 1
     prop = expm(rate_matrix(params, s) * dt)
-    block = keep_stride * max(1, math.ceil(math.sqrt(total) / keep_stride))
+    block = keep_stride * math.ceil(min(total, _READOUT_BLOCK) / keep_stride)
     rows = params.gamma_rad * np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])
+    ref_floor = math.inf
+    if s > 0:
+        ref_floor = 1e-9 * float(rows[0] @ steady_state(params, s).as_array())
     power = prop
     while len(rows) < block:
         rows = np.vstack([rows, rows @ power])
@@ -347,14 +362,11 @@ def _contrast_arrays(
     sos = _design_lowpass(dt, DEFAULT_FILTER_ORDER, DEFAULT_FILTER_CUTOFF_MHZ)
     zi = np.zeros((len(sos), 2, 2))
     kept = []
-    ref_scale = 0.0
     for lo in range(0, total, block):
         pl = state.T @ rows_t[:, : total - lo]
         (sig, ref), zi = sosfilt(sos, pl, zi=zi)
-        ref_scale = max(ref_scale, float(np.abs(ref).max()))
         contrast = np.ones_like(ref)
-        live = np.abs(ref) > 1e-9 * ref_scale
-        np.divide(sig, ref, out=contrast, where=live)
+        np.divide(sig, ref, out=contrast, where=np.abs(ref) > ref_floor)
         kept.append(contrast[::keep_stride])
         state = step @ state
     return np.arange(0, total, keep_stride) * dt, np.concatenate(kept)

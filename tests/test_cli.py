@@ -297,3 +297,41 @@ def test_table_outside_range_is_computation_boundary(tmp_path, sample_cfg, capsy
 
 def test_usage_error_exit_code(capsys):
     assert main(["sensitivity", "sweep"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strain", "synth", "--model", "stationary", "--shape", "abc"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--dtau", "0"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--tau-end", "inf"],
+        ["photophysics", "ti-band", "--grid", "1:inf:log:3"],
+        ["sensitivity", "optimal-n", "--to-grid", "nan:3:lin"],
+    ],
+)
+def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nvsk: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    ['{"units": "kHz"}', '{"units": "kHz", "pixel_pitch_um": "six"}', "[1", "[1]"],
+)
+def test_bad_strain_sidecar_exit_1_with_message(tmp_path, capsys, sidecar):
+    grid = tmp_path / "map.csv"
+    np.savetxt(grid, np.ones((8, 8)), delimiter=",")
+    (tmp_path / "map.json").write_text(sidecar)
+    assert main(["strain", "analyze", str(grid), "--sizes", "10:40:log:3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nvsk: ") and "Traceback" not in err
+
+
+def test_weak_radiative_rate_ti_band(tmp_path):
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text("[photophysics]\ngamma_rad_per_us = 0.05\n")
+    out = tmp_path / "band.csv"
+    argv = ["photophysics", "ti-band", "--grid", "1:10:log:2", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 3

@@ -1,13 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from nvsk.dataio import (
+    _CSV_BLOCK_ROWS,
+    FLOAT_FORMAT,
     RunManifest,
     emit_csv,
     emit_json,
-    emit_results,
     ingest_intensity_table,
     load_spectrum,
     load_strain_map,
@@ -89,16 +91,60 @@ def test_json_nonfinite_becomes_null(tmp_path):
     assert loaded["t2"] is None and loaded["x"] is None
 
 
-def test_emit_results_dispatch(tmp_path):
+def test_emit_json_and_csv_write_manifest_sidecars(tmp_path):
     manifest = RunManifest(command=["x"])
-    emit_results({"v": 1.0}, "json", tmp_path / "r.json", manifest)
-    emit_results([("a", [1.0, 2.0])], "csv", tmp_path / "r.csv", manifest)
+    emit_json({"v": 1.0}, tmp_path / "r.json", manifest)
+    emit_csv([("a", [1.0, 2.0])], tmp_path / "r.csv", manifest)
     assert json.loads((tmp_path / "r.json").read_text()) == {"v": 1.0}
     assert (tmp_path / "r.csv").read_text().startswith("a\n1\n2")
-    assert (tmp_path / "r.json.manifest.json").is_file()
-    assert (tmp_path / "r.csv.manifest.json").is_file()
-    with pytest.raises(ValidationError, match="format"):
-        emit_results({}, "yaml", tmp_path / "r.yaml")
+    for name in ("r.json", "r.csv"):
+        sidecar = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert sidecar["command"] == ["x"]
+
+
+def per_cell_csv(columns) -> bytes:
+    """Oracle: the row-by-row, cell-by-cell writer emit_csv must match."""
+    arrays = [np.asarray(v) for _, v in columns]
+    lines = [",".join(h for h, _ in columns)]
+    for row in zip(*arrays):
+        lines.append(
+            ",".join(
+                FLOAT_FORMAT % float(v) if isinstance(v, (float, np.floating)) else str(v)
+                for v in row
+            )
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def mixed_columns(n):
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    floats[::7] = np.nan
+    floats[3::11] = np.inf
+    floats[5::13] = -np.inf
+    mixed = [None if k % 3 == 0 else float(v) for k, v in enumerate(floats)]
+    return [
+        ("f64", floats),
+        ("f32", floats.astype(np.float32)),
+        ("int", rng.integers(-(2**40), 2**40, n)),
+        ("bool", rng.integers(0, 2, n).astype(bool)),
+        ("str", np.array([f"s{k}" for k in range(n)], dtype=str)),
+        ("obj", np.array(mixed, dtype=object)),
+        ("list", [math.pi * k for k in range(n)]),
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+def test_emit_csv_matches_per_cell_oracle(tmp_path, n):
+    columns = mixed_columns(n)
+    path = tmp_path / "mixed.csv"
+    emit_csv(columns, path)
+    assert path.read_bytes() == per_cell_csv(columns)
+
+
+def test_emit_csv_rejects_non_column_values(tmp_path):
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        emit_csv([("a", np.ones((3, 2)))], tmp_path / "x.csv")
 
 
 def test_ingest_table_well_formed(tmp_path):

@@ -280,6 +280,28 @@ def test_default_window_covers_decay():
         assert dev[-1] < 0.01 * dev.max()
 
 
+def test_early_contrast_does_not_depend_on_trace_length():
+    # strong pumping: the filtered Ref PL starts ~1e-12 of its steady level,
+    # so the first samples sit on the division guard
+    i, i_sat = 100.0, 3.0
+    t_end = default_trace_window(PARAMS, i / i_sat)
+    full = contrast_trace(PARAMS, i, i_sat).contrast
+    short = contrast_trace(PARAMS, i, i_sat, t_end=t_end / 8).contrast
+    assert np.array_equal(short, full[: len(short)])
+
+
+def test_contrast_without_pumping_is_unity():
+    curve = contrast_trace(PARAMS, 0.0, 3.0, t_end=20.0)
+    assert np.all(curve.contrast == 1.0)
+
+
+def test_resolution_step_samples_the_readout_filter():
+    # weak radiative rate: the relaxation limit alone would undersample the
+    # 1.7 MHz readout filter; the default rates are limited by relaxation
+    assert max_stable_dt(FiveLevelParams(gamma_rad=0.05), 1.0) * 10.0 * 1.7 <= 1.0
+    assert max_stable_dt(PARAMS, 1.0) == 0.01 / (PARAMS.gamma_rad * 2.0)
+
+
 def test_filter_insensitive_to_input_rounding():
     # s = 100 samples at ~3900x the cutoff; a transfer-function (b, a)
     # realisation amplifies a 1e-13 input perturbation to ~1e-6 here
