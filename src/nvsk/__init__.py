@@ -13,7 +13,6 @@ from .core import (
 from .dephasing import (
     BathCoefficients,
     DephasingBudget,
-    combine_budget,
     dq_t2star,
     nitrogen_bookkeeping,
     spin_bath_budget,
@@ -44,7 +43,6 @@ __all__ = [
     "validate_sample",
     "BathCoefficients",
     "DephasingBudget",
-    "combine_budget",
     "dq_t2star",
     "nitrogen_bookkeeping",
     "spin_bath_budget",

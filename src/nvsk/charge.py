@@ -34,7 +34,6 @@ class Spectrum:
 
     wavelength_nm: np.ndarray
     counts: np.ndarray
-    longpass_nm: float = 550.0
 
     def __post_init__(self):
         self.wavelength_nm = np.asarray(self.wavelength_nm, dtype=float)

@@ -8,6 +8,7 @@ validation error, 2 computation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -15,9 +16,12 @@ import numpy as np
 
 from . import __version__, charge, dataio, photophysics, ramsey, strainmap
 from .config import ResolvedConfig, default_config, parse_config
-from .dephasing import combine_budget, dq_t2star, spin_bath_budget, strain_rate_from_fwhm
+from .dephasing import dq_t2star, spin_bath_budget, strain_rate_from_fwhm
 from .errors import ComputationError, NvskError, ValidationError
-from .sensitivity import optimal_nitrogen, sensitivity_ratio, volume_normalized_sensitivity
+from .sensitivity import optimal_nitrogen, volume_normalized_sensitivity
+
+# Largest time grid a trace command materializes.
+_MAX_TRACE_POINTS = 5_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +76,20 @@ def parenthesis_format(value: float, sigma: float, unit: str = "") -> str:
     return f"{value:.{decimals}f}({digit}){unit}"
 
 
+def _check_trace_grid(span_flag, span, step_flag, step, hint: str) -> None:
+    """Refuse a time grid whose span or step is not finite and positive, or
+    that has more than _MAX_TRACE_POINTS points."""
+    for flag, value in ((step_flag, step), (span_flag, span)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{flag} must be finite and > 0, got {value:g}")
+    n_points = span / step + 1  # a float, so a huge ratio cannot overflow
+    if n_points > _MAX_TRACE_POINTS:
+        raise ValidationError(
+            f"grid of {n_points:,.0f} points exceeds the {_MAX_TRACE_POINTS:,}-point "
+            f"limit; {hint}"
+        )
+
+
 def _load_config(path) -> ResolvedConfig:
     return parse_config(path) if path else default_config()
 
@@ -96,12 +114,8 @@ def cmd_dephasing(args) -> int:
     strain_rate = 0.0
     if args.strain_fwhm_khz is not None:
         strain_rate = strain_rate_from_fwhm(args.strain_fwhm_khz)
-    full = combine_budget(
-        rate_ns0=budget.rate_ns0,
-        rate_c13=budget.rate_c13,
-        rate_nv_nv=budget.rate_nv_nv,
-        rate_strain=strain_rate,
-        rate_bias=cfg.bias_rate_per_us,
+    full = dataclasses.replace(
+        budget, rate_strain=strain_rate, rate_bias=cfg.bias_rate_per_us
     )
     result = {"units": {"rates": "1/us", "t2": "us"}}
     result.update(full.as_dict())
@@ -185,17 +199,9 @@ def cmd_sensitivity_compare(args) -> int:
         if not hi > lo:
             raise ValidationError("tables share no overlapping intensity range")
         grid = np.logspace(math.log10(lo), math.log10(hi), 25)
-    ratios = [
-        sensitivity_ratio(
-            cfg_a.sample(),
-            table_a,
-            cfg_b.sample(),
-            table_b,
-            intensity,
-            args.protocol,
-        )
-        for intensity in grid
-    ]
+    rows_a = _sweep_rows(cfg_a.sample(), table_a, grid, args.protocol, cfg_a)
+    rows_b = _sweep_rows(cfg_b.sample(), table_b, grid, args.protocol, cfg_b)
+    ratios = [a.eta / b.eta for a, b in zip(rows_a, rows_b)]
     manifest = _manifest(
         args,
         {"a": cfg_a.as_dict(), "b": cfg_b.as_dict()},
@@ -218,12 +224,10 @@ def cmd_photophysics_simulate(args) -> int:
     s = photophysics.saturation_parameter(args.intensity, args.isat)
     dt = args.dt if args.dt else photophysics.max_stable_dt(params, s)
     t_end = args.t_end if args.t_end else photophysics.default_trace_window(params, s)
-    n_points = int(math.ceil(t_end / dt)) + 1
-    if n_points > 5_000_000:
-        raise ValidationError(
-            f"grid of {n_points:,} points is too large for a trajectory trace; "
-            "pass a shorter --t-end (or use ti-band for slow-pumping regimes)"
-        )
+    _check_trace_grid(
+        "--t-end", t_end, "--dt", dt,
+        "pass a shorter --t-end (or use ti-band for slow-pumping regimes)",
+    )
     trajectory = photophysics.evolve(
         params, s, photophysics.GROUND_MS0, t_end=t_end, dt=dt
     )
@@ -276,10 +280,12 @@ def cmd_ramsey_synth(args) -> int:
         amplitude=args.amplitude,
         baseline=args.baseline,
     )
-    for flag, value in (("--dtau", args.dtau), ("--tau-end", args.tau_end)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{flag} must be finite and > 0, got {value:g}")
-    tau = np.arange(args.dtau, args.tau_end + 0.5 * args.dtau, args.dtau)
+    tau_end = 3.0 * args.t2 if args.tau_end is None else args.tau_end
+    _check_trace_grid(
+        "--tau-end", tau_end, "--dtau", args.dtau,
+        "pass a larger --dtau or a shorter --tau-end",
+    )
+    tau = np.arange(args.dtau, tau_end + 0.5 * args.dtau, args.dtau)
     signal = ramsey.synthesize(model, tau, noise_sigma=args.noise_sigma, seed=args.seed)
     dataio.emit_csv(
         [("tau_us", tau), ("contrast", signal)],
@@ -528,9 +534,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.argv = argv
-        if getattr(args, "command", None) == "ramsey" and getattr(args, "verb", "") == "synth":
-            if args.tau_end is None:
-                args.tau_end = 3.0 * args.t2
         return args.func(args)
     except ValidationError as exc:
         print(f"nvsk: {exc}", file=sys.stderr)

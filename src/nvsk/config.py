@@ -149,15 +149,12 @@ class ResolvedConfig:
     """Parsed configuration with defaults filled in.
 
     `values` maps section -> key -> value for everything known to the
-    schema; `set_keys` lists what the file itself provided (for manifests).
+    schema: the file's own keys over the built-in defaults. `source` is the
+    file path, for diagnostics.
     """
 
     values: dict
-    set_keys: dict
     source: Optional[str] = None
-
-    def get(self, section: str, key: str):
-        return self.values[section].get(key)
 
     def as_dict(self) -> dict:
         return {section: dict(items) for section, items in self.values.items()}
@@ -233,7 +230,7 @@ class ResolvedConfig:
 
 def default_config() -> ResolvedConfig:
     values = {s: dict(items) for s, items in _DEFAULTS.items()}
-    return ResolvedConfig(values=values, set_keys={s: {} for s in _SCHEMA})
+    return ResolvedConfig(values=values)
 
 
 def _parse_lines(lines, source: str) -> ResolvedConfig:
@@ -275,7 +272,6 @@ def _parse_lines(lines, source: str) -> ResolvedConfig:
         if not constraint(value):
             raise ValidationError(f"{source}:{lineno}: {key} {description}: {value}")
         cfg.values[section][key] = value
-        cfg.set_keys[section][key] = value
     return cfg
 
 

@@ -9,7 +9,7 @@ with an implied unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -139,9 +139,6 @@ class DiamondSample:
             charge_fraction_psi=float(psi),
             n_orientations_sensing=int(n_orientations_sensing),
         )
-
-    def with_psi(self, psi: float) -> "DiamondSample":
-        return replace(self, charge_fraction_psi=float(psi))
 
 
 def validate_sample(sample: DiamondSample) -> DiamondSample:

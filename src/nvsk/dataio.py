@@ -43,7 +43,6 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)  # label -> {path, sha256}
     seed: Optional[int] = None
-    version: str = __version__
     created_utc: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
@@ -54,7 +53,7 @@ class RunManifest:
     def as_dict(self) -> dict:
         return {
             "tool": "nvsk",
-            "version": self.version,
+            "version": __version__,
             "command": list(self.command),
             "config": self.config,
             "inputs": self.inputs,
@@ -220,20 +219,6 @@ def ingest_intensity_table(path) -> IntensityTable:
     return IntensityTable(rows)
 
 
-def write_intensity_table(table: IntensityTable, path) -> None:
-    columns = [
-        ("intensity_mw_um2", [r.intensity for r in table.rows]),
-        ("contrast", [r.contrast_c for r in table.rows]),
-        ("psi", [r.psi for r in table.rows]),
-        ("overhead_us", [r.t_overhead for r in table.rows]),
-    ]
-    if table.rows[0].photon_rate_kcps is not None:
-        columns.append(
-            (_TABLE_RATE_COLUMN, [r.photon_rate_kcps for r in table.rows])
-        )
-    emit_csv(columns, path)
-
-
 # --- strain maps ---
 
 
@@ -293,7 +278,7 @@ def load_strain_map(path) -> StrainMap:
 # --- spectra ---
 
 
-def load_spectrum(path, longpass_nm: float = 550.0) -> Spectrum:
+def load_spectrum(path) -> Spectrum:
     """CSV with columns wavelength_nm, counts."""
     path = Path(path)
     if not path.is_file():
@@ -313,16 +298,4 @@ def load_spectrum(path, longpass_nm: float = 550.0) -> Spectrum:
                 counts.append(float(record["counts"]))
             except (TypeError, ValueError):
                 raise ValidationError(f"{path}:{lineno}: bad numeric value") from None
-    return Spectrum(
-        wavelength_nm=np.array(wl), counts=np.array(counts), longpass_nm=longpass_nm
-    )
-
-
-def write_spectrum(spectrum: Spectrum, path) -> None:
-    emit_csv(
-        [
-            ("wavelength_nm", spectrum.wavelength_nm),
-            ("counts", spectrum.counts),
-        ],
-        path,
-    )
+    return Spectrum(wavelength_nm=np.array(wl), counts=np.array(counts))

@@ -55,11 +55,6 @@ class BathCoefficients:
                 raise ValidationError(f"{name} out of [0,1]: {v}")
             object.__setattr__(self, name, v)
 
-    @classmethod
-    def with_c13_per_ms(cls, a_c13_per_ms: float = 0.100, **kw) -> "BathCoefficients":
-        """Build from the per-millisecond carbon-13 coefficient."""
-        return cls(a_c13=float(a_c13_per_ms) * 1e-3, **kw)
-
 
 def _rate_or_none(rate: float):
     return 1.0 / rate if rate > 0.0 else None
@@ -189,23 +184,6 @@ def strain_rate_from_fwhm(delta_khz: float) -> float:
 def t2_strain_from_fwhm(delta_khz: float):
     """T2*_strain in us, or None for a homogeneous (zero-width) map."""
     return _rate_or_none(strain_rate_from_fwhm(delta_khz))
-
-
-def combine_budget(
-    rate_ns0: float = 0.0,
-    rate_c13: float = 0.0,
-    rate_nv_nv: float = 0.0,
-    rate_strain: float = 0.0,
-    rate_bias: float = 0.0,
-) -> DephasingBudget:
-    """Assemble a budget from individual rates; the total is their sum."""
-    return DephasingBudget(
-        rate_ns0=rate_ns0,
-        rate_c13=rate_c13,
-        rate_nv_nv=rate_nv_nv,
-        rate_strain=rate_strain,
-        rate_bias=rate_bias,
-    )
 
 
 def dq_rate(budget: DephasingBudget) -> float:

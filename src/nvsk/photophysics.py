@@ -168,10 +168,6 @@ class Trajectory:
         self.populations = populations  # shape (n, 5)
         self.s = s
         self.params = params
-        self.dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
-
-    def __len__(self):
-        return len(self.times)
 
     def conservation_error(self) -> float:
         return float(np.abs(self.populations.sum(axis=1) - 1.0).max())
@@ -256,28 +252,27 @@ def pl_rate(trajectory: Trajectory) -> PLTrace:
     )
 
 
-def _design_lowpass(dt: float, order: int, f_cut_mhz: float):
+def _design_lowpass(dt: float):
     fs = 1.0 / dt  # sample rate in MHz for time in us
-    if fs < 10.0 * f_cut_mhz:
+    if fs < 10.0 * DEFAULT_FILTER_CUTOFF_MHZ:
         raise ValidationError(
             f"trace undersampled for filtering: sample rate {fs:g} MHz "
-            f"< 10 x cutoff {f_cut_mhz:g} MHz"
+            f"< 10 x cutoff {DEFAULT_FILTER_CUTOFF_MHZ:g} MHz"
         )
-    return butter(order, f_cut_mhz, btype="low", fs=fs, output="sos")
+    return butter(
+        DEFAULT_FILTER_ORDER, DEFAULT_FILTER_CUTOFF_MHZ, btype="low", fs=fs, output="sos"
+    )
 
 
-def lowpass(
-    trace: PLTrace,
-    order: int = DEFAULT_FILTER_ORDER,
-    f_cut_mhz: float = DEFAULT_FILTER_CUTOFF_MHZ,
-) -> PLTrace:
+def lowpass(trace: PLTrace) -> PLTrace:
     """Causal Butterworth low-pass emulating the acquisition hardware.
 
-    Bilinear design at the trace sample rate; unity DC gain. The filter is
+    Order DEFAULT_FILTER_ORDER with cutoff DEFAULT_FILTER_CUTOFF_MHZ, bilinear
+    design at the trace sample rate; unity DC gain. The filter is
     causal (startup transient included), matching how the instrument sees a
     signal that switches on at t = 0.
     """
-    sos = _design_lowpass(trace.dt, order, f_cut_mhz)
+    sos = _design_lowpass(trace.dt)
     values = sosfilt(sos, trace.values)
     return PLTrace(
         times=trace.times, values=values, s=trace.s, filtered=True,
@@ -359,7 +354,7 @@ def _contrast_arrays(
     rows_t = rows[:block].T
     step = np.linalg.matrix_power(prop, block)
     state = np.column_stack([sig_initial.as_array(), ref_initial.as_array()])
-    sos = _design_lowpass(dt, DEFAULT_FILTER_ORDER, DEFAULT_FILTER_CUTOFF_MHZ)
+    sos = _design_lowpass(dt)
     zi = np.zeros((len(sos), 2, 2))
     kept = []
     for lo in range(0, total, block):
@@ -373,6 +368,7 @@ def _contrast_arrays(
 
 
 _MAX_CURVE_SAMPLES = 20_000_000
+_MAX_KEPT_SAMPLES = 2_000_000
 
 
 def contrast_trace(
@@ -461,15 +457,11 @@ class TiBand:
     upper: np.ndarray
 
 
-def ti_band(
-    params: FiveLevelParams,
-    intensities,
-    max_kept_samples: int = 2_000_000,
-) -> TiBand:
+def ti_band(params: FiveLevelParams, intensities) -> TiBand:
     """Map initialization_time over a grid at both band saturation
     intensities. Long low-intensity traces are stored decimated (the
-    dynamics are evaluated at full resolution first, then strided) to keep
-    memory bounded.
+    dynamics are evaluated at full resolution first, then strided to at most
+    _MAX_KEPT_SAMPLES samples) to keep memory bounded.
     """
     grid = np.asarray([as_mw_per_um2(i) for i in intensities], dtype=float)
     if grid.size == 0:
@@ -482,7 +474,7 @@ def ti_band(
             dt = max_stable_dt(params, s)
             t_end = default_trace_window(params, s)
             n_total = int(math.ceil(t_end / dt)) + 1
-            stride = max(1, int(math.ceil(n_total / max_kept_samples)))
+            stride = max(1, int(math.ceil(n_total / _MAX_KEPT_SAMPLES)))
             times, contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride)
             curve = ContrastCurve(
                 times=times, contrast=contrast, s=s, intensity=i, i_sat=i_sat

@@ -145,13 +145,14 @@ def _spectral_peaks(tau, resid, n_lines):
     return np.sort(peak_f[order])
 
 
-def _frequency_hypotheses(peaks, fallback_split):
+def _frequency_hypotheses(peaks):
     """Candidate (detuning, splitting) seeds from observed spectral peaks.
 
     Lines live at |detuning + j*a|, so for a triplet with detuning < a/2 the
     lowest peak is the detuning itself and the outer pair straddles the
     splitting; for detuning > a/2 the peaks are equally spaced. Both
-    readings are tried and the cheapest fit wins.
+    readings are tried and the cheapest fit wins. A single peak is paired
+    with the 14N splitting.
     """
     if peaks.size >= 3:
         folded = (float(peaks[0]), float(0.5 * (peaks[1] + peaks[2])))
@@ -163,7 +164,7 @@ def _frequency_hypotheses(peaks, fallback_split):
             (float(peaks[0]), float(peaks[1])),
         ]
     if peaks.size == 1:
-        return [(float(peaks[0]), fallback_split)]
+        return [(float(peaks[0]), DEFAULT_HYPERFINE_MHZ)]
     return []
 
 
@@ -189,12 +190,7 @@ def _envelope_seed(tau, resid):
     return amp0, t2_0
 
 
-def fit(
-    tau,
-    signal,
-    n_hyperfine: int = 3,
-    fallback_splitting: float = DEFAULT_HYPERFINE_MHZ,
-) -> RamseyFitResult:
+def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     """Least-squares fit of the free-induction model to a signal.
 
     Deterministic initialization (spectral peak picking for frequencies,
@@ -214,7 +210,7 @@ def fit(
     peaks = _spectral_peaks(tau, resid0, n_hyperfine)
     if peaks.size == 0:
         raise ValidationError("no oscillation found in signal spectrum")
-    hypotheses = _frequency_hypotheses(peaks, fallback_splitting)
+    hypotheses = _frequency_hypotheses(peaks)
     amp0, t2_0 = _envelope_seed(tau, resid0)
 
     # sampling sanity against the fastest plausible line

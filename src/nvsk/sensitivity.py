@@ -107,15 +107,21 @@ class TauOptimum:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bracket width on the log axis, i.e. the relative tolerance of the minimizer.
+_REL_TOL = 1e-6
+# Log-spaced scan points that bracket the minimum before golden-section search.
+_TAU_SCAN = 160
+_NITROGEN_SCAN = 256
+_NITROGEN_RANGE_PPM = (0.01, 100.0)
 
 
-def _golden_min(f, lo: float, hi: float, rel_tol: float) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     """Deterministic golden-section minimum of f on [lo, hi] (log axis)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > rel_tol:
+    while (b - a) > _REL_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -127,16 +133,12 @@ def _golden_min(f, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def optimal_tau(
-    params: SensingParams,
-    tau_max: Optional[float] = None,
-    rel_tol: float = 1e-6,
-    n_scan: int = 160,
-) -> TauOptimum:
+def optimal_tau(params: SensingParams, tau_max: Optional[float] = None) -> TauOptimum:
     """Minimize the sensitivity over tau in (0, tau_max].
 
-    tau_max defaults to 5 * T2*. A coarse log-spaced scan brackets the
-    minimum, then golden-section search on log(tau) refines it to rel_tol.
+    tau_max defaults to 5 * T2*. A coarse log-spaced scan of _TAU_SCAN points
+    brackets the minimum, then golden-section search on log(tau) refines it
+    to a relative tolerance of _REL_TOL.
     A minimizer stuck at the upper edge (no dephasing penalty inside the
     domain) is reported with boundary=True.
     """
@@ -160,17 +162,17 @@ def optimal_tau(
 
     hi = math.log(tau_max)
     lo = hi + math.log(1e-9)
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, _TAU_SCAN)
     values = [objective(x) for x in grid]
     i = int(np.argmin(values))
     if not math.isfinite(values[i]):
         raise ComputationError("sensitivity is not finite anywhere in the tau domain")
-    if i == n_scan - 1:
+    if i == _TAU_SCAN - 1:
         # still descending at the domain edge
         return TauOptimum(tau=tau_max, eta=values[-1], boundary=True)
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n_scan - 1)]
-    log_best = _golden_min(objective, a, b, rel_tol=rel_tol)
+    b = grid[min(i + 1, _TAU_SCAN - 1)]
+    log_best = _golden_min(objective, a, b)
     tau = math.exp(log_best)
     return TauOptimum(tau=tau, eta=objective(log_best), boundary=False)
 
@@ -218,13 +220,7 @@ class NitrogenOptimum:
     interior: bool  # False: no interior optimum, boundary value returned
 
 
-def optimal_nitrogen(
-    t_overhead: float,
-    cfg: MetricConfig = MetricConfig(),
-    n_range=(0.01, 100.0),
-    rel_tol: float = 1e-6,
-    n_scan: int = 256,
-) -> NitrogenOptimum:
+def optimal_nitrogen(t_overhead: float, cfg: MetricConfig = MetricConfig()) -> NitrogenOptimum:
     """Nitrogen concentration minimizing the simplified metric.
 
     Deterministic log-grid scan plus golden-section refinement over
@@ -238,14 +234,14 @@ def optimal_nitrogen(
     def objective(log_n: float) -> float:
         return simplified_metric(math.exp(log_n), cfg)
 
-    lo, hi = math.log(n_range[0]), math.log(n_range[1])
-    grid = np.linspace(lo, hi, n_scan)
+    lo, hi = (math.log(n) for n in _NITROGEN_RANGE_PPM)
+    grid = np.linspace(lo, hi, _NITROGEN_SCAN)
     values = [objective(x) for x in grid]
     i = int(np.argmin(values))
-    if i in (0, n_scan - 1):
+    if i in (0, _NITROGEN_SCAN - 1):
         n_opt = math.exp(grid[i])
         return NitrogenOptimum(Concentration(n_opt), values[i], interior=False)
-    log_best = _golden_min(objective, grid[i - 1], grid[i + 1], rel_tol=rel_tol)
+    log_best = _golden_min(objective, grid[i - 1], grid[i + 1])
     return NitrogenOptimum(
         Concentration(math.exp(log_best)), objective(log_best), interior=True
     )
@@ -479,13 +475,9 @@ def sensitivity_ratio(
     table_b: IntensityTable,
     intensity,
     protocol: str = "sq",
-    **kwargs,
 ) -> float:
-    """eta_a / eta_b at a common intensity; errors from either side propagate."""
-    eta_a = volume_normalized_sensitivity(
-        sample_a, table_a, intensity, protocol, **kwargs
-    ).eta
-    eta_b = volume_normalized_sensitivity(
-        sample_b, table_b, intensity, protocol, **kwargs
-    ).eta
+    """eta_a / eta_b at a common intensity under default constants, bath
+    coefficients and photon model; errors from either side propagate."""
+    eta_a = volume_normalized_sensitivity(sample_a, table_a, intensity, protocol).eta
+    eta_b = volume_normalized_sensitivity(sample_b, table_b, intensity, protocol).eta
     return eta_a / eta_b

@@ -10,6 +10,7 @@ whether enlarging the sensor keeps paying off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -59,11 +60,6 @@ class StrainMap:
     def valid_values(self) -> np.ndarray:
         return self.values[self.mask]
 
-    @property
-    def extent_um(self):
-        h, w = self.values.shape
-        return (h * self.pixel_pitch_um, w * self.pixel_pitch_um)
-
 
 def mean_subtract(strain_map: StrainMap) -> StrainMap:
     """Shift so the masked mean is zero; variance is untouched."""
@@ -95,17 +91,19 @@ class LorentzianFit:
         }
 
 
-def _histogram_edges(values: np.ndarray, bin_width: Optional[float]):
-    q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+def _check_bin_width(bin_width: Optional[float]) -> None:
+    if bin_width is not None and not 0 < bin_width < math.inf:
+        raise ValidationError(f"bin width must be finite and > 0, got {bin_width}")
+
+
+def _histogram_edges(n_values: int, q25, q50, q75, bin_width: Optional[float]):
     iqr = q75 - q25
     if bin_width is None:
         # Freedman-Diaconis; heavy-tailed inputs are windowed around the
         # median so the bin count stays proportionate to the core.
         if iqr <= 0:
             raise ComputationError("under-resolved linewidth: zero interquartile range")
-        bin_width = 2.0 * iqr / len(values) ** (1.0 / 3.0)
-    elif not bin_width > 0:
-        raise ValidationError(f"bin width must be > 0, got {bin_width}")
+        bin_width = 2.0 * iqr / n_values ** (1.0 / 3.0)
     half = _HISTOGRAM_HALF_RANGE_IQR * max(iqr, bin_width)
     lo, hi = q50 - half, q50 + half
     n_bins = int(np.ceil((hi - lo) / bin_width))
@@ -153,13 +151,14 @@ def histogram_fwhm(
         raise ValidationError(
             f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(values)}"
         )
-    edges = _histogram_edges(values, bin_width_khz)
+    _check_bin_width(bin_width_khz)
+    q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+    edges = _histogram_edges(len(values), q25, q50, q75, bin_width_khz)
     counts, _ = np.histogram(values, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     counts = counts.astype(float)
     bin_w = edges[1] - edges[0]
 
-    q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
     fwhm0 = max(q75 - q25, bin_w)
     amp0 = max(counts.max(), 1.0) * (fwhm0 / 2.0) ** 2
     resid, jac = _lorentzian_residual_and_jacobian(centers, counts)
@@ -245,8 +244,9 @@ def partition_sweep(
     Tiles are anchored at the map origin (plus tile_offset pixels); partial
     edge tiles are discarded. Each tile is mean-subtracted before its
     histogram fit. Tiles with too few valid pixels or unresolvable widths
-    are skipped and counted.
+    are skipped and counted; a bad bin width is refused up front.
     """
+    _check_bin_width(bin_width_khz)
     h, w = strain_map.values.shape
     pitch = strain_map.pixel_pitch_um
     off_r, off_c = int(tile_offset[0]), int(tile_offset[1])
@@ -275,7 +275,7 @@ def partition_sweep(
                     continue
                 try:
                     fit = histogram_fwhm(vals - vals.mean(), bin_width_khz)
-                except (ValidationError, ComputationError):
+                except ComputationError:
                     skipped += 1
                     continue
                 fwhms.append(fit.fwhm_khz)
@@ -351,7 +351,6 @@ def synth_stationary(
     pixel_pitch_um: float,
     scale_khz: float,
     seed: Optional[int] = None,
-    orientation: str = "nv1",
 ) -> StrainMap:
     """Spatially uniform test map: i.i.d. Cauchy shifts of given scale.
 
@@ -360,7 +359,11 @@ def synth_stationary(
     """
     rng = np.random.default_rng(seed)
     values = scale_khz * rng.standard_cauchy(size=shape)
-    return StrainMap(values=values, pixel_pitch_um=pixel_pitch_um, orientation=orientation)
+    return StrainMap(values=values, pixel_pitch_um=pixel_pitch_um)
+
+
+# Share of each linear dimension taken by the hot square of synth_two_region.
+_HOT_FRACTION = 0.25
 
 
 def synth_two_region(
@@ -369,22 +372,18 @@ def synth_two_region(
     scale_khz: float,
     hot_scale_khz: float,
     seed: Optional[int] = None,
-    hot_fraction: float = 0.25,
-    orientation: str = "nv1",
 ) -> StrainMap:
     """Test map with one high-strain square region in a quiet background.
 
-    The hot square occupies hot_fraction of each linear dimension in the
+    The hot square occupies _HOT_FRACTION of each linear dimension in the
     lower-right corner and carries both a broader shift distribution and a
     linear gradient, mimicking an isolated dislocation bundle.
     """
-    if not 0 < hot_fraction < 1:
-        raise ValidationError(f"hot_fraction out of (0,1): {hot_fraction}")
     rng = np.random.default_rng(seed)
     values = scale_khz * rng.standard_cauchy(size=shape)
     h, w = shape
-    hot_h, hot_w = int(h * hot_fraction), int(w * hot_fraction)
+    hot_h, hot_w = int(h * _HOT_FRACTION), int(w * _HOT_FRACTION)
     hot = hot_scale_khz * rng.standard_cauchy(size=(hot_h, hot_w))
     ramp = np.linspace(0.0, 4.0 * hot_scale_khz, hot_w)
     values[h - hot_h :, w - hot_w :] = hot + ramp[None, :]
-    return StrainMap(values=values, pixel_pitch_um=pixel_pitch_um, orientation=orientation)
+    return StrainMap(values=values, pixel_pitch_um=pixel_pitch_um)

@@ -14,7 +14,7 @@ import numpy as np
 import nvsk.photophysics as ph
 from nvsk.core import DiamondSample
 from nvsk.dephasing import (
-    combine_budget,
+    DephasingBudget,
     dq_t2star,
     nitrogen_bookkeeping,
     spin_bath_budget,
@@ -173,7 +173,7 @@ def test_criterion_09_ramsey_roundtrips():
 
 
 def test_criterion_10_dq_model():
-    budget = combine_budget(rate_ns0=1.0 / 17.5)
+    budget = DephasingBudget(rate_ns0=1.0 / 17.5)
     value, elapsed = timed(dq_t2star, budget)
     ok = (
         abs(value - 8.75) < 1e-9

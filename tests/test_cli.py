@@ -236,6 +236,30 @@ def test_sensitivity_sweep_and_compare(tmp_path, sample_cfg):
     assert ratios[0] < 1.0 < ratios[-1]
 
 
+def test_compare_uses_each_sample_config(tmp_path, sample_cfg):
+    fast_bath = tmp_path / "fast_bath.cfg"
+    fast_bath.write_text(SAMPLE_CFG + "\n[bath]\na_ns0_per_us_ppm = 0.5\n")
+    table = tmp_path / "low.csv"
+    table.write_text(table_rows_to_csv_text(LOW_N_ROWS))
+    grid = ["--grid", "1e-3:1e1:log:5"]
+
+    def column(path, index):
+        rows = path.read_text().strip().split("\n")[1:]
+        return np.array([float(r.split(",")[index]) for r in rows])
+
+    etas = []
+    for cfg in (str(fast_bath), sample_cfg):
+        out = tmp_path / "sweep.csv"
+        argv = ["sensitivity", "sweep", "--sample", cfg, "--table", str(table)]
+        assert main(argv + grid + ["--out", str(out)]) == 0
+        etas.append(column(out, 2))
+    out = tmp_path / "ratio.csv"
+    argv = ["sensitivity", "compare", "--sample-a", str(fast_bath), "--table-a",
+            str(table), "--sample-b", sample_cfg, "--table-b", str(table)]
+    assert main(argv + grid + ["--out", str(out)]) == 0
+    assert column(out, 1) == pytest.approx(etas[0] / etas[1], rel=1e-7)
+
+
 def test_manifest_records_the_argv_given_to_main(tmp_path, sample_cfg):
     table = tmp_path / "low.csv"
     table.write_text(table_rows_to_csv_text(LOW_N_ROWS))
@@ -307,6 +331,10 @@ def test_usage_error_exit_code(capsys):
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--tau-end", "inf"],
         ["photophysics", "ti-band", "--grid", "1:inf:log:3"],
         ["sensitivity", "optimal-n", "--to-grid", "nan:3:lin"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--dtau", "1e-12"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "inf"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--dt", "1e-320"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--dt", "nan"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):

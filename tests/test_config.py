@@ -35,7 +35,6 @@ def test_coefficient_override_visible(tmp_path):
     text = MINIMAL + "\n[bath]\na_ns0_per_us_ppm = 0.2\n"
     cfg = parse_config(write(tmp_path, text))
     assert cfg.bath_coefficients().a_ns0 == 0.2
-    assert cfg.set_keys["bath"]["a_ns0_per_us_ppm"] == 0.2
     assert cfg.as_dict()["bath"]["a_ns0_per_us_ppm"] == 0.2
 
 

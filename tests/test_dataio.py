@@ -15,7 +15,6 @@ from nvsk.dataio import (
     load_strain_map,
     save_strain_map,
     sha256_file,
-    write_spectrum,
 )
 from nvsk.charge import Spectrum
 from nvsk.errors import ValidationError
@@ -182,19 +181,17 @@ def test_ingest_table_nan_rejected(tmp_path):
 
 
 def test_intensity_table_write_ingest_roundtrip(tmp_path):
-    from nvsk.dataio import write_intensity_table
-    from nvsk.sensitivity import IntensityRow, IntensityTable
-
-    table = IntensityTable(
-        [
-            IntensityRow(intensity=0.01, contrast_c=0.015, psi=0.2,
-                         t_overhead=120.0, photon_rate_kcps=1.5),
-            IntensityRow(intensity=1.0, contrast_c=0.012, psi=0.15,
-                         t_overhead=20.0, photon_rate_kcps=40.0),
-        ]
-    )
     path = tmp_path / "t.csv"
-    write_intensity_table(table, path)
+    emit_csv(
+        [
+            ("intensity_mw_um2", [0.01, 1.0]),
+            ("contrast", [0.015, 0.012]),
+            ("psi", [0.2, 0.15]),
+            ("overhead_us", [120.0, 20.0]),
+            ("photon_rate_per_nv_kcps", [1.5, 40.0]),
+        ],
+        path,
+    )
     back = ingest_intensity_table(path)
     assert len(back) == 2
     assert back.rows[0].photon_rate_kcps == pytest.approx(1.5)
@@ -238,7 +235,7 @@ def test_spectrum_roundtrip(tmp_path):
     wl = np.linspace(560.0, 850.0, 64)
     spec = Spectrum(wl, np.linspace(1.0, 5.0, 64))
     path = tmp_path / "s.csv"
-    write_spectrum(spec, path)
+    emit_csv([("wavelength_nm", spec.wavelength_nm), ("counts", spec.counts)], path)
     loaded = load_spectrum(path)
     assert np.allclose(loaded.wavelength_nm, wl, rtol=1e-8)
     assert np.allclose(loaded.counts, spec.counts, rtol=1e-8)

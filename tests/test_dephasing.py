@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from nvsk.core import DiamondSample
 from nvsk.dephasing import (
     BathCoefficients,
     DephasingBudget,
-    combine_budget,
     dq_rate,
     dq_t2star,
     nitrogen_bookkeeping,
@@ -26,7 +26,6 @@ def test_default_coefficients():
     assert c.a_nv_par == 0.247
     assert c.a_nv_nonpar == 0.165
     assert (c.zeta_par, c.zeta_nonpar) == (0.0, 0.5)
-    assert BathCoefficients.with_c13_per_ms(0.100).a_c13 == pytest.approx(1.0e-4)
 
 
 def test_bath_budget_at_direct_post_treatment_nitrogen():
@@ -106,56 +105,51 @@ def test_strain_conversion_paper_anchors():
 
 
 def test_combine_equal_pair():
-    budget = combine_budget(rate_ns0=1.0 / 20.0, rate_strain=1.0 / 20.0)
+    budget = DephasingBudget(rate_ns0=1.0 / 20.0, rate_strain=1.0 / 20.0)
     assert budget.t2_star_total == pytest.approx(10.0, rel=1e-12)
 
 
 def test_combine_bath_plus_confocal_strain():
     # bath-limited 19.6 us plus weak confocal-scale strain (~1.5 kHz FWHM)
     bath = spin_bath_rates(0.35, 108.0, 0.078)
-    total = combine_budget(
-        rate_ns0=bath.rate_ns0,
-        rate_c13=bath.rate_c13,
-        rate_nv_nv=bath.rate_nv_nv,
-        rate_strain=strain_rate_from_fwhm(1.5),
-    )
+    total = dataclasses.replace(bath, rate_strain=strain_rate_from_fwhm(1.5))
     assert total.t2_star_total == pytest.approx(17.96, abs=0.05)
     # consistent with a measured 17.5 +- 1.0 us
     assert 16.5 <= total.t2_star_total <= 18.5
 
 
 def test_combine_single_contribution_passthrough():
-    budget = combine_budget(rate_strain=0.04)
+    budget = DephasingBudget(rate_strain=0.04)
     assert budget.t2_star_total == pytest.approx(25.0, rel=1e-12)
 
 
 def test_combine_commutative_in_rates():
-    a = combine_budget(rate_ns0=0.01, rate_c13=0.02, rate_strain=0.03)
-    b = combine_budget(rate_ns0=0.03, rate_c13=0.01, rate_strain=0.02)
+    a = DephasingBudget(rate_ns0=0.01, rate_c13=0.02, rate_strain=0.03)
+    b = DephasingBudget(rate_ns0=0.03, rate_c13=0.01, rate_strain=0.02)
     assert a.total_rate == pytest.approx(b.total_rate, rel=1e-14)
 
 
 def test_combine_rejects_negative_rate():
     with pytest.raises(ValidationError):
-        combine_budget(rate_ns0=-0.01)
+        DephasingBudget(rate_ns0=-0.01)
 
 
 def test_harmonic_bound():
-    budget = combine_budget(rate_ns0=0.05, rate_c13=0.011, rate_strain=0.004)
+    budget = DephasingBudget(rate_ns0=0.05, rate_c13=0.011, rate_strain=0.004)
     terms = [budget.term_t2(n) for n in ("ns0", "c13", "strain")]
     assert budget.t2_star_total <= min(t for t in terms if t is not None)
 
 
 def test_dq_from_bath_limited_budget():
-    budget = combine_budget(rate_ns0=1.0 / 17.5)
+    budget = DephasingBudget(rate_ns0=1.0 / 17.5)
     assert dq_t2star(budget) == pytest.approx(8.75, rel=1e-12)
     # measured DQ value 8.6(5) us sits inside a 5% band around the model
     assert abs(dq_t2star(budget) - 8.6) <= 0.05 * 8.75 + 0.5
 
 
 def test_dq_ignores_strain_and_bias():
-    bath_only = combine_budget(rate_ns0=0.03, rate_c13=0.01)
-    with_strain = combine_budget(
+    bath_only = DephasingBudget(rate_ns0=0.03, rate_c13=0.01)
+    with_strain = DephasingBudget(
         rate_ns0=0.03, rate_c13=0.01, rate_strain=0.7, rate_bias=0.2
     )
     assert dq_rate(with_strain) == pytest.approx(2.0 * bath_only.bath_rate, rel=1e-14)
@@ -163,7 +157,7 @@ def test_dq_ignores_strain_and_bias():
 
 
 def test_dq_unbounded_for_empty_bath():
-    assert dq_t2star(combine_budget(rate_strain=0.5)) is None
+    assert dq_t2star(DephasingBudget(rate_strain=0.5)) is None
 
 
 def test_budget_dict_serialization():

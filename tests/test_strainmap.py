@@ -135,6 +135,9 @@ def test_partition_tile_size_guards():
         partition_sweep(m, [2.0])
     with pytest.raises(ValidationError, match="exceeds the map extent"):
         partition_sweep(m, [100.0])
+    for width in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="bin width must be finite and > 0"):
+            partition_sweep(m, [32.0], bin_width_khz=width)
 
 
 def test_partition_two_region_structure():
