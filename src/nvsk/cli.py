@@ -16,12 +16,10 @@ import numpy as np
 
 from . import __version__, charge, dataio, photophysics, ramsey, strainmap
 from .config import ResolvedConfig, default_config, parse_config
+from .core import MAX_TRACE_SAMPLES
 from .dephasing import dq_t2star, spin_bath_budget, strain_rate_from_fwhm
 from .errors import ComputationError, NvskError, ValidationError
 from .sensitivity import optimal_nitrogen, volume_normalized_sensitivity
-
-# Largest time grid a trace command materializes.
-_MAX_TRACE_POINTS = 5_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,14 +76,14 @@ def parenthesis_format(value: float, sigma: float, unit: str = "") -> str:
 
 def _check_trace_grid(span_flag, span, step_flag, step, hint: str) -> None:
     """Refuse a time grid whose span or step is not finite and positive, or
-    that has more than _MAX_TRACE_POINTS points."""
+    that has more than MAX_TRACE_SAMPLES points."""
     for flag, value in ((step_flag, step), (span_flag, span)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{flag} must be finite and > 0, got {value:g}")
     n_points = span / step + 1  # a float, so a huge ratio cannot overflow
-    if n_points > _MAX_TRACE_POINTS:
+    if n_points > MAX_TRACE_SAMPLES:
         raise ValidationError(
-            f"grid of {n_points:,.0f} points exceeds the {_MAX_TRACE_POINTS:,}-point "
+            f"grid of {n_points:,.0f} points exceeds the {MAX_TRACE_SAMPLES:,}-point "
             f"limit; {hint}"
         )
 

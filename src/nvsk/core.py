@@ -22,6 +22,10 @@ GAMMA_E_MHZ_PER_G = 2.8024
 
 GAMMA_CONVENTIONS = ("gamma_over_2pi", "angular")
 
+# Largest time grid a full-resolution trace (contrast_trace, the simulate and
+# ramsey synth commands) materializes.
+MAX_TRACE_SAMPLES = 5_000_000
+
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)

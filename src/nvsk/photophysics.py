@@ -19,11 +19,15 @@ ensemble read out optically appears dimmer until optical pumping returns it
 to m_s=0; the decay of that contrast defines the initialization time.
 
 The system is linear with a constant rate matrix A, so one output step is
-the exact propagator P = expm(A dt). The contrast and initialization-time
-routines advance the Sig and Ref populations with powers of P, while evolve()
-integrates the equations with an adaptive Runge-Kutta method on the same
-grid; the two paths agree to integrator tolerance and are cross-checked in
-the test suite. The steady state is a linear solve on A.
+the exact propagator P = expm(A dt). The readout filter is linear too:
+written as its second-order sections in state space, it joins the
+populations in one 9-dimensional state with a single step matrix, and the
+filtered PL at any sample is an output row of a power of that matrix. The
+contrast and initialization-time routines evaluate those rows only at the
+samples they keep. evolve() instead integrates the rate equations with an
+adaptive Runge-Kutta method and lowpass() runs the filter over a given
+trace; the test suite cross-checks the two paths. The steady state is a
+linear solve on A.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from scipy.linalg import expm
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import butter, sosfilt
 
-from .core import as_mw_per_um2
+from .core import MAX_TRACE_SAMPLES, as_mw_per_um2
 from .errors import ComputationError, ValidationError
 
 DEFAULT_FILTER_ORDER = 4
@@ -145,8 +149,8 @@ def max_stable_dt(params: FiveLevelParams, s: float) -> float:
 
 
 def _check_grid(params, s, t_end, dt):
-    if not t_end > 0:
-        raise ValidationError(f"t_end must be > 0, got {t_end}")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValidationError(f"t_end must be finite and > 0, got {t_end}")
     if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
     limit = max_stable_dt(params, s)
@@ -312,7 +316,43 @@ class ContrastCurve:
         return float(self.times[1] - self.times[0])
 
 
-_READOUT_BLOCK = 2**14
+# Kept samples per output block. A power of two, so the row doubling ends on
+# the block advance; small enough that the (2, 9) x (9, block) product runs
+# on one thread.
+_KEPT_BLOCK = 2**13
+
+
+def _filter_state_space(dt: float):
+    """State-space (F, G, H, D) of the readout filter at step dt: the
+    cascade of its second-order sections, each in coupled (normal) form.
+
+    A section b(z)/a(z) splits into b0 plus a strictly proper part with
+    numerator beta1 z + beta2 (beta_i = b_i - a_i b0). Its poles
+    sigma +- i omega give the rotation-scaling state matrix
+    [[sigma, omega], [-omega, sigma]], input [1, 0] and output
+    [beta1, -(beta2 + beta1 sigma) / omega]. Unlike the direct-form
+    states, this realization stays well conditioned as the poles crowd
+    towards z = 1 at high sample rates.
+    """
+    sos = _design_lowpass(dt)
+    n = 2 * len(sos)
+    f = np.zeros((n, n))
+    g = np.zeros(n)
+    h = np.zeros(n)
+    d = 1.0
+    for k, (b0, b1, b2, _a0, a1, a2) in enumerate(sos):
+        lo = 2 * k
+        sigma = -0.5 * a1
+        omega = math.sqrt(a2 - sigma * sigma)
+        beta1, beta2 = b1 - a1 * b0, b2 - a2 * b0
+        # the section's input is the output d u + h z of those before it
+        f[lo, :lo] = h[:lo]
+        g[lo] = d
+        f[lo : lo + 2, lo : lo + 2] = [[sigma, omega], [-omega, sigma]]
+        h[:lo] *= b0
+        h[lo : lo + 2] = beta1, -(beta2 + beta1 * sigma) / omega
+        d *= b0
+    return f, g, h, d
 
 
 def _contrast_arrays(
@@ -327,12 +367,15 @@ def _contrast_arrays(
     """Filtered Sig/Ref contrast on the grid k * dt, keeping every
     keep_stride-th sample.
 
-    Sig and Ref advance together as the (5, 2) population state under the
-    exact one-step propagator P. Output comes in blocks of _READOUT_BLOCK
-    steps (the whole trace if shorter, rounded up to a multiple of
-    keep_stride): the PL rows gamma (e3 + e4) P^j, j < block, are built once
-    by doubling, so each block is one product with the state, filtered with
-    the carried filter state, and the state then advances by P^block.
+    Populations and readout filter form one linear state x = (5
+    populations, 2 states per filter section) with the exact one-step
+    propagator M = [[P, 0], [G c, F]], where P = expm(A dt), c = gamma
+    (e3 + e4) is the PL row and (F, G, H, D) the filter; the filtered PL is
+    o x with o = [D c, H]. The kept-sample output rows o (M^keep_stride)^j,
+    j < _KEPT_BLOCK, are built once by doubling, so each block of kept
+    samples is one (2, 9) x (9, block) product with the Sig and Ref states,
+    which then advance by M^(keep_stride block). Work scales with the
+    samples kept, not with t_end / dt.
     Where the filtered Ref PL is not above 1e-9 of its steady-state level,
     the ratio is taken as undefined and the contrast as one; the floor is
     fixed by the model, so a sample's value does not depend on the trace
@@ -340,34 +383,48 @@ def _contrast_arrays(
     throughout.
     """
     n_steps = _check_grid(params, s, t_end, dt)
-    total = n_steps + 1
-    prop = expm(rate_matrix(params, s) * dt)
-    block = keep_stride * math.ceil(min(total, _READOUT_BLOCK) / keep_stride)
-    rows = params.gamma_rad * np.array([[0.0, 0.0, 1.0, 1.0, 0.0]])
+    n_kept = n_steps // keep_stride + 1
+    pl_row = params.gamma_rad * np.array([0.0, 0.0, 1.0, 1.0, 0.0])
+    block = min(n_kept, _KEPT_BLOCK)
+    # population propagators over 1 and keep_stride * 2^k steps, up to the
+    # first power of two that covers the block
+    steps = keep_stride * 2 ** np.arange((block - 1).bit_length() + 1)
+    props = expm(rate_matrix(params, s) * dt * np.r_[1, steps][:, None, None])
+    f, g, h, d = _filter_state_space(dt)
+    joint = np.zeros((5 + len(f), 5 + len(f)))
+    joint[:5, :5] = props[0]
+    joint[5:, :5] = np.outer(g, pl_row)
+    joint[5:, 5:] = f
+    rows_t = np.empty((len(joint), block))  # column j: (o M^(keep_stride j))^T
+    rows_t[:, 0] = np.concatenate([d * pl_row, h])
+    # power holds M^(keep_stride span). After each squaring its population
+    # block is replaced by the exact propagator: squaring alone would double
+    # the rounding of P's unit (conservation) eigenvalue every time.
+    power = np.linalg.matrix_power(joint, keep_stride)
+    power[:5, :5] = props[1]
+    span = 1
+    for prop in props[2:]:
+        width = min(span, block - span)
+        np.matmul(power.T, rows_t[:, :width], out=rows_t[:, span : span + width])
+        span *= 2
+        power = power @ power
+        power[:5, :5] = prop
+    # span >= block, and span == block whenever there is more than one
+    # block, so power is the block advance
+    state = np.zeros((len(joint), 2))
+    state[:5, 0] = sig_initial.as_array()
+    state[:5, 1] = ref_initial.as_array()
     ref_floor = math.inf
     if s > 0:
-        ref_floor = 1e-9 * float(rows[0] @ steady_state(params, s).as_array())
-    power = prop
-    while len(rows) < block:
-        rows = np.vstack([rows, rows @ power])
-        power = power @ power
-    rows_t = rows[:block].T
-    step = np.linalg.matrix_power(prop, block)
-    state = np.column_stack([sig_initial.as_array(), ref_initial.as_array()])
-    sos = _design_lowpass(dt)
-    zi = np.zeros((len(sos), 2, 2))
-    kept = []
-    for lo in range(0, total, block):
-        pl = state.T @ rows_t[:, : total - lo]
-        (sig, ref), zi = sosfilt(sos, pl, zi=zi)
-        contrast = np.ones_like(ref)
-        np.divide(sig, ref, out=contrast, where=np.abs(ref) > ref_floor)
-        kept.append(contrast[::keep_stride])
-        state = step @ state
-    return np.arange(0, total, keep_stride) * dt, np.concatenate(kept)
+        ref_floor = 1e-9 * float(pl_row @ steady_state(params, s).as_array())
+    contrast = np.ones(n_kept)
+    for lo in range(0, n_kept, block):
+        sig, ref = state.T @ rows_t[:, : n_kept - lo]
+        np.divide(sig, ref, out=contrast[lo : lo + len(ref)], where=np.abs(ref) > ref_floor)
+        state = power @ state
+    return np.arange(0, n_steps + 1, keep_stride) * dt, contrast
 
 
-_MAX_CURVE_SAMPLES = 20_000_000
 _MAX_KEPT_SAMPLES = 2_000_000
 
 
@@ -383,14 +440,14 @@ def contrast_trace(
     """Simulate the pulsed readout protocol at one excitation intensity.
 
     Sig starts from m_s=+-1, Ref from m_s=0; both PL traces are filtered and
-    their ratio returned versus delay. The curve dips below one while the
-    spin ensemble is polarized and relaxes back to one as optical pumping
-    repolarizes it. Defaults: dt at the resolution limit, t_end spanning the
-    full repolarization transient.
+    their ratio returned versus delay, every sample of the grid k * dt. The
+    curve dips below one while the spin ensemble is polarized and relaxes
+    back to one as optical pumping repolarizes it. Defaults: dt at the
+    resolution limit, t_end spanning the full repolarization transient.
 
-    The full-resolution curve is materialized, so extremely weak pumping
-    (repolarization windows of millions of resolution-limited samples) is
-    refused; use ti_band, which stores traces decimated, or pass a shorter
+    The full-resolution curve is materialized, so a grid of more than
+    MAX_TRACE_SAMPLES samples (extremely weak pumping) is refused; use
+    ti_band, which evaluates only the samples it keeps, or pass a shorter
     t_end.
     """
     i = as_mw_per_um2(intensity)
@@ -399,11 +456,11 @@ def contrast_trace(
         dt = max_stable_dt(params, s)
     if t_end is None:
         t_end = default_trace_window(params, s)
-    n_total = int(math.ceil(t_end / dt)) + 1
-    if n_total > _MAX_CURVE_SAMPLES:
+    n_total = _check_grid(params, s, t_end, dt) + 1
+    if n_total > MAX_TRACE_SAMPLES:
         raise ValidationError(
             f"contrast trace of {n_total:,} samples (t_end {t_end:g} us at "
-            f"dt {dt:g} us) exceeds the {_MAX_CURVE_SAMPLES:,}-sample limit; "
+            f"dt {dt:g} us) exceeds the {MAX_TRACE_SAMPLES:,}-sample limit; "
             "use ti_band for this regime or pass a shorter t_end"
         )
     times, contrast = _contrast_arrays(
@@ -417,35 +474,45 @@ def initialization_time(curve: ContrastCurve) -> float:
     has decayed to 1/e^3 of its peak.
 
     The peak is located on a 3-sample smoothed |1 - contrast|; an
-    exponential is then fitted (log-linear regression) from the peak to
-    where the deviation falls below 1% of the peak, and the 1/e^3 crossing
-    is read off the fit. Readout time is included since delays are measured
-    from the start of the optical pulse.
+    exponential is then fitted (log-linear least squares, at most 200 000
+    evenly spread samples) from the peak to where the deviation falls below
+    1% of the peak, and the 1/e^3 crossing is read off the fit. Readout time
+    is included since delays are measured from the start of the optical
+    pulse.
     """
-    dev = 1.0 - curve.contrast
-    smoothed = uniform_filter1d(np.abs(dev), size=3, mode="nearest")
-    i_peak = int(np.argmax(smoothed))
-    d_peak = float(abs(dev[i_peak]))
+    dev = np.abs(1.0 - curve.contrast)
+    i_peak = int(np.argmax(uniform_filter1d(dev, size=3, mode="nearest")))
+    d_peak = float(dev[i_peak])
     if d_peak < 1e-6:
         raise ValidationError("no polarization dynamics at this intensity")
-    tail = np.abs(dev[i_peak:])
-    below = np.nonzero(tail < 0.01 * d_peak)[0]
-    i_end = i_peak + (int(below[0]) if below.size else len(tail))
+    below = dev[i_peak:] < 0.01 * d_peak
+    first = int(np.argmax(below))
+    i_end = i_peak + (first if below[first] else len(below))
     if i_end - i_peak < 5:
         i_end = min(len(dev), i_peak + 5)
     t_window = curve.times[i_peak:i_end]
-    d_window = np.abs(dev[i_peak:i_end])
+    d_window = dev[i_peak:i_end]
     keep = d_window > 0
-    t_window, d_window = t_window[keep], d_window[keep]
+    if not keep.all():
+        t_window, d_window = t_window[keep], d_window[keep]
     if len(t_window) < 2:
         raise ComputationError("too few samples after the contrast peak")
     if len(t_window) > 200_000:
         idx = np.linspace(0, len(t_window) - 1, 200_000).astype(int)
         t_window, d_window = t_window[idx], d_window[idx]
-    slope, intercept = np.polyfit(t_window, np.log(d_window), 1)
+    t_mean = float(t_window.mean())
+    t_centered = t_window - t_mean
+    log_d = np.log(d_window)
+    log_mean = float(log_d.mean())
+    # einsum sums on one thread; OpenBLAS splits a dot product this long
+    # across threads, which on two cores costs more than the sum itself
+    slope = float(
+        np.einsum("i,i", t_centered, log_d - log_mean)
+        / np.einsum("i,i", t_centered, t_centered)
+    )
     if slope >= 0:
         raise ComputationError("contrast deviation does not decay after its peak")
-    return float((math.log(d_peak) - 3.0 - intercept) / slope)
+    return t_mean + (math.log(d_peak) - 3.0 - log_mean) / slope
 
 
 @dataclass
@@ -459,9 +526,10 @@ class TiBand:
 
 def ti_band(params: FiveLevelParams, intensities) -> TiBand:
     """Map initialization_time over a grid at both band saturation
-    intensities. Long low-intensity traces are stored decimated (the
-    dynamics are evaluated at full resolution first, then strided to at most
-    _MAX_KEPT_SAMPLES samples) to keep memory bounded.
+    intensities. Each contrast curve keeps every stride-th sample of the
+    resolution-limited grid, the stride chosen so that at most
+    _MAX_KEPT_SAMPLES are kept; only the kept samples are evaluated, so time
+    and memory stay bounded however weak the pumping.
     """
     grid = np.asarray([as_mw_per_um2(i) for i in intensities], dtype=float)
     if grid.size == 0:

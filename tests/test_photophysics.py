@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space
 
 from nvsk.errors import ValidationError
 from nvsk.photophysics import (
@@ -272,6 +272,14 @@ def test_contrast_trace_refuses_unbounded_grids():
         contrast_trace(PARAMS, 1e-4, 3.0)
 
 
+def test_grids_refuse_non_finite_values():
+    for grid in ({"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.nan}):
+        with pytest.raises(ValidationError):
+            contrast_trace(PARAMS, 1.0, 3.0, **grid)
+    with pytest.raises(ValidationError, match="finite"):
+        evolve(PARAMS, 1.0, GROUND_MS0, t_end=math.inf, dt=0.005)
+
+
 def test_default_window_covers_decay():
     for s in (1e-3, 0.1, 10.0):
         window = default_trace_window(PARAMS, s)
@@ -314,6 +322,15 @@ def test_filter_insensitive_to_input_rounding():
     out = lowpass(PLTrace(times=t, values=values, s=s)).values
     moved = lowpass(PLTrace(times=t, values=perturbed, s=s)).values
     assert np.abs(moved - out).max() < 1e-9 * np.abs(out).max()
+
+
+def test_weak_pumping_band_is_bounded_and_scales_as_one_over_intensity():
+    # repolarization windows of ~1e10 resolution-limited steps: only the
+    # kept samples are evaluated, and deep below saturation t_I ~ 1/I
+    band = ti_band(PARAMS, [1e-6, 1e-5])
+    assert np.all(band.lower <= band.upper)
+    for t_i in (band.lower, band.upper):
+        assert abs(t_i[1] / t_i[0] - 0.1) < 1e-3
 
 
 def test_decimated_grid_is_uniform_and_matches_full_resolution():
@@ -377,3 +394,47 @@ def test_property_contrast_returns_to_one(params, s):
     _, contrast = _contrast_arrays(params, s, window, dt, keep_stride=stride)
     dev = np.abs(1.0 - contrast)
     assert dev[-1] < 0.01 * dev.max()
+
+
+def exact_readout_contrast(params, s, dt, n, block=256):
+    """Independent readout oracle on n samples: populations from expm(A t)
+    at every block start and P steps inside the block, PL through lowpass,
+    contrast with the same division floor."""
+    a = rate_matrix(params, s)
+    prop = expm(a * dt)
+    start = np.column_stack([GROUND_MS_PM1.as_array(), GROUND_MS0.as_array()])
+    state = np.stack([expm(a * (lo * dt)) @ start for lo in range(0, n, block)])
+    pl = np.empty((len(state), block, 2))  # (block start, step in block, sig/ref)
+    for j in range(block):
+        pl[:, j] = params.gamma_rad * (state[:, 2] + state[:, 3])
+        state = prop @ state
+    pl = pl.reshape(-1, 2)[:n]
+    times = np.arange(n) * dt
+    sig, ref = (lowpass(PLTrace(times=times, values=v, s=s)).values for v in pl.T)
+    floor = 1e-9 * params.gamma_rad * steady_state(params, s).as_array()[2:4].sum()
+    contrast = np.ones(n)
+    np.divide(sig, ref, out=contrast, where=np.abs(ref) > floor)
+    return contrast
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    params=rates,
+    s=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+    n=st.integers(100, 50_000),
+)
+def test_property_readout_matches_exact_populations_through_lowpass(params, s, n):
+    dt = max_stable_dt(params, s)
+    _, contrast = _contrast_arrays(params, s, (n - 1) * dt, dt)
+    assert len(contrast) == n
+    assert np.abs(contrast - exact_readout_contrast(params, s, dt, n)).max() < 1e-10
+
+
+def test_readout_filter_realization_holds_at_high_sample_rate():
+    # s = 100 samples at ~3900x the cutoff, where the filter poles crowd
+    # towards z = 1; copying the direct-form section states into the joint
+    # state is ~1e-9 off here, the coupled-form realization ~5e-12
+    s, n = 100.0, 50_000
+    dt = max_stable_dt(PARAMS, s)
+    _, contrast = _contrast_arrays(PARAMS, s, (n - 1) * dt, dt)
+    assert np.abs(contrast - exact_readout_contrast(PARAMS, s, dt, n)).max() < 1e-10

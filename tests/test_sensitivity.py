@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvsk.core import DiamondSample
 from nvsk.dephasing import BathCoefficients, dq_t2star, spin_bath_budget
@@ -107,6 +109,20 @@ def test_optimal_tau_monotone_in_overhead():
     assert all(b >= a * (1 - 1e-9) for a, b in zip(taus, taus[1:]))
     # approaches tau* = T2 in the deep-overhead limit for p=1
     assert taus[-1] == pytest.approx(t2, rel=0.01)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t2=st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+    t_o=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
+)
+def test_property_optimal_tau_is_the_closed_form_root(t2, t_o):
+    # p = 1: d/dtau log eta = 0 is 2 tau^2 + (2 t_O - T2*) tau - 2 T2* t_O = 0
+    best = optimal_tau(unit_params(t2_star=t2, tau=None, t_overhead=t_o))
+    b = 2.0 * t_o - t2
+    root = (-b + math.sqrt(b * b + 16.0 * t2 * t_o)) / 4.0
+    assert not best.boundary
+    assert best.tau == pytest.approx(root, rel=1e-5)
 
 
 def test_optimal_tau_survives_envelope_overflow():
