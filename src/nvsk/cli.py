@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -26,6 +27,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are validation errors (exit 1)
         self.print_usage(sys.stderr)
         raise ValidationError(message)
+
+
+def _log_grid(start: float, stop: float, count: int) -> np.ndarray:
+    """count log-spaced points whose first and last are start and stop
+    exactly (logspace alone can miss either by an ulp)."""
+    grid = np.logspace(math.log10(start), math.log10(stop), count)
+    grid[0], grid[-1] = start, stop
+    return grid
 
 
 def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
@@ -53,7 +62,7 @@ def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
     if scale == "log":
         if start <= 0 or stop <= start:
             raise ValidationError(f"log grid needs 0 < start < stop, got {spec!r}")
-        return np.logspace(math.log10(start), math.log10(stop), count)
+        return _log_grid(start, stop, count)
     if scale == "lin":
         if stop <= start:
             raise ValidationError(f"grid needs start < stop, got {spec!r}")
@@ -155,8 +164,7 @@ def cmd_sensitivity_sweep(args) -> int:
     if args.grid:
         grid = parse_grid(args.grid)
     else:
-        lo, hi = table.intensity_range
-        grid = np.logspace(math.log10(lo), math.log10(hi), 25)
+        grid = _log_grid(*table.intensity_range, 25)
     rows = _sweep_rows(sample, table, grid, args.protocol, cfg)
     dataio.emit_csv(
         [
@@ -196,7 +204,7 @@ def cmd_sensitivity_compare(args) -> int:
         hi = min(table_a.intensity_range[1], table_b.intensity_range[1])
         if not hi > lo:
             raise ValidationError("tables share no overlapping intensity range")
-        grid = np.logspace(math.log10(lo), math.log10(hi), 25)
+        grid = _log_grid(lo, hi, 25)
     rows_a = _sweep_rows(cfg_a.sample(), table_a, grid, args.protocol, cfg_a)
     rows_b = _sweep_rows(cfg_b.sample(), table_b, grid, args.protocol, cfg_b)
     ratios = [a.eta / b.eta for a, b in zip(rows_a, rows_b)]
@@ -404,7 +412,10 @@ def cmd_charge_decompose(args) -> int:
 # --- wiring ---
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The `nvsk` argument parser, built once per process: parsing leaves
+    no state in it, so main() parses every argv on the same parser."""
     parser = _Parser(prog="nvsk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nvsk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

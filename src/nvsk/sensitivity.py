@@ -28,7 +28,6 @@ from .core import (
     DiamondSample,
     PhysicalConstants,
     as_mw_per_um2,
-    as_ppm,
 )
 from .dephasing import BathCoefficients, dq_t2star, spin_bath_budget
 from .errors import ComputationError, ValidationError
@@ -76,17 +75,23 @@ class SensingParams:
             raise ValidationError(f"t_overhead must be finite >= 0, got {self.t_overhead}")
 
 
-def ramsey_sensitivity(params: SensingParams) -> float:
-    """Evaluate the shot-noise sensitivity expression at fixed tau.
+def ramsey_sensitivity(params: SensingParams, tau: Optional[float] = None) -> float:
+    """Evaluate the shot-noise sensitivity expression at one tau.
 
+    tau defaults to params.tau; an explicit tau (us) is checked as
+    SensingParams checks it, so an optimizer can vary tau over params
+    validated once instead of building a new SensingParams per point.
     Returns math.inf when the dephasing envelope exceeds the float range
     (tau far beyond T2* combined with a large stretch exponent).
     """
-    if params.tau is None:
-        raise ValidationError("tau is not set")
+    if tau is None:
+        tau = params.tau
+        if tau is None:
+            raise ValidationError("tau is not set")
+    elif not tau > 0:
+        raise ValidationError(f"tau must be > 0, got {tau}")
     if params.n_avg == 0.0:
         raise ValidationError("readout noise term undefined: n_avg = 0")
-    tau = params.tau
     try:
         envelope = math.exp((tau / params.t2_star) ** params.p)
     except OverflowError:
@@ -138,7 +143,8 @@ def optimal_tau(params: SensingParams, tau_max: Optional[float] = None) -> TauOp
 
     tau_max defaults to 5 * T2*. A coarse log-spaced scan of _TAU_SCAN points
     brackets the minimum, then golden-section search on log(tau) refines it
-    to a relative tolerance of _REL_TOL.
+    to a relative tolerance of _REL_TOL. params were validated when built;
+    each evaluation passes its tau to ramsey_sensitivity as an argument.
     A minimizer stuck at the upper edge (no dephasing penalty inside the
     domain) is reported with boundary=True.
     """
@@ -153,7 +159,7 @@ def optimal_tau(params: SensingParams, tau_max: Optional[float] = None) -> TauOp
         raise ValidationError(f"tau_max must be finite > 0, got {tau_max}")
 
     def objective(log_tau: float) -> float:
-        eta = ramsey_sensitivity(replace(params, tau=math.exp(log_tau)))
+        eta = ramsey_sensitivity(params, math.exp(log_tau))
         if math.isnan(eta):
             raise ComputationError(
                 f"sensitivity is not finite at tau={math.exp(log_tau):g} us"
@@ -206,9 +212,9 @@ def simplified_metric(ns0, cfg: MetricConfig) -> float:
     the nitrogen and carbon-13 bath terms only. The absolute scale is
     arbitrary; only ratios between nitrogen concentrations are meaningful.
     """
-    n = as_ppm(ns0)
-    if n <= 0:
-        raise ValidationError(f"ns0 must be > 0 ppm, got {n}")
+    n = ns0.ppm if isinstance(ns0, Concentration) else float(ns0)
+    if not n > 0 or math.isinf(n):
+        raise ValidationError(f"ns0 must be finite > 0 ppm, got {n}")
     t2 = _bath_t2_n_c13(n, cfg)
     return math.sqrt((t2 + cfg.t_overhead) / (n * t2 * t2))
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nvsk.cli import main, parenthesis_format, parse_grid
+from nvsk.cli import build_parser, main, parenthesis_format, parse_grid
 from synthdata import HIGH_N_ROWS, LOW_N_ROWS, table_rows_to_csv_text
 
 SAMPLE_CFG = """\
@@ -44,6 +44,33 @@ def test_parse_grid():
         parse_grid("5:1:log:4")
     with pytest.raises(ValidationError):
         parse_grid("1:10:cubic:4")
+    # logspace alone misses 284 of these 989 endpoints by an ulp
+    ends = [round(0.01 * k, 2) for k in range(11, 1000)]
+    for start, stop in zip(ends, ends[1:]):
+        g = parse_grid(f"{start}:{stop}:log:5")
+        assert (g[0], g[-1]) == (start, stop)
+
+
+# a table whose first intensity logspace does not reproduce
+EDGE_ROWS = [(0.12, 0.014, 0.16, 2.6e2), (0.2, 0.012, 0.14, 1.0e2), (0.3, 0.011, 0.12, 5.0e1)]
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "0.12:0.3:log:5"]])
+def test_log_grid_reaches_the_table_endpoints(tmp_path, sample_cfg, grid):
+    table = tmp_path / "edge.csv"
+    table.write_text(table_rows_to_csv_text(EDGE_ROWS))
+    runs = {
+        "curve.csv": ["sensitivity", "sweep", "--sample", sample_cfg, "--table", str(table)],
+        "ratio.csv": ["sensitivity", "compare", "--sample-a", sample_cfg,
+                      "--table-a", str(table), "--sample-b", sample_cfg,
+                      "--table-b", str(table)],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + grid + ["--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == (5 if grid else 25)
+        assert (float(rows[0].split(",")[0]), float(rows[-1].split(",")[0])) == (0.12, 0.3)
 
 
 def test_parenthesis_format():
@@ -363,3 +390,27 @@ def test_weak_radiative_rate_ti_band(tmp_path):
     argv = ["photophysics", "ti-band", "--grid", "1:10:log:2", "--config", str(cfg)]
     assert main(argv + ["--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 3
+
+
+def test_repeated_main_calls_share_one_parser_without_leaking_state(
+    tmp_path, sample_cfg, capsys
+):
+    assert build_parser() is build_parser()
+    assert main(["sensitivity", "sweep"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("nvsk ")
+    table = tmp_path / "low.csv"
+    table.write_text(table_rows_to_csv_text(LOW_N_ROWS))
+    sweep = ["sensitivity", "sweep", "--sample", sample_cfg, "--table", str(table)]
+    runs = {
+        "grid.csv": (sweep + ["--grid", "1e-3:1e1:log:3"], 3),
+        "default.csv": (sweep, 25),  # --grid of the previous call must not stick
+    }
+    for name, (argv, n_rows) in runs.items():
+        argv = argv + ["--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        assert len((tmp_path / name).read_text().strip().split("\n")) == n_rows + 1
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["command"] == argv

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvsk.core import DiamondSample
+from nvsk.core import Concentration, DiamondSample
 from nvsk.dephasing import BathCoefficients, dq_t2star, spin_bath_budget
 from nvsk.errors import ValidationError
 from nvsk.sensitivity import (
@@ -65,6 +65,49 @@ def test_double_quantum_prefactor():
 def test_zero_navg_rejected():
     with pytest.raises(ValidationError, match="readout noise term undefined"):
         ramsey_sensitivity(unit_params(n_avg=0.0))
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delta_ms=st.sampled_from((1, 2)),
+    p=st.floats(1.0, 3.0),
+    t2=st.one_of(st.just(math.inf), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    t_o=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
+    n_avg=st.one_of(st.just(0.0), st.just(math.inf), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    contrast=st.floats(1e-4, 1.0),
+    tau=st.floats(-9.0, 6.0).map(lambda e: 10.0**e),
+)
+@example(delta_ms=1, p=3.0, t2=1e-3, t_o=0.0, n_avg=1.0, contrast=0.5, tau=1e6)  # overflow
+@example(delta_ms=2, p=1.0, t2=10.0, t_o=1.0, n_avg=0.0, contrast=0.5, tau=5.0)
+def test_property_explicit_tau_equals_params_tau(delta_ms, p, t2, t_o, n_avg, contrast, tau):
+    params = unit_params(
+        delta_ms=delta_ms, p=p, t2_star=t2, t_overhead=t_o, n_avg=n_avg,
+        contrast_c=contrast, tau=None,
+    )
+    if n_avg == 0.0:
+        for call in (lambda: ramsey_sensitivity(params, tau),
+                     lambda: ramsey_sensitivity(replace(params, tau=tau))):
+            with pytest.raises(ValidationError, match="n_avg = 0"):
+                call()
+        return
+    eta = ramsey_sensitivity(params, tau)
+    assert eta == ramsey_sensitivity(replace(params, tau=tau))
+    if (tau / t2) ** p > 710.0:  # exp() overflows past ~709.78
+        assert eta == math.inf
+
+
+def test_explicit_tau_is_validated_like_params_tau():
+    params = unit_params(tau=None)
+    with pytest.raises(ValidationError, match="tau is not set"):
+        ramsey_sensitivity(params)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="tau must be > 0"):
+            ramsey_sensitivity(params, bad)
+        with pytest.raises(ValidationError, match="tau must be > 0"):
+            replace(params, tau=bad)
+    # an explicit tau overrides params.tau
+    assert ramsey_sensitivity(unit_params(tau=9.0), 4.0) == ramsey_sensitivity(
+        unit_params(tau=4.0)
+    )
 
 
 def test_monotonicity_in_each_parameter():
@@ -152,6 +195,39 @@ def test_optimal_tau_argmin_invariant_under_sensor_scaling():
     assert b.eta == pytest.approx(a.eta / math.sqrt(3.7e8), rel=1e-9)
 
 
+# Optimizer outputs recorded when every objective evaluation still built a new
+# SensingParams; exact equality pins the scan points, the golden-section
+# sequence and the arithmetic order of each evaluation.
+GOLDEN_TAU = [
+    (dict(t2_star=10.0), None, 4.999998821908427, 0.7373305674470739, False),
+    (
+        dict(delta_ms=2, gamma_e=2.8024, n_sensors=3.7e14, t2_star=4.3, contrast_c=0.03,
+             n_avg=0.05, p=2.0, t_overhead=5.0),
+        None, 2.757173149606431, 2.10710733738238e-06, False,
+    ),
+    (dict(t2_star=10.0, p=6.0, n_avg=10.0, contrast_c=0.5), None,
+     6.609012234345853, 0.5002498823483603, False),
+    (dict(), 100.0, 100.0, 0.09999999999999998, True),
+]
+GOLDEN_NITROGEN = [
+    (10.0, MetricConfig(), 0.2268602195992515, 0.3967165417764359, True),
+    (0.0, MetricConfig(), 100.00000000000004, 0.3178836265050467, False),
+    (1e3, MetricConfig(c13=Concentration(1.1e4)), 10.896039880435517, 21.085586950708404, True),
+]
+
+
+@pytest.mark.parametrize("overrides, tau_max, tau, eta, boundary", GOLDEN_TAU)
+def test_optimal_tau_golden_values(overrides, tau_max, tau, eta, boundary):
+    best = optimal_tau(unit_params(tau=None, **overrides), tau_max)
+    assert (best.tau, best.eta, best.boundary) == (tau, eta, boundary)
+
+
+@pytest.mark.parametrize("t_overhead, cfg, ppm, metric, interior", GOLDEN_NITROGEN)
+def test_optimal_nitrogen_golden_values(t_overhead, cfg, ppm, metric, interior):
+    best = optimal_nitrogen(t_overhead, cfg)
+    assert (best.concentration.ppm, best.metric, best.interior) == (ppm, metric, interior)
+
+
 # --- simplified metric ---
 
 
@@ -184,6 +260,14 @@ def test_simplified_metric_duty_factor_unity_at_zero_overhead():
     assert simplified_metric(n, cfg0) == pytest.approx(
         math.sqrt(1.0 / (n * t2)), rel=1e-12
     )
+
+
+def test_simplified_metric_validates_bare_ppm():
+    cfg = MetricConfig(t_overhead=10.0)
+    assert simplified_metric(Concentration(0.8), cfg) == simplified_metric(0.8, cfg)
+    for bad in (0.0, -1.0, math.nan, math.inf, Concentration(0.0)):
+        with pytest.raises(ValidationError, match="ns0 must be finite > 0 ppm"):
+            simplified_metric(bad, cfg)
 
 
 def test_optimal_nitrogen_at_10us_overhead():
