@@ -59,6 +59,10 @@ def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
             raise ValidationError(f"bad grid count in {spec!r}") from None
     if count < 2:
         raise ValidationError(f"grid needs >= 2 points, got {count}")
+    if count > MAX_TRACE_SAMPLES:
+        raise ValidationError(
+            f"grid of {count:,} points exceeds the {MAX_TRACE_SAMPLES:,}-point limit"
+        )
     if scale == "log":
         if start <= 0 or stop <= start:
             raise ValidationError(f"log grid needs 0 < start < stop, got {spec!r}")

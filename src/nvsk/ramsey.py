@@ -7,9 +7,9 @@ equally weighted hyperfine-split cosine lines,
              * (1/n) * sum_j cos(2*pi*(detuning + j*a_hf)*tau + phi_j)
 
 with the line index j centered on zero. Fitting separates the decay
-envelope from the beating by fitting the full model; frequencies are seeded
-from the signal spectrum and T2* from a log-envelope regression, making the
-whole procedure deterministic.
+envelope from the beating by fitting the full model with its closed-form
+Jacobian; frequencies are seeded from the signal spectrum and T2* from a
+log-envelope regression, making the whole procedure deterministic.
 """
 
 from __future__ import annotations
@@ -190,13 +190,59 @@ def _envelope_seed(tau, resid):
     return amp0, t2_0
 
 
+def _model_terms(tau, j, x):
+    """The parts of the fitted model that its Jacobian reuses, at
+    x = (baseline, amplitude, T2*, p, detuning, splitting): the phase matrix
+    2*pi*outer(tau, detuning + j*splitting), the mean of its cosines over the
+    lines, (tau/T2*)^p and the envelope exp(-(tau/T2*)^p)."""
+    _, _, t2, p, det, split = x
+    phase = 2.0 * np.pi * np.outer(tau, det + j * split)
+    stretched = (tau / t2) ** p
+    return phase, np.cos(phase).mean(axis=1), stretched, np.exp(-stretched)
+
+
+def _model(x, terms):
+    """The fitted model at x, from `_model_terms(tau, j, x)`."""
+    base, amp = x[0], x[1]
+    _, osc, _, envelope = terms
+    return base + amp * envelope * osc
+
+
+def _jacobian(tau, j, x, terms):
+    """Closed-form d model / d x, one column per parameter of x, from
+    `_model_terms(tau, j, x)`."""
+    _, amp, t2, p, _, _ = x
+    phase, osc, stretched, envelope = terms
+    sin = np.sin(phase)
+    r = tau / t2
+    # the p column is the limit of r^p ln r, 0, at tau = 0
+    log_r = np.log(r, out=np.zeros_like(r), where=r > 0)
+    decay = amp * envelope * osc
+    beat = -2.0 * np.pi * tau * amp * envelope
+    jac = np.empty((len(tau), 6))
+    jac[:, 0] = 1.0
+    jac[:, 1] = envelope * osc
+    jac[:, 2] = decay * p * stretched / t2
+    jac[:, 3] = -decay * stretched * log_r
+    jac[:, 4] = beat * sin.mean(axis=1)
+    jac[:, 5] = beat * (sin * j).mean(axis=1)
+    return jac
+
+
 def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     """Least-squares fit of the free-induction model to a signal.
 
     Deterministic initialization (spectral peak picking for frequencies,
     log-envelope regression for T2*), then trust-region least squares over
     (baseline, amplitude, T2*, p, detuning, splitting) with phases fixed at
-    zero. Uncertainties come from the local curvature at the optimum.
+    zero and the model's closed-form Jacobian. Uncertainties come from the
+    local curvature at the optimum. `n_evaluations` counts residual
+    evaluations over both frequency hypotheses; Jacobian evaluations are
+    not counted.
+
+    tau must be finite, >= 0 and non-decreasing with a positive median
+    step (a first delay of 0 and some repeated delays are accepted); the
+    signal must be finite.
     """
     tau = np.asarray(tau, dtype=float)
     signal = np.asarray(signal, dtype=float)
@@ -204,6 +250,16 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
         raise ValidationError("tau and signal must be matching 1-D arrays")
     if len(tau) < 16:
         raise ValidationError("too few samples to fit")
+    if not np.all(np.isfinite(tau)):
+        raise ValidationError("tau must be finite")
+    if not np.all(np.isfinite(signal)):
+        raise ValidationError("signal must be finite")
+    steps = np.diff(tau)
+    if tau[0] < 0 or np.any(steps < 0):
+        raise ValidationError("tau must be >= 0 and non-decreasing")
+    dt = float(np.median(steps))  # the spectrum's sampling step
+    if not dt > 0:
+        raise ValidationError("tau repeats too often: its median step is 0")
 
     baseline0 = float(np.mean(signal))
     resid0 = signal - baseline0
@@ -218,7 +274,6 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
         abs(d) + (n_hyperfine - 1) / 2.0 * a for d, a in hypotheses
     )
     span = tau[-1] - tau[0]
-    dt = float(np.median(np.diff(tau)))
     if f_fast > 0 and span * f_fast < _MIN_PERIODS:
         raise ValidationError(
             f"under-sampled input: {span * f_fast:.1f} periods of the fastest "
@@ -231,11 +286,14 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
         )
 
     j = np.arange(n_hyperfine) - (n_hyperfine - 1) / 2.0
+    # scipy asks for the Jacobian at the x whose residual it has just
+    # evaluated, so the terms of that evaluation are kept and reused
+    last = [None, None]  # x and the model terms at x
 
-    def model(x):
-        base, amp, t2, p, det, split = x
-        osc = np.cos(2.0 * np.pi * np.outer(tau, det + j * split)).mean(axis=1)
-        return base + amp * np.exp(-((tau / t2) ** p)) * osc
+    def terms(x):
+        if not np.array_equal(x, last[0]):
+            last[:] = x.copy(), _model_terms(tau, j, x)
+        return last[1]
 
     lower = [-np.inf, 0.0, 1e-3, 0.5, 0.0, 0.0]
     upper = [np.inf, np.inf, 1e7, 3.0, np.inf, np.inf]
@@ -244,8 +302,9 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     for det0, a0 in hypotheses:
         x0 = [baseline0, amp0, t2_0, 1.0, max(det0, 1e-6), max(a0, 1e-6)]
         result = least_squares(
-            lambda x: model(x) - signal,
+            lambda x: _model(x, terms(x)) - signal,
             x0,
+            jac=lambda x: _jacobian(tau, j, x, terms(x)),
             bounds=(lower, upper),
             xtol=1e-12,
             ftol=1e-12,
@@ -265,7 +324,8 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     cov = s2 * np.linalg.pinv(jtj)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
     freqs = det + j * split
-    residual = model(best.x) - signal
+    best_terms = _model_terms(tau, j, best.x)
+    residual = _model(best.x, best_terms) - signal
     return RamseyFitResult(
         t2_star=float(t2),
         t2_star_sigma=float(sigmas[2]),
@@ -277,6 +337,6 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
         amplitude=float(amp),
         baseline=float(base),
         residual_rms=float(np.sqrt(np.mean(residual**2))),
-        envelope_samples=np.exp(-((tau / t2) ** p)),
+        envelope_samples=best_terms[3],
         n_evaluations=nfev,
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nvsk.cli import build_parser, main, parenthesis_format, parse_grid
+from nvsk.core import MAX_TRACE_SAMPLES
 from synthdata import HIGH_N_ROWS, LOW_N_ROWS, table_rows_to_csv_text
 
 SAMPLE_CFG = """\
@@ -358,6 +359,8 @@ def test_usage_error_exit_code(capsys):
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--tau-end", "inf"],
         ["photophysics", "ti-band", "--grid", "1:inf:log:3"],
         ["sensitivity", "optimal-n", "--to-grid", "nan:3:lin"],
+        ["sensitivity", "optimal-n", "--to-grid", "0.1:1:log:1000000000000000"],
+        ["sensitivity", "optimal-n", "--to-grid", f"0.1:1:lin:{MAX_TRACE_SAMPLES + 1}"],
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--dtau", "1e-12"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "inf"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--dt", "1e-320"],
@@ -381,6 +384,51 @@ def test_bad_strain_sidecar_exit_1_with_message(tmp_path, capsys, sidecar):
     assert main(["strain", "analyze", str(grid), "--sizes", "10:40:log:3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nvsk: ") and "Traceback" not in err
+
+
+def _edit_row(row, column, value):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        return lines
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        pytest.param(_edit_row(1, 0, "-0.06"), 1, "tau must be >= 0", id="negative-tau"),
+        pytest.param(_edit_row(40, 0, "-3"), 1, "non-decreasing", id="negative-tau-inside"),
+        pytest.param(_edit_row(7, 0, "inf"), 1, "tau must be finite", id="inf-tau"),
+        pytest.param(_edit_row(5, 1, "nan"), 1, "signal must be finite", id="nan-contrast"),
+        pytest.param(_edit_row(5, 1, "inf"), 1, "signal must be finite", id="inf-contrast"),
+        pytest.param(_edit_row(5, 1, "abc"), 1, "signal must be finite", id="text-contrast"),
+        pytest.param(lambda lines: lines[:1] + lines[:0:-1], 1, "non-decreasing",
+                     id="reversed-rows"),
+        pytest.param(lambda lines: lines[:1] + [lines[1]] * 20, 1, "median step is 0",
+                     id="constant-tau"),
+        pytest.param(lambda lines: lines[:1] + [r for r in lines[1:] for _ in (0, 1)], 1,
+                     "median step is 0", id="every-row-twice"),
+        pytest.param(lambda lines: lines[:1] + ["0,0.02"] + lines[1:], 0, "",
+                     id="zero-first-tau"),
+        pytest.param(lambda lines: lines[:3] + lines[2:], 0, "", id="repeated-tau"),
+    ],
+)
+def test_ramsey_fit_input_boundary(tmp_path, capsys, edit, code, message):
+    sig = tmp_path / "sig.csv"
+    synth = ["ramsey", "synth", "--t2", "10", "--detuning", "0.4",
+             "--noise-sigma", "0.0004", "--seed", "1", "--out", str(sig)]
+    assert main(synth) == 0
+    sig.write_text("\n".join(edit(sig.read_text().splitlines())) + "\n")
+    assert main(["ramsey", "fit", str(sig), "--out", str(tmp_path / "fit.json")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("nvsk: ") and message in err and "Traceback" not in err
+    else:
+        t2 = json.loads((tmp_path / "fit.json").read_text())["t2_star_us"]
+        assert t2 == pytest.approx(10.0, rel=0.05)
 
 
 def test_weak_radiative_rate_ti_band(tmp_path):

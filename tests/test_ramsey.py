@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvsk.errors import ValidationError
-from nvsk.ramsey import RamseyModel, fit, synthesize
+from nvsk.ramsey import RamseyModel, _jacobian, _model, _model_terms, fit, synthesize
 
 TAU = np.arange(0.02, 53.0, 0.06)
 
@@ -145,3 +147,102 @@ def test_synthesize_grid_validation():
         synthesize(model, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValidationError):
         synthesize(model, np.array([1.0, 0.5]))
+
+
+TRIPLET = np.array([-1.0, 0.0, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.floats(-1.0, 1.0),
+    amp=st.floats(1e-3, 1.0),
+    t2=st.floats(0.1, 1e3),
+    p=st.floats(0.5, 3.0),
+    det=st.floats(0.0, 5.0),
+    split=st.floats(0.0, 3.0),
+    start=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    step=st.floats(0.01, 0.5),
+    n=st.integers(16, 200),
+)
+def test_jacobian_matches_central_differences(base, amp, t2, p, det, split, start, step, n):
+    tau = start + step * np.arange(n)
+    x = np.array([base, amp, t2, p, det, split])
+    terms = _model_terms(tau, TRIPLET, x)
+    model = _model(x, terms)
+    # bit for bit the model's plain expression
+    osc = np.cos(2.0 * np.pi * np.outer(tau, det + TRIPLET * split)).mean(axis=1)
+    assert np.array_equal(model, x[0] + x[1] * np.exp(-((tau / x[2]) ** x[3])) * osc)
+
+    jac = _jacobian(tau, TRIPLET, x, terms)
+    assert np.all(np.isfinite(jac))
+    # rounding error of one model evaluation: ulps of the model and of the
+    # cosine arguments, which grow with the phase
+    rounding = np.finfo(float).eps * (np.abs(model).max() + amp * (1.0 + np.abs(terms[0]).max()))
+    for k in range(6):
+        h = 1e-7 * max(abs(x[k]), 1.0)
+        up, down = x.copy(), x.copy()
+        up[k] += h
+        down[k] -= h
+        oracle = (
+            _model(up, _model_terms(tau, TRIPLET, up))
+            - _model(down, _model_terms(tau, TRIPLET, down))
+        ) / (2.0 * h)
+        # the oracle's truncation error relative to the column, plus its
+        # rounding error divided by the step
+        bound = 1e-6 * np.abs(jac[:, k]).max() + 4.0 * rounding / h
+        assert np.abs(jac[:, k] - oracle).max() <= bound, k
+
+
+# Fit outputs on signals the fit recovers (detuning < a/2, p in {1, 2}),
+# keyed by (T2*, detuning, p, noise seed; None for a noiseless signal).
+GOLDEN_FITS = {
+    (17.7, 0.4, 1.0, None): dict(
+        t2_star=17.700000000000014, t2_star_sigma=1.4462341762494952e-15,
+        p=1.0000000000000013, p_sigma=9.931906431238369e-17, detuning=0.4,
+        hyperfine_splitting=2.16, amplitude=0.02, baseline=3.3177445519946846e-19,
+    ),
+    (17.7, 0.4, 1.0, 1): dict(
+        t2_star=17.90174505604799, t2_star_sigma=0.24993957155408056,
+        p=1.014968598209936, p_sigma=0.01756736792623229, detuning=0.3999983450427276,
+        hyperfine_splitting=2.1599626876112605, amplitude=0.019820863871922282,
+        baseline=-2.3188091156018554e-05,
+    ),
+    (8.6, 0.25, 2.0, None): dict(
+        t2_star=8.600000000000005, t2_star_sigma=7.858346077483116e-16,
+        p=2.000000000000002, p_sigma=5.050784574560603e-16, detuning=0.25000000000000006,
+        hyperfine_splitting=2.16, amplitude=0.02, baseline=1.0676993284082535e-19,
+    ),
+    (8.6, 0.25, 2.0, 3): dict(
+        t2_star=8.585738039227786, t2_star_sigma=0.07518552387228485,
+        p=1.9527352633538022, p_sigma=0.045928790733205604, detuning=0.25013306181717376,
+        hyperfine_splitting=2.160338598801016, amplitude=0.020082472612824254,
+        baseline=2.4505048277913836e-05,
+    ),
+    (12.0, 0.9, 1.0, 5): dict(
+        t2_star=12.180321566354543, t2_star_sigma=0.19680778139615196,
+        p=1.0319102363437447, p_sigma=0.021093485086253364, detuning=0.9000128331163912,
+        hyperfine_splitting=2.1600519973340604, amplitude=0.01970083327451894,
+        baseline=-1.30943253300196e-05,
+    ),
+    (5.0, 0.6, 2.0, 7): dict(
+        t2_star=5.010240215137786, t2_star_sigma=0.05329637541428364,
+        p=1.9397463137404827, p_sigma=0.05490568160541212, detuning=0.5999977326858678,
+        hyperfine_splitting=2.1596391600644522, amplitude=0.020081265719134156,
+        baseline=-6.297099373271286e-05,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FITS, key=str))
+def test_fit_matches_golden_outputs(case):
+    t2, detuning, p, seed = case
+    tau = np.arange(0.06, 3.0 * t2 + 0.03, 0.06)  # the `ramsey synth` grid
+    model = RamseyModel(t2_star=t2, detuning=detuning, amplitude=0.02, p=p)
+    signal = synthesize(model, tau, noise_sigma=0.0 if seed is None else 4e-4, seed=seed)
+    result = fit(tau, signal)
+    for field, value in GOLDEN_FITS[case].items():
+        # 1e-6 relative, the benchmark's tolerance; the absolute floor only
+        # matters for the sigmas and baseline of a noiseless signal, which
+        # sit at rounding level
+        assert getattr(result, field) == pytest.approx(value, rel=1e-6, abs=1e-12), field
+
