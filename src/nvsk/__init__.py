@@ -29,7 +29,6 @@ from .sensitivity import (
     optimal_nitrogen,
     optimal_tau,
     ramsey_sensitivity,
-    sensitivity_ratio,
     simplified_metric,
     volume_normalized_sensitivity,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "optimal_nitrogen",
     "optimal_tau",
     "ramsey_sensitivity",
-    "sensitivity_ratio",
     "simplified_metric",
     "volume_normalized_sensitivity",
 ]

@@ -19,7 +19,7 @@ from . import __version__, charge, dataio, photophysics, ramsey, strainmap
 from .config import ResolvedConfig, default_config, parse_config
 from .core import MAX_TRACE_SAMPLES
 from .dephasing import dq_t2star, spin_bath_budget, strain_rate_from_fwhm
-from .errors import ComputationError, NvskError, ValidationError
+from .errors import NvskError, ValidationError
 from .sensitivity import optimal_nitrogen, volume_normalized_sensitivity
 
 
@@ -245,13 +245,12 @@ def cmd_photophysics_simulate(args) -> int:
     curve = photophysics.contrast_trace(
         params, args.intensity, args.isat, t_end=t_end, dt=dt
     )
-    n = min(len(trace.values), len(curve.contrast))
     manifest = _manifest(args, cfg.as_dict())
     dataio.emit_csv(
         [
-            ("t_us", trace.times[:n]),
-            ("pl_rate_per_us", trace.values[:n]),
-            ("contrast", curve.contrast[:n]),
+            ("t_us", trace.times),
+            ("pl_rate_per_us", trace.values),
+            ("contrast", curve.contrast),
         ],
         args.out,
         manifest,
@@ -339,8 +338,8 @@ def cmd_strain_analyze(args) -> int:
         )
     else:
         other_rate = 0.0
-    centered = strainmap.mean_subtract(strain_map)
-    full_fit = strainmap.histogram_fwhm(centered, args.bin_width_khz)
+    valid = strain_map.valid_values
+    full_fit = strainmap.histogram_fwhm(valid - valid.mean(), args.bin_width_khz)
     stats = strainmap.partition_sweep(
         strain_map,
         sizes,
@@ -551,9 +550,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"nvsk: {exc}", file=sys.stderr)
         return 1
-    except ComputationError as exc:
-        print(f"nvsk: {exc}", file=sys.stderr)
-        return 2
     except NvskError as exc:
         print(f"nvsk: {exc}", file=sys.stderr)
         return 2

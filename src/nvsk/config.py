@@ -103,7 +103,6 @@ _SCHEMA = {
     },
     "metric": {
         "c13_ppm": (_float_type, _non_negative, ">= 0"),
-        "t_overhead_us": (_float_type, _non_negative, ">= 0"),
     },
 }
 
@@ -137,7 +136,6 @@ _DEFAULTS = {
     },
     "metric": {
         "c13_ppm": MetricConfig().c13.ppm,
-        "t_overhead_us": 0.0,
     },
 }
 
@@ -219,11 +217,10 @@ class ResolvedConfig:
     def readout_window_us(self) -> Optional[float]:
         return self.values["photon_model"].get("readout_window_us")
 
-    def metric_config(self, t_overhead: Optional[float] = None) -> MetricConfig:
+    def metric_config(self) -> MetricConfig:
         sec = self.values["metric"]
         return MetricConfig(
             c13=Concentration(sec["c13_ppm"]),
-            t_overhead=sec["t_overhead_us"] if t_overhead is None else t_overhead,
             bath_coeffs=self.bath_coefficients(),
         )
 

@@ -541,7 +541,7 @@ def ti_band(params: FiveLevelParams, intensities) -> TiBand:
             s = saturation_parameter(i, i_sat)
             dt = max_stable_dt(params, s)
             t_end = default_trace_window(params, s)
-            n_total = int(math.ceil(t_end / dt)) + 1
+            n_total = _check_grid(params, s, t_end, dt) + 1
             stride = max(1, int(math.ceil(n_total / _MAX_KEPT_SAMPLES)))
             times, contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride)
             curve = ContrastCurve(

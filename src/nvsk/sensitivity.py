@@ -17,7 +17,7 @@ overall scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,11 +37,12 @@ PROTOCOLS = ("sq", "dq")
 
 @dataclass(frozen=True)
 class SensingParams:
-    """Full argument list of the sensitivity expression.
+    """Every argument of the sensitivity expression except tau.
 
-    tau may be left as None when the struct feeds an optimizer that chooses
-    it. t2_star and n_avg accept math.inf for the no-dephasing and
-    ideal-readout limits.
+    tau is what the optimizers sweep, so it is passed to ramsey_sensitivity
+    per evaluation; everything here is validated once, when the struct is
+    built. t2_star and n_avg accept math.inf for the no-dephasing and
+    ideal-readout limits; n_avg = 0 leaves the readout noise undefined.
     """
 
     delta_ms: int
@@ -50,7 +51,6 @@ class SensingParams:
     t2_star: float
     contrast_c: float
     n_avg: float
-    tau: Optional[float] = None
     p: float = 1.0
     t_overhead: float = 0.0
 
@@ -63,35 +63,27 @@ class SensingParams:
             raise ValidationError(f"n_sensors must be > 0, got {self.n_sensors}")
         if not self.t2_star > 0:
             raise ValidationError(f"t2_star must be > 0, got {self.t2_star}")
-        if self.tau is not None and not self.tau > 0:
-            raise ValidationError(f"tau must be > 0, got {self.tau}")
         if not self.p >= 1.0:
             raise ValidationError(f"stretch exponent p must be >= 1, got {self.p}")
         if not 0.0 < self.contrast_c <= 1.0:
             raise ValidationError(f"contrast out of (0,1]: {self.contrast_c}")
         if not self.n_avg >= 0.0:
             raise ValidationError(f"n_avg must be >= 0, got {self.n_avg}")
+        if self.n_avg == 0.0:
+            raise ValidationError("readout noise term undefined: n_avg = 0")
         if not self.t_overhead >= 0.0 or math.isinf(self.t_overhead):
             raise ValidationError(f"t_overhead must be finite >= 0, got {self.t_overhead}")
 
 
-def ramsey_sensitivity(params: SensingParams, tau: Optional[float] = None) -> float:
-    """Evaluate the shot-noise sensitivity expression at one tau.
+def ramsey_sensitivity(params: SensingParams, tau: float) -> float:
+    """Evaluate the shot-noise sensitivity expression at one tau (us).
 
-    tau defaults to params.tau; an explicit tau (us) is checked as
-    SensingParams checks it, so an optimizer can vary tau over params
-    validated once instead of building a new SensingParams per point.
+    params were validated when built; only tau is checked here.
     Returns math.inf when the dephasing envelope exceeds the float range
     (tau far beyond T2* combined with a large stretch exponent).
     """
-    if tau is None:
-        tau = params.tau
-        if tau is None:
-            raise ValidationError("tau is not set")
-    elif not tau > 0:
+    if not tau > 0:
         raise ValidationError(f"tau must be > 0, got {tau}")
-    if params.n_avg == 0.0:
-        raise ValidationError("readout noise term undefined: n_avg = 0")
     try:
         envelope = math.exp((tau / params.t2_star) ** params.p)
     except OverflowError:
@@ -185,17 +177,12 @@ def optimal_tau(params: SensingParams, tau_max: Optional[float] = None) -> TauOp
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Inputs of the simplified bath-limited sensitivity metric."""
+    """Spin-bath inputs of the simplified metric. The per-shot overhead is
+    what optimal_nitrogen sweeps, so it is an argument of simplified_metric
+    rather than a field here."""
 
     c13: Concentration = Concentration(50.0)  # 99.995% 12C enrichment
-    t_overhead: float = 0.0
     bath_coeffs: BathCoefficients = BathCoefficients()
-
-    def __post_init__(self):
-        if not self.t_overhead >= 0 or math.isinf(self.t_overhead):
-            raise ValidationError(
-                f"t_overhead must be finite >= 0, got {self.t_overhead}"
-            )
 
 
 def _bath_t2_n_c13(ns0_ppm: float, cfg: MetricConfig) -> float:
@@ -205,18 +192,21 @@ def _bath_t2_n_c13(ns0_ppm: float, cfg: MetricConfig) -> float:
     return 1.0 / rate
 
 
-def simplified_metric(ns0, cfg: MetricConfig) -> float:
+def simplified_metric(ns0, t_overhead: float, cfg: MetricConfig) -> float:
     """Relative sensitivity vs nitrogen content, overhead-corrected.
 
     eta_tilde(N) = sqrt((T2* + t_O) / (N * T2*^2)) with T2*(N) taken from
-    the nitrogen and carbon-13 bath terms only. The absolute scale is
-    arbitrary; only ratios between nitrogen concentrations are meaningful.
+    the nitrogen and carbon-13 bath terms only and t_O = t_overhead (us).
+    The absolute scale is arbitrary; only ratios between nitrogen
+    concentrations are meaningful.
     """
     n = ns0.ppm if isinstance(ns0, Concentration) else float(ns0)
     if not n > 0 or math.isinf(n):
         raise ValidationError(f"ns0 must be finite > 0 ppm, got {n}")
+    if not t_overhead >= 0 or math.isinf(t_overhead):
+        raise ValidationError(f"t_overhead must be finite >= 0, got {t_overhead}")
     t2 = _bath_t2_n_c13(n, cfg)
-    return math.sqrt((t2 + cfg.t_overhead) / (n * t2 * t2))
+    return math.sqrt((t2 + t_overhead) / (n * t2 * t2))
 
 
 @dataclass(frozen=True)
@@ -227,18 +217,16 @@ class NitrogenOptimum:
 
 
 def optimal_nitrogen(t_overhead: float, cfg: MetricConfig = MetricConfig()) -> NitrogenOptimum:
-    """Nitrogen concentration minimizing the simplified metric.
+    """Nitrogen concentration minimizing the simplified metric at a
+    per-shot overhead of t_overhead us.
 
     Deterministic log-grid scan plus golden-section refinement over
     [0.01, 100] ppm. If the metric is monotone on the domain the boundary
     argmin is returned flagged interior=False.
     """
-    if not t_overhead >= 0:
-        raise ValidationError(f"t_overhead must be >= 0, got {t_overhead}")
-    cfg = replace(cfg, t_overhead=float(t_overhead))
 
     def objective(log_n: float) -> float:
-        return simplified_metric(math.exp(log_n), cfg)
+        return simplified_metric(math.exp(log_n), t_overhead, cfg)
 
     lo, hi = (math.log(n) for n in _NITROGEN_RANGE_PPM)
     grid = np.linspace(lo, hi, _NITROGEN_SCAN)
@@ -405,7 +393,6 @@ def volume_normalized_sensitivity(
     coeffs: BathCoefficients = BathCoefficients(),
     photon_model: PhotonModel = PhotonModel(),
     readout_window_us: Optional[float] = None,
-    strain_rate_per_us: float = 0.0,
     bias_rate_per_us: float = 0.0,
 ) -> VolumeSensitivity:
     """Sensitivity per unit sqrt(volume) at one excitation intensity.
@@ -416,14 +403,14 @@ def volume_normalized_sensitivity(
     photon number is photon rate x readout window, with the window
     defaulting to the interpolated overhead (readout is folded into the
     reported initialization time). T2* is the sample's bath budget plus any
-    supplied strain/bias rates for SQ, or the double-quantum variant for DQ.
+    supplied bias rate for SQ, or the double-quantum variant for DQ.
     """
     if protocol not in PROTOCOLS:
         raise ValidationError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     row = table.interpolate(intensity)
     budget = spin_bath_budget(sample, coeffs)
     if protocol == "sq":
-        rate = budget.bath_rate + float(strain_rate_per_us) + float(bias_rate_per_us)
+        rate = budget.bath_rate + float(bias_rate_per_us)
         t2 = 1.0 / rate if rate > 0 else math.inf
         delta_ms = 1
     else:
@@ -472,18 +459,3 @@ def volume_normalized_sensitivity(
         intensity=row.intensity,
         protocol=protocol,
     )
-
-
-def sensitivity_ratio(
-    sample_a: DiamondSample,
-    table_a: IntensityTable,
-    sample_b: DiamondSample,
-    table_b: IntensityTable,
-    intensity,
-    protocol: str = "sq",
-) -> float:
-    """eta_a / eta_b at a common intensity under default constants, bath
-    coefficients and photon model; errors from either side propagate."""
-    eta_a = volume_normalized_sensitivity(sample_a, table_a, intensity, protocol).eta
-    eta_b = volume_normalized_sensitivity(sample_b, table_b, intensity, protocol).eta
-    return eta_a / eta_b

@@ -61,18 +61,6 @@ class StrainMap:
         return self.values[self.mask]
 
 
-def mean_subtract(strain_map: StrainMap) -> StrainMap:
-    """Shift so the masked mean is zero; variance is untouched."""
-    mean = float(strain_map.valid_values.mean())
-    values = np.where(strain_map.mask, strain_map.values - mean, strain_map.values)
-    return StrainMap(
-        values=values,
-        pixel_pitch_um=strain_map.pixel_pitch_um,
-        mask=strain_map.mask.copy(),
-        orientation=strain_map.orientation,
-    )
-
-
 @dataclass(frozen=True)
 class LorentzianFit:
     center_khz: float
@@ -133,20 +121,17 @@ def _lorentzian_residual_and_jacobian(centers, counts):
 
 
 def histogram_fwhm(
-    source,
+    values,
     bin_width_khz: Optional[float] = None,
 ) -> LorentzianFit:
-    """Histogram the shifts and fit a Lorentzian; returns the FWHM.
+    """Histogram a 1-D array of shifts and fit a Lorentzian; returns the FWHM.
 
-    Accepts a StrainMap (valid pixels) or a 1-D value array. Binning is
-    Freedman-Diaconis unless a fixed width is given; initialization uses
-    the sample median and interquartile range, so the fit is deterministic.
+    Non-finite entries are dropped. Binning is Freedman-Diaconis unless a
+    fixed width is given; initialization uses the sample median and
+    interquartile range, so the fit is deterministic.
     """
-    if isinstance(source, StrainMap):
-        values = source.valid_values
-    else:
-        values = np.asarray(source, dtype=float).ravel()
-        values = values[np.isfinite(values)]
+    values = np.asarray(values, dtype=float)
+    values = values[np.isfinite(values)]
     if len(values) < _MIN_PIXELS_FOR_FIT:
         raise ValidationError(
             f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(values)}"

@@ -26,8 +26,8 @@ from nvsk.sensitivity import (
     SensingParams,
     optimal_nitrogen,
     optimal_tau,
-    sensitivity_ratio,
     simplified_metric,
+    volume_normalized_sensitivity,
 )
 from nvsk.strainmap import partition_sweep, scaling_metric, synth_stationary
 from nvsk.charge import Spectrum, charge_fraction, decompose
@@ -64,10 +64,10 @@ def test_criterion_02_nitrogen_bookkeeping():
 
 
 def test_criterion_03_metric_ratio_threefold():
-    cfg = MetricConfig(t_overhead=10.0)
+    cfg = MetricConfig()
 
     def ratio():
-        return simplified_metric(14.0, cfg) / simplified_metric(0.8, cfg)
+        return simplified_metric(14.0, 10.0, cfg) / simplified_metric(0.8, 10.0, cfg)
 
     value, elapsed = timed(ratio)
     # brute-force oracle from the rate polynomial, independent arrangement
@@ -220,9 +220,8 @@ def test_criterion_13_crossover_with_synthetic_tables():
     start = time.perf_counter()
     grid = np.logspace(-3, 1, 13)
     ratios = [
-        sensitivity_ratio(
-            low_n_sample(), low_n_table(), high_n_sample(), high_n_table(), i, "sq"
-        )
+        volume_normalized_sensitivity(low_n_sample(), low_n_table(), i, "sq").eta
+        / volume_normalized_sensitivity(high_n_sample(), high_n_table(), i, "sq").eta
         for i in grid
     ]
     elapsed = time.perf_counter() - start

@@ -229,6 +229,20 @@ def test_sensitivity_optimal_n_curve(tmp_path):
     assert all(b <= a * (1 + 1e-9) for a, b in zip(values, values[1:]))
 
 
+def test_optimal_n_refuses_the_removed_overhead_key(tmp_path, capsys):
+    # the overhead is the swept --to-grid axis; no config key sets it
+    cfg = tmp_path / "metric.cfg"
+    cfg.write_text("[metric]\nt_overhead_us = 5\n")
+    out = tmp_path / "n.csv"
+    argv = ["sensitivity", "optimal-n", "--to-grid", "0.1:100:log:6",
+            "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("nvsk: ") and "unknown key 't_overhead_us'" in err[0]
+    assert not out.exists()
+
+
 def test_sensitivity_sweep_and_compare(tmp_path, sample_cfg):
     high_cfg = tmp_path / "high.cfg"
     high_cfg.write_text(HIGH_CFG)

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from nvsk.sensitivity import (
     optimal_nitrogen,
     optimal_tau,
     ramsey_sensitivity,
-    sensitivity_ratio,
     simplified_metric,
     volume_normalized_sensitivity,
 )
@@ -33,7 +33,6 @@ def unit_params(**overrides):
         t2_star=math.inf,
         contrast_c=1.0,
         n_avg=math.inf,
-        tau=1.0,
         p=1.0,
         t_overhead=0.0,
     )
@@ -42,29 +41,46 @@ def unit_params(**overrides):
 
 
 def test_all_factors_unity():
-    assert ramsey_sensitivity(unit_params()) == pytest.approx(1.0, rel=1e-15)
+    assert ramsey_sensitivity(unit_params(), 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_half_t2_ratio_closed_form():
     # eta(tau=T2/2) / eta(tau=T2) = exp(-1/2) * sqrt(2) for p=1, t_O=0
     t2 = 7.3
-    eta_half = ramsey_sensitivity(unit_params(t2_star=t2, tau=t2 / 2))
-    eta_full = ramsey_sensitivity(unit_params(t2_star=t2, tau=t2))
+    params = unit_params(t2_star=t2)
+    eta_half = ramsey_sensitivity(params, t2 / 2)
+    eta_full = ramsey_sensitivity(params, t2)
     assert eta_half / eta_full == pytest.approx(math.exp(-0.5) * math.sqrt(2.0), rel=1e-12)
     assert eta_half / eta_full == pytest.approx(0.8578, abs=2e-4)
 
 
 def test_double_quantum_prefactor():
-    sq = ramsey_sensitivity(unit_params(t2_star=10.0, tau=3.0, n_avg=100.0, contrast_c=0.02))
+    sq = ramsey_sensitivity(unit_params(t2_star=10.0, n_avg=100.0, contrast_c=0.02), 3.0)
     dq = ramsey_sensitivity(
-        unit_params(delta_ms=2, t2_star=10.0, tau=3.0, n_avg=100.0, contrast_c=0.02)
+        unit_params(delta_ms=2, t2_star=10.0, n_avg=100.0, contrast_c=0.02), 3.0
     )
     assert dq == pytest.approx(sq / 2.0, rel=1e-15)
 
 
 def test_zero_navg_rejected():
-    with pytest.raises(ValidationError, match="readout noise term undefined"):
-        ramsey_sensitivity(unit_params(n_avg=0.0))
+    # refused when the struct is built, not on every evaluation
+    with pytest.raises(ValidationError, match="readout noise term undefined: n_avg = 0"):
+        unit_params(n_avg=0.0)
+
+
+def log_eta_oracle(delta_ms, p, t2, t_o, n_avg, contrast, tau):
+    # the expression summed in log space: no intermediate product can overflow
+    return (
+        -math.log(delta_ms)
+        - 0.5 * math.log(tau)
+        + (tau / t2) ** p
+        + 0.5 * math.log1p(1.0 / (contrast**2 * n_avg))
+        + 0.5 * math.log((tau + t_o) / tau)
+    )
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -72,42 +88,33 @@ def test_zero_navg_rejected():
     p=st.floats(1.0, 3.0),
     t2=st.one_of(st.just(math.inf), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
     t_o=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
-    n_avg=st.one_of(st.just(0.0), st.just(math.inf), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    n_avg=st.one_of(st.just(math.inf), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
     contrast=st.floats(1e-4, 1.0),
     tau=st.floats(-9.0, 6.0).map(lambda e: 10.0**e),
 )
 @example(delta_ms=1, p=3.0, t2=1e-3, t_o=0.0, n_avg=1.0, contrast=0.5, tau=1e6)  # overflow
-@example(delta_ms=2, p=1.0, t2=10.0, t_o=1.0, n_avg=0.0, contrast=0.5, tau=5.0)
-def test_property_explicit_tau_equals_params_tau(delta_ms, p, t2, t_o, n_avg, contrast, tau):
+def test_property_sensitivity_matches_log_form(delta_ms, p, t2, t_o, n_avg, contrast, tau):
     params = unit_params(
         delta_ms=delta_ms, p=p, t2_star=t2, t_overhead=t_o, n_avg=n_avg,
-        contrast_c=contrast, tau=None,
+        contrast_c=contrast,
     )
-    if n_avg == 0.0:
-        for call in (lambda: ramsey_sensitivity(params, tau),
-                     lambda: ramsey_sensitivity(replace(params, tau=tau))):
-            with pytest.raises(ValidationError, match="n_avg = 0"):
-                call()
-        return
     eta = ramsey_sensitivity(params, tau)
-    assert eta == ramsey_sensitivity(replace(params, tau=tau))
+    log_eta = log_eta_oracle(delta_ms, p, t2, t_o, n_avg, contrast, tau)
     if (tau / t2) ** p > 710.0:  # exp() overflows past ~709.78
         assert eta == math.inf
+    elif eta == math.inf:  # a finite envelope, but the product overflows
+        assert log_eta > _LOG_FLOAT_MAX - 1e-9
+    else:
+        assert math.log(eta) == pytest.approx(log_eta, rel=1e-12, abs=1e-12)
 
 
-def test_explicit_tau_is_validated_like_params_tau():
-    params = unit_params(tau=None)
-    with pytest.raises(ValidationError, match="tau is not set"):
-        ramsey_sensitivity(params)
-    for bad in (0.0, -1.0, math.nan):
+def test_tau_is_validated_per_call():
+    params = unit_params()
+    for bad in (0.0, -1.0, -math.inf, math.nan):
         with pytest.raises(ValidationError, match="tau must be > 0"):
             ramsey_sensitivity(params, bad)
-        with pytest.raises(ValidationError, match="tau must be > 0"):
-            replace(params, tau=bad)
-    # an explicit tau overrides params.tau
-    assert ramsey_sensitivity(unit_params(tau=9.0), 4.0) == ramsey_sensitivity(
-        unit_params(tau=4.0)
-    )
+    with pytest.raises(TypeError):
+        ramsey_sensitivity(params)  # tau is required
 
 
 def test_monotonicity_in_each_parameter():
@@ -118,19 +125,23 @@ def test_monotonicity_in_each_parameter():
             t2_star=rng.uniform(1.0, 50.0),
             contrast_c=rng.uniform(0.005, 0.5),
             n_avg=rng.uniform(0.01, 100.0),
-            tau=rng.uniform(0.1, 40.0),
             t_overhead=rng.uniform(0.0, 100.0),
         )
-        eta = ramsey_sensitivity(params)
-        assert ramsey_sensitivity(replace(params, n_sensors=params.n_sensors * 1.7)) < eta
-        assert ramsey_sensitivity(replace(params, contrast_c=min(1.0, params.contrast_c * 1.5))) < eta
-        assert ramsey_sensitivity(replace(params, n_avg=params.n_avg * 2.0)) < eta
-        assert ramsey_sensitivity(replace(params, t_overhead=params.t_overhead + 5.0)) > eta
+        tau = rng.uniform(0.1, 40.0)
+
+        def eta_with(**change):
+            return ramsey_sensitivity(replace(params, **change), tau)
+
+        eta = ramsey_sensitivity(params, tau)
+        assert eta_with(n_sensors=params.n_sensors * 1.7) < eta
+        assert eta_with(contrast_c=min(1.0, params.contrast_c * 1.5)) < eta
+        assert eta_with(n_avg=params.n_avg * 2.0) < eta
+        assert eta_with(t_overhead=params.t_overhead + 5.0) > eta
 
 
 def test_optimal_tau_analytic_half_t2():
     for t2 in (1.0, 8.6, 17.5, 240.0):
-        params = unit_params(t2_star=t2, tau=None, n_avg=50.0, contrast_c=0.02)
+        params = unit_params(t2_star=t2, n_avg=50.0, contrast_c=0.02)
         best = optimal_tau(params)
         assert not best.boundary
         assert best.tau == pytest.approx(t2 / 2.0, rel=1e-3)
@@ -141,12 +152,10 @@ def test_optimal_tau_monotone_in_overhead():
     t2 = 12.0
     taus = []
     for t_o in (0.0, 1.0, 5.0, 25.0, 125.0, 625.0):
-        params = unit_params(t2_star=t2, tau=None, t_overhead=t_o)
+        params = unit_params(t2_star=t2, t_overhead=t_o)
         best = optimal_tau(params)
         grid = np.logspace(math.log10(t2 * 1e-4), math.log10(5 * t2), 20001)
-        etas = [
-            ramsey_sensitivity(replace(params, tau=float(t))) for t in grid
-        ]
+        etas = [ramsey_sensitivity(params, float(t)) for t in grid]
         assert best.tau == pytest.approx(grid[int(np.argmin(etas))], rel=1e-3)
         taus.append(best.tau)
     assert all(b >= a * (1 - 1e-9) for a, b in zip(taus, taus[1:]))
@@ -161,7 +170,7 @@ def test_optimal_tau_monotone_in_overhead():
 )
 def test_property_optimal_tau_is_the_closed_form_root(t2, t_o):
     # p = 1: d/dtau log eta = 0 is 2 tau^2 + (2 t_O - T2*) tau - 2 T2* t_O = 0
-    best = optimal_tau(unit_params(t2_star=t2, tau=None, t_overhead=t_o))
+    best = optimal_tau(unit_params(t2_star=t2, t_overhead=t_o))
     b = 2.0 * t_o - t2
     root = (-b + math.sqrt(b * b + 16.0 * t2 * t_o)) / 4.0
     assert not best.boundary
@@ -171,7 +180,7 @@ def test_property_optimal_tau_is_the_closed_form_root(t2, t_o):
 def test_optimal_tau_survives_envelope_overflow():
     # at p=6 the envelope overflows floats near the upper scan edge; the
     # bracketing must tolerate inf and still find the interior optimum
-    params = unit_params(t2_star=10.0, tau=None, p=6.0, n_avg=10.0, contrast_c=0.5)
+    params = unit_params(t2_star=10.0, p=6.0, n_avg=10.0, contrast_c=0.5)
     best = optimal_tau(params)
     analytic = 10.0 * (1.0 / 12.0) ** (1.0 / 6.0)  # T2 (1/2p)^(1/p)
     assert best.tau == pytest.approx(analytic, rel=1e-4)
@@ -179,7 +188,7 @@ def test_optimal_tau_survives_envelope_overflow():
 
 
 def test_optimal_tau_boundary_without_dephasing():
-    params = unit_params(t2_star=math.inf, tau=None)
+    params = unit_params(t2_star=math.inf)
     with pytest.raises(ValidationError, match="tau_max"):
         optimal_tau(params)
     best = optimal_tau(params, tau_max=100.0)
@@ -188,7 +197,7 @@ def test_optimal_tau_boundary_without_dephasing():
 
 
 def test_optimal_tau_argmin_invariant_under_sensor_scaling():
-    params = unit_params(t2_star=9.0, tau=None, n_avg=10.0, contrast_c=0.1)
+    params = unit_params(t2_star=9.0, n_avg=10.0, contrast_c=0.1)
     a = optimal_tau(params)
     b = optimal_tau(replace(params, n_sensors=3.7e8))
     assert b.tau == pytest.approx(a.tau, rel=1e-12)
@@ -218,7 +227,7 @@ GOLDEN_NITROGEN = [
 
 @pytest.mark.parametrize("overrides, tau_max, tau, eta, boundary", GOLDEN_TAU)
 def test_optimal_tau_golden_values(overrides, tau_max, tau, eta, boundary):
-    best = optimal_tau(unit_params(tau=None, **overrides), tau_max)
+    best = optimal_tau(unit_params(**overrides), tau_max)
     assert (best.tau, best.eta, best.boundary) == (tau, eta, boundary)
 
 
@@ -237,37 +246,56 @@ def metric_oracle(n, c13, t_o, coeffs=BathCoefficients()):
     return math.sqrt((a * n + b) / n + t_o * (a * n + b) ** 2 / n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    t_o=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
+    c13=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+)
+def test_property_simplified_metric_matches_oracle(n, t_o, c13):
+    cfg = MetricConfig(c13=Concentration(c13))
+    assert simplified_metric(n, t_o, cfg) == pytest.approx(
+        metric_oracle(n, c13, t_o), rel=1e-12
+    )
+
+
 def test_simplified_metric_threefold_ratio():
-    cfg = MetricConfig(t_overhead=10.0)
-    ratio = simplified_metric(14.0, cfg) / simplified_metric(0.8, cfg)
+    cfg = MetricConfig()
+    ratio = simplified_metric(14.0, 10.0, cfg) / simplified_metric(0.8, 10.0, cfg)
     assert 2.5 <= ratio <= 3.2
     oracle = metric_oracle(14.0, 50.0, 10.0) / metric_oracle(0.8, 50.0, 10.0)
     assert ratio == pytest.approx(oracle, rel=1e-9)
 
 
 def test_simplified_metric_plateaus_without_overhead():
-    cfg = MetricConfig(t_overhead=0.0)
     grid = np.logspace(-2, 2, 300)
-    values = [simplified_metric(n, cfg) for n in grid]
+    values = [simplified_metric(n, 0.0, MetricConfig()) for n in grid]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
 
 def test_simplified_metric_duty_factor_unity_at_zero_overhead():
-    cfg0 = MetricConfig(t_overhead=0.0)
     n = 5.0
     a, b = 0.101, 0.005
     t2 = 1.0 / (a * n + b)
-    assert simplified_metric(n, cfg0) == pytest.approx(
+    assert simplified_metric(n, 0.0, MetricConfig()) == pytest.approx(
         math.sqrt(1.0 / (n * t2)), rel=1e-12
     )
 
 
 def test_simplified_metric_validates_bare_ppm():
-    cfg = MetricConfig(t_overhead=10.0)
-    assert simplified_metric(Concentration(0.8), cfg) == simplified_metric(0.8, cfg)
+    cfg = MetricConfig()
+    assert simplified_metric(Concentration(0.8), 10.0, cfg) == simplified_metric(0.8, 10.0, cfg)
     for bad in (0.0, -1.0, math.nan, math.inf, Concentration(0.0)):
         with pytest.raises(ValidationError, match="ns0 must be finite > 0 ppm"):
-            simplified_metric(bad, cfg)
+            simplified_metric(bad, 10.0, cfg)
+
+
+def test_simplified_metric_validates_overhead():
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="t_overhead must be finite >= 0"):
+            simplified_metric(0.8, bad, MetricConfig())
+    with pytest.raises(ValidationError, match="t_overhead must be finite >= 0"):
+        optimal_nitrogen(math.inf)
 
 
 def test_optimal_nitrogen_at_10us_overhead():
@@ -275,8 +303,8 @@ def test_optimal_nitrogen_at_10us_overhead():
     assert result.interior
     # brute-force grid oracle
     grid = np.logspace(-2, 2, 10_000)
-    cfg = MetricConfig(t_overhead=10.0)
-    oracle = grid[int(np.argmin([simplified_metric(n, cfg) for n in grid]))]
+    cfg = MetricConfig()
+    oracle = grid[int(np.argmin([simplified_metric(n, 10.0, cfg) for n in grid]))]
     assert result.concentration.ppm == pytest.approx(oracle, rel=2e-3)
     assert result.concentration.ppm == pytest.approx(0.2269, abs=0.003)
 
@@ -330,21 +358,24 @@ def test_table_rejects_nonincreasing():
         IntensityTable(rows)
 
 
+def eta_ratio(sample_a, table_a, sample_b, table_b, intensity):
+    return (
+        volume_normalized_sensitivity(sample_a, table_a, intensity).eta
+        / volume_normalized_sensitivity(sample_b, table_b, intensity).eta
+    )
+
+
 def test_volume_normalized_identical_samples_ratio_one():
     for intensity in (1e-3, 0.05, 1.0, 10.0):
-        ratio = sensitivity_ratio(
+        ratio = eta_ratio(
             low_n_sample(), low_n_table(), low_n_sample(), low_n_table(), intensity
         )
         assert ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_volume_normalized_swap_inverts_ratio():
-    r_ab = sensitivity_ratio(
-        low_n_sample(), low_n_table(), high_n_sample(), high_n_table(), 0.05
-    )
-    r_ba = sensitivity_ratio(
-        high_n_sample(), high_n_table(), low_n_sample(), low_n_table(), 0.05
-    )
+    r_ab = eta_ratio(low_n_sample(), low_n_table(), high_n_sample(), high_n_table(), 0.05)
+    r_ba = eta_ratio(high_n_sample(), high_n_table(), low_n_sample(), low_n_table(), 0.05)
     assert r_ab * r_ba == pytest.approx(1.0, rel=1e-12)
 
 
@@ -377,9 +408,7 @@ def test_volume_normalized_hand_composed_row():
 def test_volume_normalized_crossover_low_then_high():
     grid = np.logspace(-3, 1, 13)
     ratios = [
-        sensitivity_ratio(
-            low_n_sample(), low_n_table(), high_n_sample(), high_n_table(), i
-        )
+        eta_ratio(low_n_sample(), low_n_table(), high_n_sample(), high_n_table(), i)
         for i in grid
     ]
     assert ratios[0] < 1.0  # low-N better at low intensity
@@ -444,7 +473,7 @@ def test_volume_normalized_readout_window_override():
 def test_ratio_degenerates_to_simplified_metric():
     # same contrast and readout, psi = 1, tau pinned at T2: the full
     # expression ratio collapses to the simplified metric ratio
-    cfg = MetricConfig(t_overhead=10.0)
+    cfg = MetricConfig()
     n_a, n_b = 0.8, 14.0
 
     def eta_at_t2(n):
@@ -457,13 +486,12 @@ def test_ratio_degenerates_to_simplified_metric():
             t2_star=t2,
             contrast_c=0.02,
             n_avg=0.5,
-            tau=t2,
             t_overhead=10.0,
         )
-        return ramsey_sensitivity(params)
+        return ramsey_sensitivity(params, t2)
 
     full_ratio = eta_at_t2(n_a) / eta_at_t2(n_b)
-    metric_ratio = simplified_metric(n_a, cfg) / simplified_metric(n_b, cfg)
+    metric_ratio = simplified_metric(n_a, 10.0, cfg) / simplified_metric(n_b, 10.0, cfg)
     assert full_ratio == pytest.approx(metric_ratio, rel=1e-9)
 
 

@@ -6,43 +6,11 @@ from nvsk.strainmap import (
     LorentzianFit,
     StrainMap,
     histogram_fwhm,
-    mean_subtract,
     partition_sweep,
     scaling_metric,
     synth_stationary,
     synth_two_region,
 )
-
-
-def test_mean_subtract_constant_map():
-    m = StrainMap(values=np.full((20, 20), 4.2), pixel_pitch_um=1.0)
-    out = mean_subtract(m)
-    assert np.abs(out.values).max() < 1e-12
-
-
-def test_mean_subtract_balanced_map_unchanged():
-    vals = np.tile([[1.0, -1.0]], (10, 10))
-    out = mean_subtract(StrainMap(values=vals, pixel_pitch_um=1.0))
-    assert np.allclose(out.values, vals)
-
-
-def test_mean_subtract_moments():
-    rng = np.random.default_rng(2)
-    vals = rng.normal(3.2, 1.7, size=(64, 64))
-    m = StrainMap(values=vals, pixel_pitch_um=1.0)
-    out = mean_subtract(m)
-    rms = np.sqrt(np.mean(vals**2))
-    assert abs(out.valid_values.mean()) < 1e-9 * rms
-    assert out.valid_values.var() == pytest.approx(vals.var(), rel=1e-12)
-
-
-def test_mean_subtract_respects_mask():
-    vals = np.ones((30, 30))
-    vals[0, 0] = 1e6
-    mask = np.ones_like(vals, dtype=bool)
-    mask[0, 0] = False
-    out = mean_subtract(StrainMap(values=vals, pixel_pitch_um=1.0, mask=mask))
-    assert abs(out.valid_values.mean()) < 1e-9
 
 
 def test_all_masked_rejected():
@@ -109,8 +77,8 @@ def test_partition_single_tile_equals_full_map():
     m = synth_stationary((128, 128), 1.0, 10.0, seed=5)
     stats = partition_sweep(m, [128.0])
     assert stats[0].n_tiles == 1
-    centered = mean_subtract(m)
-    full = histogram_fwhm(centered)
+    valid = m.valid_values
+    full = histogram_fwhm(valid - valid.mean())
     assert stats[0].fwhms_khz[0] == pytest.approx(full.fwhm_khz, rel=1e-9)
     # five or fewer tiles: no quantile bands
     assert stats[0].p25 is None and stats[0].p90 is None
