@@ -42,6 +42,8 @@ class Spectrum:
             raise ValidationError("wavelength and counts must be matching 1-D arrays")
         if len(self.wavelength_nm) < 3:
             raise ValidationError("spectrum needs at least 3 samples")
+        if not np.all(np.isfinite(self.wavelength_nm)):
+            raise ValidationError("wavelengths must be finite")
         if np.any(np.diff(self.wavelength_nm) <= 0):
             raise ValidationError("wavelength grid must be strictly increasing")
         if not np.all(np.isfinite(self.counts)) or np.any(self.counts < 0):

@@ -306,10 +306,8 @@ def cmd_ramsey_synth(args) -> int:
 
 def cmd_ramsey_fit(args) -> int:
     cfg = _load_config(args.config)
-    data = np.genfromtxt(args.signal, delimiter=",", names=True)
-    if data.dtype.names is None or not {"tau_us", "contrast"} <= set(data.dtype.names):
-        raise ValidationError(f"{args.signal}: expected columns tau_us, contrast")
-    result = ramsey.fit(data["tau_us"], data["contrast"], n_hyperfine=args.lines)
+    _, columns = dataio.read_columns(args.signal, ("tau_us", "contrast"))
+    result = ramsey.fit(columns["tau_us"], columns["contrast"], n_hyperfine=args.lines)
     payload = result.as_dict()
     payload["t2_star_formatted"] = parenthesis_format(
         result.t2_star, result.t2_star_sigma, " us"

@@ -65,81 +65,55 @@ def _non_negative(value):
     return value >= 0
 
 
-# section -> key -> (parser, constraint, constraint description)
+_CONSTANTS = PhysicalConstants()
+_BATH = BathCoefficients()
+_FIVE_LEVEL = FiveLevelParams()
+_PHOTONS = PhotonModel()
+
+# section -> key -> (parser, constraint, constraint description, default);
+# a default of None means the key has none. [sample] keys without a default
+# are required by ResolvedConfig.sample().
 _SCHEMA = {
     "sample": {
-        "ns0_as_grown_ppm": (_float_type, _non_negative, ">= 0"),
-        "c13_ppm": (_float_type, _non_negative, ">= 0"),
-        "nv_total_ppm": (_float_type, _non_negative, ">= 0"),
-        "psi": (_float_type, _in_range(0.0, 1.0), "out of [0,1]"),
-        "n_orientations_sensing": (_int_type, _in_range(1, 4), "out of [1,4]"),
+        "ns0_as_grown_ppm": (_float_type, _non_negative, ">= 0", None),
+        "c13_ppm": (_float_type, _non_negative, ">= 0", None),
+        "nv_total_ppm": (_float_type, _non_negative, ">= 0", None),
+        "psi": (_float_type, _in_range(0.0, 1.0), "out of [0,1]", None),
+        "n_orientations_sensing": (_int_type, _in_range(1, 4), "out of [1,4]", 1),
     },
     "constants": {
-        "gamma_e_mhz_per_g": (_float_type, _positive, "> 0"),
-        "gamma_convention": (_enum_type(GAMMA_CONVENTIONS), lambda v: True, ""),
+        "gamma_e_mhz_per_g": (_float_type, _positive, "> 0", _CONSTANTS.gamma_e),
+        "gamma_convention": (
+            _enum_type(GAMMA_CONVENTIONS), lambda v: True, "", _CONSTANTS.gamma_convention
+        ),
     },
     "bath": {
-        "a_ns0_per_us_ppm": (_float_type, _non_negative, ">= 0"),
-        "a_c13_per_ms_ppm": (_float_type, _non_negative, ">= 0"),
-        "a_nv_par_per_us_ppm": (_float_type, _non_negative, ">= 0"),
-        "a_nv_nonpar_per_us_ppm": (_float_type, _non_negative, ">= 0"),
-        "zeta_par": (_float_type, _in_range(0.0, 1.0), "out of [0,1]"),
-        "zeta_nonpar": (_float_type, _in_range(0.0, 1.0), "out of [0,1]"),
-        "bias_rate_per_us": (_float_type, _non_negative, ">= 0"),
+        "a_ns0_per_us_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_ns0),
+        "a_c13_per_ms_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_c13 * 1e3),
+        "a_nv_par_per_us_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_nv_par),
+        "a_nv_nonpar_per_us_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_nv_nonpar),
+        "zeta_par": (_float_type, _in_range(0.0, 1.0), "out of [0,1]", _BATH.zeta_par),
+        "zeta_nonpar": (_float_type, _in_range(0.0, 1.0), "out of [0,1]", _BATH.zeta_nonpar),
+        "bias_rate_per_us": (_float_type, _non_negative, ">= 0", 0.0),
     },
     "photophysics": {
-        "gamma_rad_per_us": (_float_type, _positive, "> 0"),
-        "kappa_45": (_float_type, _non_negative, ">= 0"),
-        "kappa_35": (_float_type, _non_negative, ">= 0"),
-        "kappa_52": (_float_type, _non_negative, ">= 0"),
-        "kappa_51": (_float_type, _non_negative, ">= 0"),
-        "i_sat_lower_mw_um2": (_float_type, _positive, "> 0"),
-        "i_sat_upper_mw_um2": (_float_type, _positive, "> 0"),
+        "gamma_rad_per_us": (_float_type, _positive, "> 0", _FIVE_LEVEL.gamma_rad),
+        "kappa_45": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_45),
+        "kappa_35": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_35),
+        "kappa_52": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_52),
+        "kappa_51": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_51),
+        "i_sat_lower_mw_um2": (_float_type, _positive, "> 0", _FIVE_LEVEL.i_sat_band[0]),
+        "i_sat_upper_mw_um2": (_float_type, _positive, "> 0", _FIVE_LEVEL.i_sat_band[1]),
     },
     "photon_model": {
-        "rate_at_1mw_kcps": (_float_type, _positive, "> 0"),
-        "i_sat_mw_um2": (_float_type, _positive, "> 0"),
-        "readout_window_us": (_float_type, _non_negative, ">= 0"),
+        "rate_at_1mw_kcps": (_float_type, _positive, "> 0", _PHOTONS.rate_at_1mw_kcps),
+        "i_sat_mw_um2": (_float_type, _positive, "> 0", _PHOTONS.i_sat),
+        "readout_window_us": (_float_type, _non_negative, ">= 0", None),
     },
     "metric": {
-        "c13_ppm": (_float_type, _non_negative, ">= 0"),
+        "c13_ppm": (_float_type, _non_negative, ">= 0", MetricConfig().c13.ppm),
     },
 }
-
-_DEFAULTS = {
-    "sample": {"n_orientations_sensing": 1},
-    "constants": {
-        "gamma_e_mhz_per_g": PhysicalConstants().gamma_e,
-        "gamma_convention": PhysicalConstants().gamma_convention,
-    },
-    "bath": {
-        "a_ns0_per_us_ppm": BathCoefficients().a_ns0,
-        "a_c13_per_ms_ppm": BathCoefficients().a_c13 * 1e3,
-        "a_nv_par_per_us_ppm": BathCoefficients().a_nv_par,
-        "a_nv_nonpar_per_us_ppm": BathCoefficients().a_nv_nonpar,
-        "zeta_par": BathCoefficients().zeta_par,
-        "zeta_nonpar": BathCoefficients().zeta_nonpar,
-        "bias_rate_per_us": 0.0,
-    },
-    "photophysics": {
-        "gamma_rad_per_us": FiveLevelParams().gamma_rad,
-        "kappa_45": FiveLevelParams().kappa_45,
-        "kappa_35": FiveLevelParams().kappa_35,
-        "kappa_52": FiveLevelParams().kappa_52,
-        "kappa_51": FiveLevelParams().kappa_51,
-        "i_sat_lower_mw_um2": FiveLevelParams().i_sat_band[0],
-        "i_sat_upper_mw_um2": FiveLevelParams().i_sat_band[1],
-    },
-    "photon_model": {
-        "rate_at_1mw_kcps": PhotonModel().rate_at_1mw_kcps,
-        "i_sat_mw_um2": PhotonModel().i_sat,
-    },
-    "metric": {
-        "c13_ppm": MetricConfig().c13.ppm,
-    },
-}
-
-_SAMPLE_REQUIRED = ("ns0_as_grown_ppm", "c13_ppm", "nv_total_ppm", "psi")
 
 
 @dataclass
@@ -159,7 +133,9 @@ class ResolvedConfig:
 
     def sample(self) -> DiamondSample:
         sec = self.values["sample"]
-        missing = [k for k in _SAMPLE_REQUIRED if k not in sec]
+        missing = [
+            k for k, spec in _SCHEMA["sample"].items() if spec[3] is None and k not in sec
+        ]
         if missing:
             raise ValidationError(
                 f"config {self.source or ''} lacks required [sample] keys: "
@@ -226,7 +202,10 @@ class ResolvedConfig:
 
 
 def default_config() -> ResolvedConfig:
-    values = {s: dict(items) for s, items in _DEFAULTS.items()}
+    values = {
+        section: {key: spec[3] for key, spec in keys.items() if spec[3] is not None}
+        for section, keys in _SCHEMA.items()
+    }
     return ResolvedConfig(values=values)
 
 
@@ -259,7 +238,7 @@ def _parse_lines(lines, source: str) -> ResolvedConfig:
             raise ValidationError(
                 f"{source}:{lineno}: unknown key {key!r} in section [{section}]"
             )
-        parser, constraint, description = schema[key]
+        parser, constraint, description, _ = schema[key]
         try:
             value = parser(raw_value)
         except ValueError as exc:

@@ -153,6 +153,63 @@ def emit_csv(columns, path, manifest: Optional[RunManifest] = None) -> None:
         write_manifest(path, manifest)
 
 
+# --- measured CSV tables ---
+
+
+def read_columns(path, required, optional=()):
+    """Read the named columns of a CSV file with a header row.
+
+    Columns may come in any order and extra columns are ignored; blank
+    lines are skipped and every cell of a named column is parsed with
+    float(). Returns (line_numbers, columns): the physical line of each data
+    row and a dict mapping each required column, and each optional column
+    the header has, to its list of values. Finiteness and ranges are left
+    to the caller. A missing file, header or required column, a row shorter
+    than the header, a cell that is not a number and a file without data
+    rows are refused with the file and line.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            # (physical line, cells) of every line that is not blank
+            numbered = [
+                (reader.line_num, row)
+                for row in reader
+                if len(row) > 1 or "".join(row).strip()
+            ]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a UTF-8 CSV file: {exc}") from None
+    if not numbered:
+        raise ValidationError(f"{path}: no header row")
+    header = [name.strip() for name in numbered[0][1]]
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise ValidationError(f"{path}: missing columns: {', '.join(missing)}")
+    if len(numbered) == 1:
+        raise ValidationError(f"{path}: no data rows")
+    names = [*required, *(name for name in optional if name in header)]
+    index = [header.index(name) for name in names]
+    cells = [[] for _ in names]
+    lines = []
+    for lineno, row in numbered[1:]:
+        if len(row) < len(header):
+            raise ValidationError(
+                f"{path}:{lineno}: short row: {len(row)} of {len(header)} cells"
+            )
+        for name, k, values in zip(names, index, cells):
+            try:
+                values.append(float(row[k]))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{lineno}: bad {name} value {row[k]!r}"
+                ) from None
+        lines.append(lineno)
+    return lines, dict(zip(names, cells))
+
+
 # --- intensity tables ---
 
 _TABLE_REQUIRED = ("intensity_mw_um2", "contrast", "psi", "overhead_us")
@@ -164,51 +221,17 @@ def ingest_intensity_table(path) -> IntensityTable:
 
     Required columns: intensity_mw_um2, contrast, psi, overhead_us; optional
     photon_rate_per_nv_kcps. Rows are sorted by intensity; duplicate
-    intensities and non-finite cells are rejected with the row number.
+    intensities and invalid rows are rejected with the line number.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"table file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty table")
-        missing = [c for c in _TABLE_REQUIRED if c not in reader.fieldnames]
-        if missing:
-            raise ValidationError(f"{path}: missing columns: {', '.join(missing)}")
-        has_rate = _TABLE_RATE_COLUMN in reader.fieldnames
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            def cell(column):
-                raw = (record.get(column) or "").strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: bad {column} value {raw!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"{path}:{lineno}: {column} must be finite, got {raw}"
-                    )
-                return value
-
-            try:
-                rows.append(
-                    IntensityRow(
-                        intensity=cell("intensity_mw_um2"),
-                        contrast_c=cell("contrast"),
-                        psi=cell("psi"),
-                        t_overhead=cell("overhead_us"),
-                        photon_rate_kcps=cell(_TABLE_RATE_COLUMN) if has_rate else None,
-                    )
-                )
-            except ValidationError as exc:
-                if str(exc).startswith(str(path)):
-                    raise
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ValidationError(f"{path}: table has no data rows")
+    lines, columns = read_columns(path, _TABLE_REQUIRED, (_TABLE_RATE_COLUMN,))
+    fields = [columns[name] for name in _TABLE_REQUIRED]
+    fields.append(columns.get(_TABLE_RATE_COLUMN, [None] * len(lines)))
+    rows = []
+    for lineno, *cells in zip(lines, *fields):
+        try:
+            rows.append(IntensityRow(*cells))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     rows.sort(key=lambda r: r.intensity)
     for i, (a, b) in enumerate(zip(rows, rows[1:])):
         if b.intensity == a.intensity:
@@ -280,22 +303,8 @@ def load_strain_map(path) -> StrainMap:
 
 def load_spectrum(path) -> Spectrum:
     """CSV with columns wavelength_nm, counts."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"spectrum file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"wavelength_nm", "counts"} <= set(
-            reader.fieldnames
-        ):
-            raise ValidationError(
-                f"{path}: expected columns wavelength_nm, counts"
-            )
-        wl, counts = [], []
-        for lineno, record in enumerate(reader, start=2):
-            try:
-                wl.append(float(record["wavelength_nm"]))
-                counts.append(float(record["counts"]))
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path}:{lineno}: bad numeric value") from None
-    return Spectrum(wavelength_nm=np.array(wl), counts=np.array(counts))
+    _, columns = read_columns(path, ("wavelength_nm", "counts"))
+    try:
+        return Spectrum(columns["wavelength_nm"], columns["counts"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -244,6 +244,8 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     step (a first delay of 0 and some repeated delays are accepted); the
     signal must be finite.
     """
+    if n_hyperfine < 1:
+        raise ValidationError(f"n_hyperfine must be >= 1, got {n_hyperfine}")
     tau = np.asarray(tau, dtype=float)
     signal = np.asarray(signal, dtype=float)
     if tau.shape != signal.shape or tau.ndim != 1:

@@ -78,11 +78,14 @@ class SensingParams:
 def ramsey_sensitivity(params: SensingParams, tau: float) -> float:
     """Evaluate the shot-noise sensitivity expression at one tau (us).
 
-    params were validated when built; only tau is checked here.
-    Returns math.inf when the dephasing envelope exceeds the float range
-    (tau far beyond T2* combined with a large stretch exponent).
+    params were validated when built; only tau is checked here, which must
+    be finite and > 0. Returns math.inf when the dephasing envelope exceeds
+    the float range (tau far beyond T2* combined with a large stretch
+    exponent).
     """
-    if not tau > 0:
+    if not 0 < tau < math.inf:
+        if tau > 0:
+            raise ValidationError(f"tau must be finite, got {tau}")
         raise ValidationError(f"tau must be > 0, got {tau}")
     try:
         envelope = math.exp((tau / params.t2_star) ** params.p)
@@ -293,10 +296,9 @@ class IntensityRow:
             raise ValidationError(f"psi out of [0,1]: {self.psi}")
         if self.t_overhead < 0:
             raise ValidationError(f"overhead must be >= 0, got {self.t_overhead}")
-        if self.photon_rate_kcps is not None and not self.photon_rate_kcps >= 0:
-            raise ValidationError(
-                f"photon_rate_kcps must be >= 0, got {self.photon_rate_kcps}"
-            )
+        rate = self.photon_rate_kcps
+        if rate is not None and not 0 <= rate < math.inf:
+            raise ValidationError(f"photon_rate_kcps must be finite and >= 0, got {rate}")
 
 
 @dataclass(frozen=True)

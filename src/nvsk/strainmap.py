@@ -235,6 +235,8 @@ def partition_sweep(
     h, w = strain_map.values.shape
     pitch = strain_map.pixel_pitch_um
     off_r, off_c = int(tile_offset[0]), int(tile_offset[1])
+    if off_r < 0 or off_c < 0:
+        raise ValidationError(f"tile offset must be >= 0 px, got {tile_offset}")
     stats = []
     for size in sizes_um:
         n_px = int(round(size / pitch))
@@ -309,8 +311,10 @@ def scaling_metric(stats: Sequence[PartitionStats], other_rate_per_us: float) ->
     """
     if len(stats) < 3:
         raise ValidationError(f"need >= 3 sensor sizes, got {len(stats)}")
-    if not other_rate_per_us >= 0:
-        raise ValidationError(f"other_rate_per_us must be >= 0, got {other_rate_per_us}")
+    if not 0 <= other_rate_per_us < math.inf:
+        raise ValidationError(
+            f"other_rate_per_us must be finite and >= 0, got {other_rate_per_us}"
+        )
     sizes = np.array([s.size_um for s in stats], dtype=float)
     medians = np.array([s.median for s in stats], dtype=float)
     rates = other_rate_per_us + np.array(

@@ -186,35 +186,45 @@ def test_strain_analyze_uses_config_bath_rate(sample_cfg, tmp_path):
     assert payload["other_rate_per_us"] == pytest.approx(1.0 / 20.34, rel=0.01)
 
 
-def test_charge_decompose_command(tmp_path, capsys):
+def charge_argv(tmp_path, basis_minus_wavelengths=None):
+    """`charge decompose` arguments for spectra mixed 1:1 from two bases;
+    the NV- basis file may be written on other wavelengths."""
     wl = np.linspace(560.0, 850.0, 300)
     bm = 0.6 * np.exp(-0.5 * ((wl - 637) / 6) ** 2) + np.exp(-0.5 * ((wl - 700) / 45) ** 2)
     b0 = 0.5 * np.exp(-0.5 * ((wl - 575) / 5) ** 2) + np.exp(-0.5 * ((wl - 620) / 35) ** 2)
     y = 0.5 * bm + 0.5 * b0
 
-    def save(name, counts):
+    def save(name, counts, wavelengths=wl):
         path = tmp_path / name
-        lines = ["wavelength_nm,counts"] + [f"{w},{c}" for w, c in zip(wl, counts)]
+        lines = ["wavelength_nm,counts"] + [f"{w},{c}" for w, c in zip(wavelengths, counts)]
         path.write_text("\n".join(lines) + "\n")
         return str(path)
 
+    if basis_minus_wavelengths is None:
+        basis_minus_wavelengths = wl
+    return [
+        "charge", "decompose",
+        "--measured", save("m.csv", y),
+        "--basis-minus", save("bm.csv", bm, basis_minus_wavelengths),
+        "--basis-zero", save("b0.csv", b0),
+        "--intensity", "0.05",
+    ]
+
+
+def test_charge_decompose_command(tmp_path, capsys):
     out = tmp_path / "psi.json"
-    assert (
-        main(
-            [
-                "charge", "decompose",
-                "--measured", save("m.csv", y),
-                "--basis-minus", save("bm.csv", bm),
-                "--basis-zero", save("b0.csv", b0),
-                "--intensity", "0.05",
-                "--out", str(out),
-            ]
-        )
-        == 0
-    )
+    assert main(charge_argv(tmp_path) + ["--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["psi"] == pytest.approx(1.0 / 3.5, rel=1e-6)
     assert payload["outside_validated_regime"] is False
+
+
+def test_charge_decompose_refuses_a_nan_wavelength(tmp_path, capsys):
+    wl = np.linspace(560.0, 850.0, 300)
+    wl[100] = np.nan
+    assert main(charge_argv(tmp_path, wl)) == 1
+    err = capsys.readouterr().err
+    assert err == f"nvsk: {tmp_path / 'bm.csv'}: wavelengths must be finite\n"
 
 
 def test_sensitivity_optimal_n_curve(tmp_path):
@@ -418,7 +428,8 @@ def _edit_row(row, column, value):
         pytest.param(_edit_row(7, 0, "inf"), 1, "tau must be finite", id="inf-tau"),
         pytest.param(_edit_row(5, 1, "nan"), 1, "signal must be finite", id="nan-contrast"),
         pytest.param(_edit_row(5, 1, "inf"), 1, "signal must be finite", id="inf-contrast"),
-        pytest.param(_edit_row(5, 1, "abc"), 1, "signal must be finite", id="text-contrast"),
+        pytest.param(_edit_row(5, 1, "abc"), 1, ":6: bad contrast value 'abc'",
+                     id="text-contrast"),
         pytest.param(lambda lines: lines[:1] + lines[:0:-1], 1, "non-decreasing",
                      id="reversed-rows"),
         pytest.param(lambda lines: lines[:1] + [lines[1]] * 20, 1, "median step is 0",
@@ -428,6 +439,13 @@ def _edit_row(row, column, value):
         pytest.param(lambda lines: lines[:1] + ["0,0.02"] + lines[1:], 0, "",
                      id="zero-first-tau"),
         pytest.param(lambda lines: lines[:3] + lines[2:], 0, "", id="repeated-tau"),
+        pytest.param(lambda lines: lines[:5] + ["0.3"] + lines[6:], 1, ":6: short row",
+                     id="short-row"),
+        pytest.param(lambda lines: [], 1, "no header row", id="empty-file"),
+        pytest.param(_edit_row(0, 0, "tau"), 1, "missing columns: tau_us",
+                     id="no-tau-column"),
+        pytest.param(lambda lines: lines[:10] + [""] + lines[10:], 0, "",
+                     id="blank-line"),
     ],
 )
 def test_ramsey_fit_input_boundary(tmp_path, capsys, edit, code, message):
@@ -435,7 +453,7 @@ def test_ramsey_fit_input_boundary(tmp_path, capsys, edit, code, message):
     synth = ["ramsey", "synth", "--t2", "10", "--detuning", "0.4",
              "--noise-sigma", "0.0004", "--seed", "1", "--out", str(sig)]
     assert main(synth) == 0
-    sig.write_text("\n".join(edit(sig.read_text().splitlines())) + "\n")
+    sig.write_text("".join(line + "\n" for line in edit(sig.read_text().splitlines())))
     assert main(["ramsey", "fit", str(sig), "--out", str(tmp_path / "fit.json")]) == code
     err = capsys.readouterr().err
     if code:
@@ -443,6 +461,15 @@ def test_ramsey_fit_input_boundary(tmp_path, capsys, edit, code, message):
     else:
         t2 = json.loads((tmp_path / "fit.json").read_text())["t2_star_us"]
         assert t2 == pytest.approx(10.0, rel=0.05)
+
+
+@pytest.mark.parametrize("lines", ["-1", "0"])
+def test_ramsey_fit_refuses_fewer_than_one_line(tmp_path, capsys, lines):
+    sig = tmp_path / "sig.csv"
+    assert main(["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--out", str(sig)]) == 0
+    assert main(["ramsey", "fit", str(sig), "--lines", lines]) == 1
+    err = capsys.readouterr().err
+    assert err == f"nvsk: n_hyperfine must be >= 1, got {lines}\n"
 
 
 def test_weak_radiative_rate_ti_band(tmp_path):

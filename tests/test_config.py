@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from nvsk.config import default_config, parse_config
@@ -29,6 +31,35 @@ def test_minimal_sample_config_fills_defaults(tmp_path):
     assert cfg.five_level_params().gamma_rad == 0.67
     assert cfg.photon_model().rate_at_1mw_kcps == 30.0
     assert cfg.readout_window_us is None
+
+
+def test_default_config_is_pinned():
+    # manifests record this block, so its keys, order and values are fixed
+    expected = {
+        "sample": {"n_orientations_sensing": 1},
+        "constants": {"gamma_e_mhz_per_g": 2.8024, "gamma_convention": "gamma_over_2pi"},
+        "bath": {
+            "a_ns0_per_us_ppm": 0.101,
+            "a_c13_per_ms_ppm": 0.1,
+            "a_nv_par_per_us_ppm": 0.247,
+            "a_nv_nonpar_per_us_ppm": 0.165,
+            "zeta_par": 0.0,
+            "zeta_nonpar": 0.5,
+            "bias_rate_per_us": 0.0,
+        },
+        "photophysics": {
+            "gamma_rad_per_us": 0.67,
+            "kappa_45": 1.0,
+            "kappa_35": 1.0 / 7.0,
+            "kappa_52": 0.02,
+            "kappa_51": 0.04,
+            "i_sat_lower_mw_um2": 1.0,
+            "i_sat_upper_mw_um2": 3.0,
+        },
+        "photon_model": {"rate_at_1mw_kcps": 30.0, "i_sat_mw_um2": 2.0},
+        "metric": {"c13_ppm": 50.0},
+    }
+    assert json.dumps(default_config().as_dict()) == json.dumps(expected)
 
 
 def test_coefficient_override_visible(tmp_path):

@@ -13,6 +13,7 @@ from nvsk.dataio import (
     ingest_intensity_table,
     load_spectrum,
     load_strain_map,
+    read_columns,
     save_strain_map,
     sha256_file,
 )
@@ -178,6 +179,45 @@ def test_ingest_table_nan_rejected(tmp_path):
     )
     with pytest.raises(ValidationError, match=":2:"):
         ingest_intensity_table(path)
+
+
+def test_ingest_table_reports_the_physical_line_after_a_blank_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "intensity_mw_um2,contrast,psi,overhead_us\n1,0.01,0.5,10\n\n2,abc,0.5,10\n"
+    )
+    with pytest.raises(ValidationError, match=r"t\.csv:4: bad contrast value 'abc'"):
+        ingest_intensity_table(path)
+
+
+def test_read_columns_by_name_with_physical_lines(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("note,b, a,c\n\nx,2,1.5,7\n  \ny,-4,inf,8,extra\n")
+    lines, columns = read_columns(path, ("a", "b"), optional=("c", "d"))
+    assert lines == [3, 5]
+    assert columns == {"a": [1.5, math.inf], "b": [2.0, -4.0], "c": [7.0, 8.0]}
+    assert list(columns) == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "file not found"),
+        (b"", "no header row"),
+        (b"\n \n", "no header row"),
+        (b"a,c\n1,2\n", "missing columns: b"),
+        (b"a,b\n\n", "no data rows"),
+        (b"a,b,c\n1,2,3\n1,2\n", ":3: short row: 2 of 3 cells"),
+        (b"a,b\n1,\n", ":2: bad b value ''"),
+        (b"a,b\n1,\xff\n", "not a UTF-8 CSV file"),
+    ],
+)
+def test_read_columns_refusals(tmp_path, content, message):
+    path = tmp_path / "c.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ValidationError, match=message):
+        read_columns(path, ("a", "b"))
 
 
 def test_intensity_table_write_ingest_roundtrip(tmp_path):

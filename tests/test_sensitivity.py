@@ -113,6 +113,8 @@ def test_tau_is_validated_per_call():
     for bad in (0.0, -1.0, -math.inf, math.nan):
         with pytest.raises(ValidationError, match="tau must be > 0"):
             ramsey_sensitivity(params, bad)
+    with pytest.raises(ValidationError, match="tau must be finite, got inf"):
+        ramsey_sensitivity(params, math.inf)
     with pytest.raises(TypeError):
         ramsey_sensitivity(params)  # tau is required
 
@@ -347,6 +349,13 @@ def test_table_interpolation_and_range_guard():
         table.interpolate(20.0)
     with pytest.raises(ValidationError, match="outside table range"):
         table.interpolate(5e-4)
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+def test_intensity_row_refuses_a_bad_photon_rate(rate):
+    with pytest.raises(ValidationError, match="photon_rate_kcps must be finite and >= 0"):
+        IntensityRow(intensity=1.0, contrast_c=0.01, psi=0.5, t_overhead=10.0,
+                     photon_rate_kcps=rate)
 
 
 def test_table_rejects_nonincreasing():

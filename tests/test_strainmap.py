@@ -106,6 +106,9 @@ def test_partition_tile_size_guards():
     for width in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="bin width must be finite and > 0"):
             partition_sweep(m, [32.0], bin_width_khz=width)
+    for offset in ((-5, -5), (0, -1), (-1, 0)):
+        with pytest.raises(ValidationError, match="tile offset must be >= 0 px"):
+            partition_sweep(m, [16.0], tile_offset=offset)
 
 
 def test_partition_two_region_structure():
@@ -138,6 +141,9 @@ def test_scaling_constant_width_gives_inverse_linear():
         )
     result = scaling_metric(stats, other_rate_per_us=0.05)
     assert result.exponent == pytest.approx(-1.0, abs=1e-6)
+    for rate in (-0.05, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="other_rate_per_us must be finite and >= 0"):
+            scaling_metric(stats, other_rate_per_us=rate)
 
 
 def test_scaling_stationary_map_near_inverse_linear():
