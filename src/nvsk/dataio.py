@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -291,10 +292,15 @@ def load_strain_map(path) -> StrainMap:
     orientation = sidecar.get("orientation", "nv1")
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"{sidecar_path}: unknown orientation {orientation!r}")
-    try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: cannot parse numeric grid: {exc}") from None
+    with warnings.catch_warnings():
+        # an empty grid is refused below, not announced on stderr
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            values = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: cannot parse numeric grid: {exc}") from None
+    if values.size == 0:
+        raise ValidationError(f"{path}: no data rows")
     return StrainMap(values=values, pixel_pitch_um=pitch, orientation=orientation)
 
 

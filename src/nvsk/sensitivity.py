@@ -63,8 +63,8 @@ class SensingParams:
             raise ValidationError(f"n_sensors must be > 0, got {self.n_sensors}")
         if not self.t2_star > 0:
             raise ValidationError(f"t2_star must be > 0, got {self.t2_star}")
-        if not self.p >= 1.0:
-            raise ValidationError(f"stretch exponent p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValidationError(f"stretch exponent p must be finite >= 1, got {self.p}")
         if not 0.0 < self.contrast_c <= 1.0:
             raise ValidationError(f"contrast out of (0,1]: {self.contrast_c}")
         if not self.n_avg >= 0.0:
@@ -103,45 +103,26 @@ class TauOptimum:
 
     tau: float
     eta: float
-    boundary: bool  # minimizer pinned at the search-domain edge
+    boundary: bool  # eta still falling at tau_max, which is returned
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Bracket width on the log axis, i.e. the relative tolerance of the minimizer.
-_REL_TOL = 1e-6
-# Log-spaced scan points that bracket the minimum before golden-section search.
-_TAU_SCAN = 160
-_NITROGEN_SCAN = 256
 _NITROGEN_RANGE_PPM = (0.01, 100.0)
-
-
-def _golden_min(f, lo: float, hi: float) -> float:
-    """Deterministic golden-section minimum of f on [lo, hi] (log axis)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > _REL_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def optimal_tau(params: SensingParams, tau_max: Optional[float] = None) -> TauOptimum:
     """Minimize the sensitivity over tau in (0, tau_max].
 
-    tau_max defaults to 5 * T2*. A coarse log-spaced scan of _TAU_SCAN points
-    brackets the minimum, then golden-section search on log(tau) refines it
-    to a relative tolerance of _REL_TOL. params were validated when built;
-    each evaluation passes its tau to ramsey_sensitivity as an argument.
-    A minimizer stuck at the upper edge (no dephasing penalty inside the
-    domain) is reported with boundary=True.
+    tau_max defaults to 5 * T2*. Setting d ln(eta)/d tau to zero gives the
+    stationarity condition
+
+        2p (tau/T2*)^p = (tau + 2 t_O) / (tau + t_O),
+
+    whose left side rises in tau while the right side falls from 2 to 1, so
+    its root is unique and lies in [T2* (2p)^(-1/p), T2* p^(-1/p)]. Plain
+    bisection on that bracket runs until the midpoint equals an endpoint,
+    i.e. to the last float. When T2* is infinite or the root exceeds
+    tau_max, eta still falls at tau_max, which is returned with
+    boundary=True.
     """
     t2 = params.t2_star
     if tau_max is None:
@@ -153,29 +134,23 @@ def optimal_tau(params: SensingParams, tau_max: Optional[float] = None) -> TauOp
     if not tau_max > 0 or math.isinf(tau_max):
         raise ValidationError(f"tau_max must be finite > 0, got {tau_max}")
 
-    def objective(log_tau: float) -> float:
-        eta = ramsey_sensitivity(params, math.exp(log_tau))
-        if math.isnan(eta):
-            raise ComputationError(
-                f"sensitivity is not finite at tau={math.exp(log_tau):g} us"
-            )
-        return eta  # inf is tolerated while bracketing
-
-    hi = math.log(tau_max)
-    lo = hi + math.log(1e-9)
-    grid = np.linspace(lo, hi, _TAU_SCAN)
-    values = [objective(x) for x in grid]
-    i = int(np.argmin(values))
-    if not math.isfinite(values[i]):
-        raise ComputationError("sensitivity is not finite anywhere in the tau domain")
-    if i == _TAU_SCAN - 1:
-        # still descending at the domain edge
-        return TauOptimum(tau=tau_max, eta=values[-1], boundary=True)
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, _TAU_SCAN - 1)]
-    log_best = _golden_min(objective, a, b)
-    tau = math.exp(log_best)
-    return TauOptimum(tau=tau, eta=objective(log_best), boundary=False)
+    p, t_o = params.p, params.t_overhead
+    root = math.inf
+    if not math.isinf(t2):
+        lo, hi = t2 * (2.0 * p) ** (-1.0 / p), t2 * p ** (-1.0 / p)
+        root = 0.5 * (lo + hi)
+        while root not in (lo, hi):
+            # right side written as 1 + t_O/(tau + t_O): no overflow at huge t_O
+            if 2.0 * p * (root / t2) ** p < 1.0 + t_o / (root + t_o):
+                lo = root
+            else:
+                hi = root
+            root = 0.5 * (lo + hi)
+    tau = min(root, tau_max)
+    eta = ramsey_sensitivity(params, tau)
+    if not math.isfinite(eta):
+        raise ComputationError(f"sensitivity is not finite at tau={tau:g} us")
+    return TauOptimum(tau=tau, eta=eta, boundary=root > tau_max)
 
 
 @dataclass(frozen=True)
@@ -195,6 +170,11 @@ def _bath_t2_n_c13(ns0_ppm: float, cfg: MetricConfig) -> float:
     return 1.0 / rate
 
 
+def _check_overhead(t_overhead: float) -> None:
+    if not t_overhead >= 0 or math.isinf(t_overhead):
+        raise ValidationError(f"t_overhead must be finite >= 0, got {t_overhead}")
+
+
 def simplified_metric(ns0, t_overhead: float, cfg: MetricConfig) -> float:
     """Relative sensitivity vs nitrogen content, overhead-corrected.
 
@@ -206,8 +186,7 @@ def simplified_metric(ns0, t_overhead: float, cfg: MetricConfig) -> float:
     n = ns0.ppm if isinstance(ns0, Concentration) else float(ns0)
     if not n > 0 or math.isinf(n):
         raise ValidationError(f"ns0 must be finite > 0 ppm, got {n}")
-    if not t_overhead >= 0 or math.isinf(t_overhead):
-        raise ValidationError(f"t_overhead must be finite >= 0, got {t_overhead}")
+    _check_overhead(t_overhead)
     t2 = _bath_t2_n_c13(n, cfg)
     return math.sqrt((t2 + t_overhead) / (n * t2 * t2))
 
@@ -223,24 +202,25 @@ def optimal_nitrogen(t_overhead: float, cfg: MetricConfig = MetricConfig()) -> N
     """Nitrogen concentration minimizing the simplified metric at a
     per-shot overhead of t_overhead us.
 
-    Deterministic log-grid scan plus golden-section refinement over
-    [0.01, 100] ppm. If the metric is monotone on the domain the boundary
-    argmin is returned flagged interior=False.
+    With bath rate a N + b (a = a_ns0, b = a_c13 [13C]) the squared metric
+    is a + 2ab t_O + a^2 t_O N + b (1 + b t_O) / N, stationary at
+
+        N* = sqrt(b (1 + b t_O) / (a^2 t_O)),
+
+    which is clipped to [0.01, 100] ppm. N* is infinite when a = 0 or
+    t_O = 0 (the metric falls over the whole range); interior=False flags
+    any N* outside the open range, whose nearer end is returned.
     """
-
-    def objective(log_n: float) -> float:
-        return simplified_metric(math.exp(log_n), t_overhead, cfg)
-
-    lo, hi = (math.log(n) for n in _NITROGEN_RANGE_PPM)
-    grid = np.linspace(lo, hi, _NITROGEN_SCAN)
-    values = [objective(x) for x in grid]
-    i = int(np.argmin(values))
-    if i in (0, _NITROGEN_SCAN - 1):
-        n_opt = math.exp(grid[i])
-        return NitrogenOptimum(Concentration(n_opt), values[i], interior=False)
-    log_best = _golden_min(objective, grid[i - 1], grid[i + 1])
+    _check_overhead(t_overhead)
+    a = cfg.bath_coeffs.a_ns0
+    b = cfg.bath_coeffs.a_c13 * cfg.c13.ppm
+    n = math.inf
+    if a > 0 and t_overhead > 0:
+        n = math.sqrt(b * (1.0 + b * t_overhead) / t_overhead) / a
+    lo, hi = _NITROGEN_RANGE_PPM
+    best = min(max(n, lo), hi)
     return NitrogenOptimum(
-        Concentration(math.exp(log_best)), objective(log_best), interior=True
+        Concentration(best), simplified_metric(best, t_overhead, cfg), interior=lo < n < hi
     )
 
 
@@ -374,7 +354,6 @@ class VolumeSensitivity:
 
     eta: float  # G*sqrt(us*cm^3) for gamma_e in MHz/G
     tau: float
-    boundary: bool
     t2_star: float
     n_eff_per_cm3: float
     n_avg: float
@@ -451,7 +430,6 @@ def volume_normalized_sensitivity(
     return VolumeSensitivity(
         eta=best.eta,
         tau=best.tau,
-        boundary=best.boundary,
         t2_star=t2,
         n_eff_per_cm3=n_eff,
         n_avg=n_avg,

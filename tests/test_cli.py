@@ -410,6 +410,16 @@ def test_bad_strain_sidecar_exit_1_with_message(tmp_path, capsys, sidecar):
     assert err.startswith("nvsk: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["zero-bytes", "blank-lines"])
+def test_empty_strain_map_exit_1_with_one_line(tmp_path, capsys, content):
+    grid = tmp_path / "map.csv"
+    grid.write_text(content)
+    (tmp_path / "map.json").write_text('{"units": "kHz", "pixel_pitch_um": 1.0}')
+    assert main(["strain", "analyze", str(grid), "--sizes", "4:8:log:3"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"nvsk: {grid}: no data rows\n"
+
+
 def _edit_row(row, column, value):
     def edit(lines):
         cells = lines[row].split(",")

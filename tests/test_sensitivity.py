@@ -2,6 +2,7 @@ import math
 import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from nvsk.core import Concentration, DiamondSample
 from nvsk.dephasing import BathCoefficients, dq_t2star, spin_bath_budget
-from nvsk.errors import ValidationError
+from nvsk.errors import ComputationError, ValidationError
 from nvsk.sensitivity import (
     IntensityRow,
     IntensityTable,
@@ -60,6 +61,13 @@ def test_double_quantum_prefactor():
         unit_params(delta_ms=2, t2_star=10.0, n_avg=100.0, contrast_c=0.02), 3.0
     )
     assert dq == pytest.approx(sq / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+def test_stretch_exponent_must_be_finite_and_at_least_one(p):
+    # an infinite p would make the envelope a step and its optimum undefined
+    with pytest.raises(ValidationError, match="stretch exponent p must be finite >= 1"):
+        unit_params(p=p)
 
 
 def test_zero_navg_rejected():
@@ -165,27 +173,59 @@ def test_optimal_tau_monotone_in_overhead():
     assert taus[-1] == pytest.approx(t2, rel=0.01)
 
 
+def quadratic_root(t2, t_o):
+    # p = 1: d/dtau log eta = 0 is 2 tau^2 + b tau - 2 T2* t_O = 0 with
+    # b = 2 t_O - T2*; the positive root, written without cancellation
+    b = 2.0 * t_o - t2
+    sq = math.sqrt(b * b + 16.0 * t2 * t_o)
+    return (sq - b) / 4.0 if b <= 0 else 4.0 * t2 * t_o / (b + sq)
+
+
+def stationary_tau_oracle(t2, p, t_o):
+    # 40-digit root of 2p (tau/T2*)^p = (tau + 2 t_O)/(tau + t_O)
+    with mpmath.workdps(40):
+        t2, p, t_o = mpmath.mpf(t2), mpmath.mpf(p), mpmath.mpf(t_o)
+        if t_o == 0:  # the right side is 1
+            return float(t2 * (2 * p) ** (-1 / p))
+        bracket = (t2 * (2 * p) ** (-1 / p), t2 * p ** (-1 / p))
+        return float(mpmath.findroot(
+            lambda tau: 2 * p * (tau / t2) ** p - (tau + 2 * t_o) / (tau + t_o),
+            bracket, solver="anderson",
+        ))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     t2=st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
     t_o=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
 )
 def test_property_optimal_tau_is_the_closed_form_root(t2, t_o):
-    # p = 1: d/dtau log eta = 0 is 2 tau^2 + (2 t_O - T2*) tau - 2 T2* t_O = 0
     best = optimal_tau(unit_params(t2_star=t2, t_overhead=t_o))
-    b = 2.0 * t_o - t2
-    root = (-b + math.sqrt(b * b + 16.0 * t2 * t_o)) / 4.0
     assert not best.boundary
-    assert best.tau == pytest.approx(root, rel=1e-5)
+    assert best.tau == pytest.approx(quadratic_root(t2, t_o), rel=1e-13)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    p=st.floats(1.0, 6.0),
+    t2=st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+    t_o=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
+)
+def test_property_optimal_tau_is_the_stationary_point_for_any_p(p, t2, t_o):
+    params = unit_params(t2_star=t2, p=p, t_overhead=t_o)
+    best = optimal_tau(params)
+    assert not best.boundary
+    assert best.tau == pytest.approx(stationary_tau_oracle(t2, p, t_o), rel=1e-13)
+    assert best.eta == ramsey_sensitivity(params, best.tau)
 
 
 def test_optimal_tau_survives_envelope_overflow():
-    # at p=6 the envelope overflows floats near the upper scan edge; the
-    # bracketing must tolerate inf and still find the interior optimum
+    # at p=6 the envelope overflows floats beyond about 3 T2*, inside the
+    # default domain of 5 T2*; the optimum lies well below that
     params = unit_params(t2_star=10.0, p=6.0, n_avg=10.0, contrast_c=0.5)
     best = optimal_tau(params)
     analytic = 10.0 * (1.0 / 12.0) ** (1.0 / 6.0)  # T2 (1/2p)^(1/p)
-    assert best.tau == pytest.approx(analytic, rel=1e-4)
+    assert best.tau == pytest.approx(analytic, rel=1e-13)
     assert math.isfinite(best.eta)
 
 
@@ -195,7 +235,22 @@ def test_optimal_tau_boundary_without_dephasing():
         optimal_tau(params)
     best = optimal_tau(params, tau_max=100.0)
     assert best.boundary
-    assert best.tau == pytest.approx(100.0)
+    assert (best.tau, best.eta) == (100.0, 0.1)
+
+
+def test_optimal_tau_boundary_below_the_root():
+    # the root is T2*/2 = 5; eta still falls at tau_max = 3
+    params = unit_params(t2_star=10.0)
+    best = optimal_tau(params, tau_max=3.0)
+    assert best.boundary
+    assert (best.tau, best.eta) == (3.0, ramsey_sensitivity(params, 3.0))
+    assert not optimal_tau(params, tau_max=5.0).boundary
+
+
+def test_optimal_tau_refuses_a_non_finite_eta():
+    # the prefactor 1/(dm gamma_e) overflows
+    with pytest.raises(ComputationError, match="sensitivity is not finite at tau=5 us"):
+        optimal_tau(unit_params(t2_star=10.0, gamma_e=1e-320))
 
 
 def test_optimal_tau_argmin_invariant_under_sensor_scaling():
@@ -206,24 +261,29 @@ def test_optimal_tau_argmin_invariant_under_sensor_scaling():
     assert b.eta == pytest.approx(a.eta / math.sqrt(3.7e8), rel=1e-9)
 
 
-# Optimizer outputs recorded when every objective evaluation still built a new
-# SensingParams; exact equality pins the scan points, the golden-section
-# sequence and the arithmetic order of each evaluation.
+# Optimizer outputs pinned with ==. Each tau agrees with a 40-digit root of the
+# stationarity condition and each nitrogen content with the closed form N*
+# evaluated in mpmath (test_golden_values_are_the_exact_optima). Against the
+# values the earlier scan and golden-section search recorded, every eta and
+# metric is lower or equal, except eta at tau_max = 100 with no dephasing,
+# which is now 0.1 exactly instead of 0.09999999999999998.
 GOLDEN_TAU = [
-    (dict(t2_star=10.0), None, 4.999998821908427, 0.7373305674470739, False),
-    (
+    pytest.param(dict(t2_star=10.0), None, 5.0, 0.7373305674470637, False, id="half-t2"),
+    pytest.param(
         dict(delta_ms=2, gamma_e=2.8024, n_sensors=3.7e14, t2_star=4.3, contrast_c=0.03,
              n_avg=0.05, p=2.0, t_overhead=5.0),
-        None, 2.757173149606431, 2.10710733738238e-06, False,
+        None, 2.7571725661234225, 2.107107337382297e-06, False, id="dq-p2-overhead",
     ),
-    (dict(t2_star=10.0, p=6.0, n_avg=10.0, contrast_c=0.5), None,
-     6.609012234345853, 0.5002498823483603, False),
-    (dict(), 100.0, 100.0, 0.09999999999999998, True),
+    pytest.param(dict(t2_star=10.0, p=6.0, n_avg=10.0, contrast_c=0.5), None,
+                 6.609010760833648, 0.500249882348323, False, id="p6"),
+    pytest.param(dict(), 100.0, 100.0, 0.1, True, id="no-dephasing-tau-max"),
 ]
 GOLDEN_NITROGEN = [
-    (10.0, MetricConfig(), 0.2268602195992515, 0.3967165417764359, True),
-    (0.0, MetricConfig(), 100.00000000000004, 0.3178836265050467, False),
-    (1e3, MetricConfig(c13=Concentration(1.1e4)), 10.896039880435517, 21.085586950708404, True),
+    pytest.param(10.0, MetricConfig(), 0.22686018291860596, 0.3967165417764351, True,
+                 id="overhead-10us"),
+    pytest.param(0.0, MetricConfig(), 100.0, 0.3178836265050467, False, id="no-overhead"),
+    pytest.param(1e3, MetricConfig(c13=Concentration(1.1e4)), 10.896038479359008,
+                 21.085586950708358, True, id="natural-c13"),
 ]
 
 
@@ -237,6 +297,29 @@ def test_optimal_tau_golden_values(overrides, tau_max, tau, eta, boundary):
 def test_optimal_nitrogen_golden_values(t_overhead, cfg, ppm, metric, interior):
     best = optimal_nitrogen(t_overhead, cfg)
     assert (best.concentration.ppm, best.metric, best.interior) == (ppm, metric, interior)
+
+
+def nitrogen_oracle(t_o, a, b):
+    # N* = sqrt(b (1 + b t_O) / (a^2 t_O)) at 40 digits; inf when a or t_O is 0
+    if a == 0 or t_o == 0:
+        return math.inf
+    with mpmath.workdps(40):
+        a, b, t_o = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t_o)
+        return float(mpmath.sqrt(b * (1 + b * t_o) / (a * a * t_o)))
+
+
+def test_golden_values_are_the_exact_optima():
+    for case in GOLDEN_TAU:
+        overrides, tau_max, tau, _, boundary = case.values
+        params = unit_params(**overrides)
+        if not boundary:
+            oracle = stationary_tau_oracle(params.t2_star, params.p, params.t_overhead)
+            assert tau == pytest.approx(oracle, rel=1e-13)
+    for case in GOLDEN_NITROGEN:
+        t_o, cfg, ppm, _, interior = case.values
+        oracle = nitrogen_oracle(t_o, cfg.bath_coeffs.a_ns0,
+                                 cfg.bath_coeffs.a_c13 * cfg.c13.ppm)
+        assert ppm == pytest.approx(min(max(oracle, 0.01), 100.0), rel=1e-13)
 
 
 # --- simplified metric ---
@@ -296,8 +379,8 @@ def test_simplified_metric_validates_overhead():
     for bad in (-1.0, -1e-300, math.nan, math.inf):
         with pytest.raises(ValidationError, match="t_overhead must be finite >= 0"):
             simplified_metric(0.8, bad, MetricConfig())
-    with pytest.raises(ValidationError, match="t_overhead must be finite >= 0"):
-        optimal_nitrogen(math.inf)
+        with pytest.raises(ValidationError, match="t_overhead must be finite >= 0"):
+            optimal_nitrogen(bad)
 
 
 def test_optimal_nitrogen_at_10us_overhead():
@@ -320,7 +403,36 @@ def test_optimal_nitrogen_deep_overhead_asymptote():
 def test_optimal_nitrogen_no_interior_optimum_at_zero_overhead():
     result = optimal_nitrogen(0.0)
     assert not result.interior
-    assert result.concentration.ppm == pytest.approx(100.0, rel=1e-6)
+    assert result.concentration.ppm == 100.0
+
+
+def test_optimal_nitrogen_clips_to_the_range_ends():
+    # no nitrogen term: the metric falls towards 100 ppm
+    no_n = optimal_nitrogen(10.0, MetricConfig(bath_coeffs=BathCoefficients(a_ns0=0.0)))
+    assert (no_n.concentration.ppm, no_n.interior) == (100.0, False)
+    # no carbon-13 term: N* = 0, clipped up to 0.01 ppm
+    no_c = optimal_nitrogen(10.0, MetricConfig(c13=Concentration(0.0)))
+    assert (no_c.concentration.ppm, no_c.interior) == (0.01, False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t_o=st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda e: 10.0**e)),
+    c13=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    a_ns0=st.one_of(st.just(0.0), st.floats(-2.0, 0.0).map(lambda e: 10.0**e)),
+    a_c13=st.floats(-5.0, -3.0).map(lambda e: 10.0**e),
+)
+def test_property_optimal_nitrogen_is_the_grid_argmin(t_o, c13, a_ns0, a_c13):
+    coeffs = BathCoefficients(a_ns0=a_ns0, a_c13=a_c13)
+    best = optimal_nitrogen(t_o, MetricConfig(c13=Concentration(c13), bath_coeffs=coeffs))
+    grid = np.logspace(-2.0, 2.0, 20001)  # steps of 0.046 %
+    a, b = a_ns0, a_c13 * c13
+    oracle = np.sqrt((a * grid + b) / grid + t_o * (a * grid + b) ** 2 / grid)
+    assert best.concentration.ppm == pytest.approx(grid[np.argmin(oracle)], rel=1e-3)
+    assert best.interior == (0.01 < best.concentration.ppm < 100.0)
+    assert best.metric == pytest.approx(
+        metric_oracle(best.concentration.ppm, c13, t_o, coeffs), rel=1e-12
+    )
 
 
 def test_optimal_nitrogen_nonincreasing_in_overhead():
@@ -412,6 +524,27 @@ def test_volume_normalized_hand_composed_row():
     assert result.eta == pytest.approx(expected, rel=1e-12)
     assert result.t2_star == pytest.approx(t2, rel=1e-12)
     assert result.n_avg == pytest.approx(n_avg, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    high_n=st.booleans(),
+    protocol=st.sampled_from(("sq", "dq")),
+    log_intensity=st.floats(-3.0, 1.0),
+    bias_rate=st.one_of(st.just(0.0), st.floats(-4.0, 1.0).map(lambda e: 10.0**e)),
+)
+def test_property_volume_normalized_tau_is_the_quadratic_root(
+    high_n, protocol, log_intensity, bias_rate
+):
+    # p = 1 and the default domain of 5 T2*: the optimum is never on its edge
+    sample, table = (high_n_sample(), high_n_table()) if high_n else (low_n_sample(), low_n_table())
+    result = volume_normalized_sensitivity(
+        sample, table, 10.0**log_intensity, protocol, bias_rate_per_us=bias_rate
+    )
+    assert result.tau <= result.t2_star
+    assert result.tau == pytest.approx(
+        quadratic_root(result.t2_star, result.t_overhead), rel=1e-13
+    )
 
 
 def test_volume_normalized_crossover_low_then_high():
