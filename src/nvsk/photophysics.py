@@ -19,15 +19,17 @@ ensemble read out optically appears dimmer until optical pumping returns it
 to m_s=0; the decay of that contrast defines the initialization time.
 
 The system is linear with a constant rate matrix A, so one output step is
-the exact propagator P = expm(A dt). The readout filter is linear too:
-written as its second-order sections in state space, it joins the
-populations in one 9-dimensional state with a single step matrix, and the
-filtered PL at any sample is an output row of a power of that matrix. The
-contrast and initialization-time routines evaluate those rows only at the
-samples they keep. evolve() instead integrates the rate equations with an
-adaptive Runge-Kutta method and lowpass() runs the filter over a given
-trace; the test suite cross-checks the two paths. The steady state is a
-linear solve on A.
+the exact propagator P = expm(A dt), computed in numpy by Padé
+approximation with scaling and squaring. The readout filter is linear too:
+its Butterworth sections are designed in numpy and, written in state space,
+join the populations in one 9-dimensional state with a single step matrix;
+the filtered PL at any sample is an output row of a power of that matrix.
+The contrast and initialization-time routines evaluate those rows only at
+the samples they keep, and import no scipy. evolve() instead integrates the
+rate equations with scipy's adaptive Runge-Kutta method and lowpass() runs
+the filter over a given trace with scipy's sosfilt; each imports scipy when
+it is called. The test suite cross-checks the two paths. The steady state
+is a linear solve on A.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import butter, sosfilt
 
 from .core import MAX_TRACE_SAMPLES, as_mw_per_um2
 from .errors import ComputationError, ValidationError
@@ -189,6 +187,8 @@ def evolve(
     Adaptive eighth-order Runge-Kutta with tight tolerances; total
     population is conserved to well below 1e-9 over the trajectory.
     """
+    from scipy.integrate import solve_ivp
+
     n_steps = _check_grid(params, s, t_end, dt)
     a = rate_matrix(params, s)
     grid = np.arange(n_steps + 1) * dt
@@ -256,16 +256,37 @@ def pl_rate(trajectory: Trajectory) -> PLTrace:
     )
 
 
-def _design_lowpass(dt: float):
+def _design_lowpass(dt: float) -> np.ndarray:
+    """Second-order sections (b0, b1, b2, 1, a1, a2) of the readout filter at
+    step dt, in the layout and section order of scipy's
+    butter(..., output="sos").
+
+    The analog Butterworth poles, prewarped to the cutoff, go through the
+    bilinear transform z = (4 + p) / (4 - p) (sample rate normalised to 2);
+    all zeros land on z = -1. DEFAULT_FILTER_ORDER is even, so each section
+    holds one upper-half-plane pole and its conjugate; sections farthest
+    from the unit circle come first, and the overall gain sits on the first
+    numerator.
+    """
     fs = 1.0 / dt  # sample rate in MHz for time in us
     if fs < 10.0 * DEFAULT_FILTER_CUTOFF_MHZ:
         raise ValidationError(
             f"trace undersampled for filtering: sample rate {fs:g} MHz "
             f"< 10 x cutoff {DEFAULT_FILTER_CUTOFF_MHZ:g} MHz"
         )
-    return butter(
-        DEFAULT_FILTER_ORDER, DEFAULT_FILTER_CUTOFF_MHZ, btype="low", fs=fs, output="sos"
-    )
+    n = DEFAULT_FILTER_ORDER
+    warped = 4.0 * np.tan(math.pi * (DEFAULT_FILTER_CUTOFF_MHZ / fs))
+    analog = warped * -np.exp(1j * math.pi * np.arange(1 - n, n, 2) / (2 * n))
+    gain = warped**n * (1.0 / np.prod(4.0 - analog)).real
+    poles = (4.0 + analog) / (4.0 - analog)
+    upper = poles[poles.imag > 0]
+    upper = upper[np.argsort(-np.abs(1.0 - np.abs(upper)))]
+    sos = np.empty((len(upper), 6))
+    sos[:, :4] = [1.0, 2.0, 1.0, 1.0]
+    sos[:, 4] = -2.0 * upper.real
+    sos[:, 5] = (upper * upper.conj()).real
+    sos[0, :3] *= gain
+    return sos
 
 
 def lowpass(trace: PLTrace) -> PLTrace:
@@ -276,6 +297,8 @@ def lowpass(trace: PLTrace) -> PLTrace:
     causal (startup transient included), matching how the instrument sees a
     signal that switches on at t = 0.
     """
+    from scipy.signal import sosfilt
+
     sos = _design_lowpass(trace.dt)
     values = sosfilt(sos, trace.values)
     return PLTrace(
@@ -355,6 +378,51 @@ def _filter_state_space(dt: float):
     return f, g, h, d
 
 
+# Degree-13 Padé numerator coefficients b_0..b_13 (the denominator's are
+# (-1)^k b_k) and the largest 1-norm for which that approximant is accurate
+# to double precision without scaling (Higham 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(stack: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix in a (k, n, n) stack: degree-13
+    Padé with scaling and squaring (Higham 2005).
+
+    Each matrix is scaled by its own power of two, the smallest that brings
+    its 1-norm to at most _THETA13, and squared back as often; a stack of
+    propagators over 1 to 2^k steps thus does no more squarings per matrix
+    than its own norm needs.
+    """
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    # ceil(log2(norm / theta)), clipped at 0, exact at powers of two
+    mant, expo = np.frexp(norms / _THETA13)
+    squarings = np.maximum(expo - (mant == 0.5), 0)
+    a = np.ldexp(stack, -squarings[:, None, None])
+    b = _PADE13
+    ident = np.eye(stack.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(squarings.max())):
+        more = squarings > k
+        r[more] = r[more] @ r[more]
+    return r
+
+
 def _contrast_arrays(
     params: FiveLevelParams,
     s: float,
@@ -389,7 +457,7 @@ def _contrast_arrays(
     # population propagators over 1 and keep_stride * 2^k steps, up to the
     # first power of two that covers the block
     steps = keep_stride * 2 ** np.arange((block - 1).bit_length() + 1)
-    props = expm(rate_matrix(params, s) * dt * np.r_[1, steps][:, None, None])
+    props = _expm(rate_matrix(params, s) * dt * np.r_[1, steps][:, None, None])
     f, g, h, d = _filter_state_space(dt)
     joint = np.zeros((5 + len(f), 5 + len(f)))
     joint[:5, :5] = props[0]
@@ -469,6 +537,13 @@ def contrast_trace(
     return ContrastCurve(times=times, contrast=contrast, s=s, intensity=i, i_sat=i_sat)
 
 
+def _mean3(x: np.ndarray) -> np.ndarray:
+    """Mean over each sample and its two neighbours, the edge samples
+    repeated beyond the ends."""
+    padded = np.concatenate([x[:1], x, x[-1:]])
+    return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
+
+
 def initialization_time(curve: ContrastCurve) -> float:
     """Delay (from pulse start) at which the contrast deviation from one
     has decayed to 1/e^3 of its peak.
@@ -481,7 +556,7 @@ def initialization_time(curve: ContrastCurve) -> float:
     pulse.
     """
     dev = np.abs(1.0 - curve.contrast)
-    i_peak = int(np.argmax(uniform_filter1d(dev, size=3, mode="nearest")))
+    i_peak = int(np.argmax(_mean3(dev)))
     d_peak = float(dev[i_peak])
     if d_peak < 1e-6:
         raise ValidationError("no polarization dynamics at this intensity")

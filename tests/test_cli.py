@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvsk
 from nvsk.cli import build_parser, main, parenthesis_format, parse_grid
 from nvsk.core import MAX_TRACE_SAMPLES
 from synthdata import HIGH_N_ROWS, LOW_N_ROWS, table_rows_to_csv_text
@@ -358,6 +363,47 @@ def test_photophysics_ti_band_command(tmp_path):
     for row in rows:
         _, lo, hi = (float(x) for x in row.split(","))
         assert 0 < lo <= hi
+
+
+_HEAVY_SCIPY = ("scipy.signal", "scipy.ndimage", "scipy.integrate", "scipy.stats")
+
+
+def _run_fresh(argv):
+    """main(argv) in a fresh interpreter: its exit code and which of
+    _HEAVY_SCIPY it left in sys.modules."""
+    code = (
+        "import json, sys\n"
+        "from nvsk.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {_HEAVY_SCIPY!r} if m in sys.modules]]))\n"
+    )
+    src = str(Path(nvsk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_ti_band_imports_no_heavy_scipy_module(tmp_path):
+    out = tmp_path / "band.csv"
+    code, loaded = _run_fresh(
+        ["photophysics", "ti-band", "--grid", "1:10:log:2", "--out", str(out)]
+    )
+    assert code == 0 and out.exists()
+    assert loaded == []
+
+
+def test_simulate_imports_its_scipy_modules_when_it_runs(tmp_path):
+    out = tmp_path / "trace.csv"
+    code, loaded = _run_fresh(
+        ["photophysics", "simulate", "--intensity", "10", "--isat", "3",
+         "--t-end", "5", "--out", str(out)]
+    )
+    assert code == 0
+    assert {"scipy.integrate", "scipy.signal"} <= set(loaded)
+    assert out.read_text().startswith("t_us,pl_rate_per_us,contrast\n")
 
 
 def test_table_outside_range_is_computation_boundary(tmp_path, sample_cfg, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,9 @@ from nvsk.photophysics import (
     PLTrace,
     StateVector,
     _contrast_arrays,
+    _design_lowpass,
+    _expm,
+    _mean3,
     contrast_trace,
     default_trace_window,
     evolve,
@@ -132,11 +136,13 @@ def _sine_trace(freq_mhz, dt, n, amplitude=1.0, offset=2.0):
 
 
 def test_filter_dc_gain():
-    from scipy.signal import butter, freqz
-
-    b, a = butter(4, 1.7, btype="low", fs=50.0)
-    h0 = np.abs(freqz(b, a, worN=[1e-9], fs=50.0)[1][0])
-    assert h0 == pytest.approx(1.0, abs=1e-12)
+    # H(z = 1) of the cascade is the product of sum(b) / sum(a) per section.
+    # Up to 1 GHz only: above it, 1 + a1 + a2 loses too many digits to
+    # cancellation for 1e-12, with scipy's butter coefficients as with these
+    for fs in (17.0, 50.0, 170.0, 1e3):
+        sos = _design_lowpass(1.0 / fs)
+        dc = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
+        assert dc == pytest.approx(1.0, abs=1e-12)
 
     dt = 0.02
     trace = PLTrace(times=np.arange(8000) * dt, values=np.full(8000, 3.7), s=0.0)
@@ -181,6 +187,30 @@ def test_filter_undersampled_rejected():
     trace = _sine_trace(0.1, 1.0, 200)  # 1 MHz sampling < 10 x 1.7 MHz
     with pytest.raises(ValidationError, match="undersampled"):
         lowpass(trace)
+
+
+def test_filter_design_matches_scipy_butter():
+    from scipy.signal import butter
+
+    eps = np.finfo(float).eps
+    for fs in np.geomspace(17.0, 2e5, 25):
+        sos = _design_lowpass(1.0 / fs)
+        oracle = butter(4, 1.7, fs=1.0 / (1.0 / fs), output="sos")
+        assert np.all(np.abs(sos - oracle) <= 4 * eps * np.abs(oracle))
+
+
+def test_three_sample_mean_matches_scipy_uniform_filter():
+    from scipy.ndimage import uniform_filter1d
+
+    # lengths up to 8: on longer arrays the oracle's running sum drifts past
+    # 2 ulp by its own rounding
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 4, 5, 8):
+        for _ in range(200):
+            x = rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            oracle = uniform_filter1d(x, size=3, mode="nearest")
+            assert np.abs(_mean3(x) - oracle).max() <= 2 * eps * np.abs(x).max()
 
 
 def test_contrast_identical_initial_states_is_unity():
@@ -394,6 +424,27 @@ def test_property_contrast_returns_to_one(params, s):
     _, contrast = _contrast_arrays(params, s, window, dt, keep_stride=stride)
     dev = np.abs(1.0 - contrast)
     assert dev[-1] < 0.01 * dev.max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    params=rates,
+    s=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+    log_norm=st.floats(-3.0, 6.0),
+)
+def test_property_expm_matches_mpmath(params, s, log_norm):
+    # A t with |A t|_1 = 10^log_norm, in one stack with two much shorter
+    # steps, so each matrix needs its own number of squarings
+    a = rate_matrix(params, s)
+    a *= 10.0**log_norm / np.abs(a).sum(axis=0).max()
+    stack = a * np.array([2.0**-20, 2.0**-10, 1.0])[:, None, None]
+    got = _expm(stack)
+    with mpmath.workdps(40):
+        exact = [mpmath.expm(mpmath.matrix(m.tolist())).tolist() for m in stack]
+    for m, e, x in zip(stack, got, np.array(exact, dtype=float)):
+        tol = 1e-14 * max(1.0, np.abs(m).sum(axis=0).max())
+        assert np.abs(e - x).max() <= tol
+        assert np.abs(e.sum(axis=0) - 1.0).max() <= tol
 
 
 def exact_readout_contrast(params, s, dt, n, block=256):
