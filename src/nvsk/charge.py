@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import nnls
 
+from .core import as_mw_per_um2
 from .errors import ValidationError
 
 DEFAULT_BRIGHTNESS_RATIO = 2.5
@@ -137,8 +138,11 @@ def decompose_to_psi(
     """Full pipeline: decomposition plus brightness-corrected fraction.
 
     When the excitation intensity is supplied and exceeds the validated
-    calibration range the result carries a flag rather than an error.
+    calibration range the result carries a flag rather than an error; it
+    must be finite and >= 0.
     """
+    if intensity_mw_um2 is not None:
+        intensity_mw_um2 = as_mw_per_um2(intensity_mw_um2)
     w_minus, w_zero, residual_rms = decompose(measured, basis_minus, basis_zero)
     psi = charge_fraction(w_minus, w_zero, brightness_ratio)
     flagged = (

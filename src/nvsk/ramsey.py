@@ -6,19 +6,20 @@ equally weighted hyperfine-split cosine lines,
     S(tau) = baseline + amplitude * exp(-(tau/T2*)^p)
              * (1/n) * sum_j cos(2*pi*(detuning + j*a_hf)*tau + phi_j)
 
-with the line index j centered on zero. Fitting separates the decay
-envelope from the beating by fitting the full model with its closed-form
-Jacobian; frequencies are seeded from the signal spectrum and T2* from a
-log-envelope regression, making the whole procedure deterministic.
+with the line index j centered on zero. Fitting is one least-squares solve
+of the full model with its closed-form Jacobian, from T2* by log-envelope
+regression and from the reading of the spectrum's (detuning, splitting)
+that variable projection scores best; the whole procedure is deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ComputationError, ValidationError
 
@@ -26,6 +27,7 @@ DEFAULT_HYPERFINE_MHZ = 2.16  # 14N triplet splitting, configurable
 
 _MIN_PERIODS = 8.0
 _MIN_SAMPLES_PER_PERIOD = 4.0
+_MAX_LINES = 8  # most lines `fit` takes: 4n(n-1) readings of n cosines per sample
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,9 @@ class RamseyModel:
             raise ValidationError(f"p out of [0.5, 3]: {self.p}")
         if self.n_hyperfine < 1:
             raise ValidationError(f"n_hyperfine must be >= 1, got {self.n_hyperfine}")
+        for name in ("detuning", "amplitude", "baseline", "hyperfine_splitting"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.hyperfine_splitting < 0:
             raise ValidationError(
                 f"hyperfine_splitting must be >= 0, got {self.hyperfine_splitting}"
@@ -87,6 +92,8 @@ def synthesize(
         raise ValidationError("tau grid must be a 1-D array with >= 2 points")
     if np.any(tau <= 0) or np.any(np.diff(tau) <= 0):
         raise ValidationError("tau grid must be positive and increasing")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     signal = model.evaluate(tau)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -145,27 +152,28 @@ def _spectral_peaks(tau, resid, n_lines):
     return np.sort(peak_f[order])
 
 
-def _frequency_hypotheses(peaks):
-    """Candidate (detuning, splitting) seeds from observed spectral peaks.
-
-    Lines live at |detuning + j*a|, so for a triplet with detuning < a/2 the
-    lowest peak is the detuning itself and the outer pair straddles the
-    splitting; for detuning > a/2 the peaks are equally spaced. Both
-    readings are tried and the cheapest fit wins. A single peak is paired
-    with the 14N splitting.
-    """
-    if peaks.size >= 3:
-        folded = (float(peaks[0]), float(0.5 * (peaks[1] + peaks[2])))
-        spaced = (float(np.mean(peaks)), float(np.mean(np.diff(peaks))))
-        return [folded, spaced]
-    if peaks.size == 2:
-        return [
-            (float(np.mean(peaks)), float(peaks[1] - peaks[0])),
-            (float(peaks[0]), float(peaks[1])),
-        ]
+def _readings(peaks, j):
+    """Every (detuning, splitting) >= 0 that puts the two peaks on two lines
+    |detuning + j*splitting|; a single peak is the detuning, with the 14N splitting."""
     if peaks.size == 1:
         return [(float(peaks[0]), DEFAULT_HYPERFINE_MHZ)]
-    return []
+    readings = []
+    for j1, j2 in itertools.permutations(j, 2):
+        for f1, f2 in itertools.product((peaks[0], -peaks[0]), (peaks[1], -peaks[1])):
+            split = (f2 - f1) / (j2 - j1)
+            det = f1 - j1 * split
+            if det >= 0 and split >= 0:
+                readings.append((float(det), float(split)))
+    return readings
+
+
+def _reading_cost(tau, signal, j, t2, reading):
+    """Squared residual of the reading at T2* = t2 and p = 1, with the
+    baseline and amplitude solved linearly (variable projection)."""
+    _, osc, _, envelope = _model_terms(tau, j, (0.0, 0.0, t2, 1.0, *reading))
+    basis = np.column_stack([np.ones_like(tau), envelope * osc])
+    coef = np.linalg.lstsq(basis, signal, rcond=None)[0]
+    return float(np.sum((basis @ coef - signal) ** 2))
 
 
 def _envelope_seed(tau, resid):
@@ -232,20 +240,22 @@ def _jacobian(tau, j, x, terms):
 def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     """Least-squares fit of the free-induction model to a signal.
 
-    Deterministic initialization (spectral peak picking for frequencies,
-    log-envelope regression for T2*), then trust-region least squares over
-    (baseline, amplitude, T2*, p, detuning, splitting) with phases fixed at
-    zero and the model's closed-form Jacobian. Uncertainties come from the
-    local curvature at the optimum. `n_evaluations` counts residual
-    evaluations over both frequency hypotheses; Jacobian evaluations are
-    not counted.
+    Deterministic initialization (the best-scoring reading of the two
+    strongest spectral peaks for the frequencies, log-envelope regression
+    for T2*), then one trust-region least-squares solve over (baseline,
+    amplitude, T2*, p, detuning, splitting) with phases fixed at zero and
+    the model's closed-form Jacobian. Uncertainties come from the local
+    curvature at the optimum. `n_evaluations` counts the residual
+    evaluations of that one solve; Jacobian evaluations are not counted.
 
     tau must be finite, >= 0 and non-decreasing with a positive median
     step (a first delay of 0 and some repeated delays are accepted); the
-    signal must be finite.
+    signal must be finite; n_hyperfine must lie in [1, 8].
     """
     if n_hyperfine < 1:
         raise ValidationError(f"n_hyperfine must be >= 1, got {n_hyperfine}")
+    if n_hyperfine > _MAX_LINES:
+        raise ValidationError(f"n_hyperfine must be <= {_MAX_LINES}, got {n_hyperfine}")
     tau = np.asarray(tau, dtype=float)
     signal = np.asarray(signal, dtype=float)
     if tau.shape != signal.shape or tau.ndim != 1:
@@ -265,16 +275,15 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
 
     baseline0 = float(np.mean(signal))
     resid0 = signal - baseline0
-    peaks = _spectral_peaks(tau, resid0, n_hyperfine)
+    peaks = _spectral_peaks(tau, resid0, min(n_hyperfine, 2))
     if peaks.size == 0:
         raise ValidationError("no oscillation found in signal spectrum")
-    hypotheses = _frequency_hypotheses(peaks)
     amp0, t2_0 = _envelope_seed(tau, resid0)
+    j = np.arange(n_hyperfine) - (n_hyperfine - 1) / 2.0
+    det0, a0 = min(_readings(peaks, j), key=lambda r: _reading_cost(tau, signal, j, t2_0, r))
 
-    # sampling sanity against the fastest plausible line
-    f_fast = max(
-        abs(d) + (n_hyperfine - 1) / 2.0 * a for d, a in hypotheses
-    )
+    # sampling sanity against the fastest line of the chosen reading
+    f_fast = det0 + (n_hyperfine - 1) / 2.0 * a0
     span = tau[-1] - tau[0]
     if f_fast > 0 and span * f_fast < _MIN_PERIODS:
         raise ValidationError(
@@ -287,7 +296,8 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
             f"{_MIN_SAMPLES_PER_PERIOD:g} samples per period of the fastest line"
         )
 
-    j = np.arange(n_hyperfine) - (n_hyperfine - 1) / 2.0
+    from scipy.optimize import least_squares
+
     # scipy asks for the Jacobian at the x whose residual it has just
     # evaluated, so the terms of that evaluation are kept and reused
     last = [None, None]  # x and the model terms at x
@@ -299,25 +309,19 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
 
     lower = [-np.inf, 0.0, 1e-3, 0.5, 0.0, 0.0]
     upper = [np.inf, np.inf, 1e7, 3.0, np.inf, np.inf]
-    best = None
-    nfev = 0
-    for det0, a0 in hypotheses:
-        x0 = [baseline0, amp0, t2_0, 1.0, max(det0, 1e-6), max(a0, 1e-6)]
-        result = least_squares(
-            lambda x: _model(x, terms(x)) - signal,
-            x0,
-            jac=lambda x: _jacobian(tau, j, x, terms(x)),
-            bounds=(lower, upper),
-            xtol=1e-12,
-            ftol=1e-12,
-            gtol=1e-12,
-            max_nfev=200 * (len(x0) + 1),
-        )
-        nfev += result.nfev
-        if best is None or result.cost < best.cost:
-            best = result
-    if best is None or not np.all(np.isfinite(best.x)):
-        raise ComputationError(f"fit did not converge after {nfev} evaluations")
+    x0 = [baseline0, amp0, t2_0, 1.0, max(det0, 1e-6), max(a0, 1e-6)]
+    best = least_squares(
+        lambda x: _model(x, terms(x)) - signal,
+        x0,
+        jac=lambda x: _jacobian(tau, j, x, terms(x)),
+        bounds=(lower, upper),
+        xtol=1e-12,
+        ftol=1e-12,
+        gtol=1e-12,
+        max_nfev=200 * (len(x0) + 1),
+    )
+    if not np.all(np.isfinite(best.x)):
+        raise ComputationError(f"fit did not converge after {best.nfev} evaluations")
 
     base, amp, t2, p, det, split = best.x
     dof = max(1, len(signal) - 6)
@@ -340,5 +344,5 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
         baseline=float(base),
         residual_rms=float(np.sqrt(np.mean(residual**2))),
         envelope_samples=best_terms[3],
-        n_evaluations=nfev,
+        n_evaluations=best.nfev,
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,18 @@ def test_charge_decompose_refuses_a_nan_wavelength(tmp_path, capsys):
     assert err == f"nvsk: {tmp_path / 'bm.csv'}: wavelengths must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("nan", "intensity must be finite, got nan"),
+     ("-1", "intensity must be >= 0 mW/um^2, got -1.0")],
+)
+def test_charge_decompose_refuses_a_bad_intensity(tmp_path, capsys, value, message):
+    argv = charge_argv(tmp_path)
+    argv[-1] = value
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"nvsk: {message}\n"
+
+
 def test_sensitivity_optimal_n_curve(tmp_path):
     out = tmp_path / "fig1b.csv"
     assert (
@@ -435,12 +448,19 @@ def test_usage_error_exit_code(capsys):
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "inf"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--dt", "1e-320"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--dt", "nan"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "nan"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "inf"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--splitting", "inf"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--amplitude", "nan"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--baseline", "inf"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--noise-sigma", "-1"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--noise-sigma", "nan"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("nvsk: ") and "Traceback" not in err
+    assert err.startswith("nvsk: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -526,6 +546,17 @@ def test_ramsey_fit_refuses_fewer_than_one_line(tmp_path, capsys, lines):
     assert main(["ramsey", "fit", str(sig), "--lines", lines]) == 1
     err = capsys.readouterr().err
     assert err == f"nvsk: n_hyperfine must be >= 1, got {lines}\n"
+
+
+def test_ramsey_fit_refuses_many_lines_at_once(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    synth = ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--splitting", "0.05",
+             "--lines", "50", "--out", str(sig)]
+    assert main(synth) == 0
+    start = time.perf_counter()
+    assert main(["ramsey", "fit", str(sig), "--lines", "50"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "nvsk: n_hyperfine must be <= 8, got 50\n"
 
 
 def test_weak_radiative_rate_ti_band(tmp_path):

@@ -1,12 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nvsk
 from nvsk.errors import ValidationError
-from nvsk.ramsey import RamseyModel, _jacobian, _model, _model_terms, fit, synthesize
+from nvsk.ramsey import (
+    DEFAULT_HYPERFINE_MHZ,
+    RamseyModel,
+    _jacobian,
+    _model,
+    _model_terms,
+    _readings,
+    fit,
+    synthesize,
+)
 
 TAU = np.arange(0.02, 53.0, 0.06)
 
@@ -139,6 +153,10 @@ def test_model_validation():
         RamseyModel(t2_star=10.0, detuning=0.4, amplitude=0.02, n_hyperfine=0)
     with pytest.raises(ValidationError):
         RamseyModel(t2_star=10.0, detuning=0.4, amplitude=0.02, phases=(0.0,))
+    for field in ("detuning", "amplitude", "baseline", "hyperfine_splitting"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                standard_model(**{field: value})
 
 
 def test_synthesize_grid_validation():
@@ -147,6 +165,9 @@ def test_synthesize_grid_validation():
         synthesize(model, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValidationError):
         synthesize(model, np.array([1.0, 0.5]))
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            synthesize(model, TAU, noise_sigma=sigma)
 
 
 TRIPLET = np.array([-1.0, 0.0, 1.0])
@@ -246,3 +267,91 @@ def test_fit_matches_golden_outputs(case):
         # sit at rounding level
         assert getattr(result, field) == pytest.approx(value, rel=1e-6, abs=1e-12), field
 
+
+
+def synth_grid(t2):
+    """The `ramsey synth` default grid: dtau 0.06 us up to 3 T2*."""
+    return np.arange(0.06, 3.0 * t2 + 0.03, 0.06)
+
+
+# Detunings 0.1..2.0 MHz in 0.05 steps, leaving out the band within
+# 0.05 MHz of a/2, where the lines at d and |d - a| are closer than their
+# width and cannot be told apart.
+SWEEP_DETUNINGS = [
+    d for d in (round(0.1 + 0.05 * k, 2) for k in range(39))
+    if abs(d - DEFAULT_HYPERFINE_MHZ / 2.0) >= 0.05
+]
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-4, 4e-4])
+@pytest.mark.parametrize("t2", [5.0, 10.0, 20.0])
+@pytest.mark.parametrize("detuning", SWEEP_DETUNINGS)
+def test_fit_recovers_detuning_sweep(detuning, t2, noise):
+    tau = synth_grid(t2)
+    signal = synthesize(standard_model(t2_star=t2, detuning=detuning), tau, noise, seed=1)
+    result = fit(tau, signal)
+    # criterion 9 for T2*, and the detuning on the right line
+    assert result.t2_star == pytest.approx(t2, rel=0.05)
+    assert result.detuning == pytest.approx(detuning, rel=0.01)
+
+
+def test_fit_is_one_short_solve(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    tau = synth_grid(8.6)
+    result = fit(tau, synthesize(standard_model(t2_star=8.6, detuning=0.25, p=2.0), tau))
+    assert len(calls) == 1
+    assert result.n_evaluations < 50
+    assert result.t2_star == pytest.approx(8.6, rel=1e-9)
+
+
+def test_fit_accepts_lines_merged_at_half_the_splitting():
+    # d = 1.08 MHz = a/2: the lines at d and |d - a| merge into one peak.
+    # Some readings of the two peaks put a line past 4 samples per period;
+    # the sampling guard holds only the chosen reading to that.
+    tau = synth_grid(14.0)
+    signal = synthesize(standard_model(t2_star=14.0, detuning=1.08), tau, 4e-4, seed=1)
+    result = fit(tau, signal)
+    assert result.t2_star == pytest.approx(14.0, rel=0.05)
+    assert result.hyperfine_splitting == pytest.approx(DEFAULT_HYPERFINE_MHZ, rel=1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    det=st.floats(0.0, 5.0),
+    split=st.floats(0.01, 3.0),
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+)
+def test_readings_contain_the_true_frequencies(det, split, n, data):
+    j = np.arange(n) - (n - 1) / 2.0
+    lines = np.abs(det + j * split)
+    k1, k2 = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    peaks = np.sort(lines[[k1, k2]])
+    assume(peaks[0] > 0 and peaks[1] > peaks[0])
+    readings = np.array(_readings(peaks, j))
+    assert np.all(readings >= 0)
+    assert len(readings) <= 4 * n * (n - 1)
+    close = np.isclose(readings[:, 0], det, rtol=1e-9, atol=1e-12) & np.isclose(
+        readings[:, 1], split, rtol=1e-9, atol=1e-12
+    )
+    assert close.any()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(nvsk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nvsk.ramsey; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.strip() == "False"
