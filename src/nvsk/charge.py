@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import as_mw_per_um2
 from .errors import ValidationError
@@ -84,6 +83,8 @@ def decompose(measured: Spectrum, basis_minus: Spectrum, basis_zero: Spectrum):
         raise ValidationError(
             f"basis spectra are collinear (condition number {cond:.3g})"
         )
+    from scipy.optimize import nnls
+
     weights, rnorm = nnls(design, y)
     residual_rms = rnorm / math.sqrt(len(grid))
     return float(weights[0]), float(weights[1]), float(residual_rms)

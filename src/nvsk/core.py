@@ -27,6 +27,20 @@ GAMMA_CONVENTIONS = ("gamma_over_2pi", "angular")
 MAX_TRACE_SAMPLES = 5_000_000
 
 
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call so that
+    importing nvsk loads no scipy module.
+
+    strainmap's tile fits call it as strainmap.least_squares, the name
+    perfbench's tracer wraps. It is defined here because the tracer also
+    wraps every public function strainmap defines, which would wrap it
+    twice and count each fit twice.
+    """
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

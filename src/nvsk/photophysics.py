@@ -494,6 +494,9 @@ def _contrast_arrays(
 
 
 _MAX_KEPT_SAMPLES = 2_000_000
+# Longest resolution-limited grid ti_band strides over: the step counts of its
+# strided propagators reach four times this and must stay within int64.
+_MAX_GRID_STEPS = 2**61
 
 
 def contrast_trace(
@@ -609,19 +612,24 @@ def ti_band(params: FiveLevelParams, intensities) -> TiBand:
     grid = np.asarray([as_mw_per_um2(i) for i in intensities], dtype=float)
     if grid.size == 0:
         raise ValidationError("empty intensity grid")
-    results = []
+    traces = []  # every intensity is refused or accepted before any trace runs
     for i_sat in params.i_sat_band:
-        t_is = []
         for i in grid:
             s = saturation_parameter(i, i_sat)
             dt = max_stable_dt(params, s)
             t_end = default_trace_window(params, s)
-            n_total = _check_grid(params, s, t_end, dt) + 1
-            stride = max(1, int(math.ceil(n_total / _MAX_KEPT_SAMPLES)))
-            times, contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride)
-            curve = ContrastCurve(
-                times=times, contrast=contrast, s=s, intensity=i, i_sat=i_sat
-            )
-            t_is.append(initialization_time(curve))
-        results.append(np.asarray(t_is))
-    return TiBand(intensities=grid, lower=results[0], upper=results[1])
+            if dt <= t_end / _MAX_GRID_STEPS:  # no division by dt, which may be 0
+                raise ValidationError(
+                    f"intensity {i:g} mW/um^2 needs more than {_MAX_GRID_STEPS:.3g} "
+                    "samples at full resolution"
+                )
+            traces.append((i_sat, i, s, dt, t_end))
+    t_is = []
+    for i_sat, i, s, dt, t_end in traces:
+        n_total = _check_grid(params, s, t_end, dt) + 1
+        stride = max(1, int(math.ceil(n_total / _MAX_KEPT_SAMPLES)))
+        times, contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride)
+        curve = ContrastCurve(times=times, contrast=contrast, s=s, intensity=i, i_sat=i_sat)
+        t_is.append(initialization_time(curve))
+    lower, upper = np.reshape(t_is, (2, grid.size))
+    return TiBand(intensities=grid, lower=lower, upper=upper)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from .core import least_squares  # perfbench wraps it to count tile fits; goes with a batched fit
 from .dephasing import strain_rate_from_fwhm
 from .errors import ComputationError, ValidationError
 
@@ -84,6 +84,12 @@ def _check_bin_width(bin_width: Optional[float]) -> None:
         raise ValidationError(f"bin width must be finite and > 0, got {bin_width}")
 
 
+def _out_of_range(bin_width) -> ValidationError:
+    return ValidationError(
+        f"bin width {bin_width:g} kHz takes the Lorentzian fit out of floating-point range"
+    )
+
+
 def _histogram_edges(n_values: int, q25, q50, q75, bin_width: Optional[float]):
     iqr = q75 - q25
     if bin_width is None:
@@ -94,6 +100,8 @@ def _histogram_edges(n_values: int, q25, q50, q75, bin_width: Optional[float]):
         bin_width = 2.0 * iqr / n_values ** (1.0 / 3.0)
     half = _HISTOGRAM_HALF_RANGE_IQR * max(iqr, bin_width)
     lo, hi = q50 - half, q50 + half
+    if not math.isfinite(hi - lo):
+        raise _out_of_range(bin_width)
     n_bins = int(np.ceil((hi - lo) / bin_width))
     n_bins = min(max(n_bins, 8), 200_000)
     return np.linspace(lo, hi, n_bins + 1)
@@ -145,11 +153,17 @@ def histogram_fwhm(
     bin_w = edges[1] - edges[0]
 
     fwhm0 = max(q75 - q25, bin_w)
-    amp0 = max(counts.max(), 1.0) * (fwhm0 / 2.0) ** 2
     resid, jac = _lorentzian_residual_and_jacobian(centers, counts)
+    # an overwide bin width overflows the initial point, residuals or
+    # Jacobian; refuse it here rather than inside the solver
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x0 = np.array([q50, fwhm0, max(counts.max(), 1.0) * (fwhm0 / 2.0) ** 2, 0.0])
+        finite = np.isfinite(resid(x0)).all() and np.isfinite(jac(x0)).all()
+    if not finite:
+        raise _out_of_range(bin_w)
     result = least_squares(
         resid,
-        [q50, fwhm0, amp0, 0.0],
+        x0,
         jac=jac,
         bounds=([-np.inf, 1e-12, 0.0, -np.inf], [np.inf, np.inf, np.inf, np.inf]),
         xtol=1e-10,
@@ -335,6 +349,19 @@ def scaling_metric(stats: Sequence[PartitionStats], other_rate_per_us: float) ->
     )
 
 
+# Largest synthetic map, in pixels: 4096^2, 128 MiB of shifts.
+MAX_MAP_PIXELS = 4096 * 4096
+
+
+def _check_synth_shape(shape) -> None:
+    rows, cols = (int(n) for n in shape)
+    if rows * cols > MAX_MAP_PIXELS:
+        raise ValidationError(
+            f"map of {rows}x{cols} = {rows * cols:,} pixels exceeds the "
+            f"{MAX_MAP_PIXELS:,}-pixel limit"
+        )
+
+
 def synth_stationary(
     shape: tuple,
     pixel_pitch_um: float,
@@ -346,6 +373,7 @@ def synth_stationary(
     The shift distribution is Lorentzian with FWHM = 2 * scale_khz at every
     sensor size, so linewidth statistics should not depend on tiling.
     """
+    _check_synth_shape(shape)
     rng = np.random.default_rng(seed)
     values = scale_khz * rng.standard_cauchy(size=shape)
     return StrainMap(values=values, pixel_pitch_um=pixel_pitch_um)
@@ -368,6 +396,7 @@ def synth_two_region(
     lower-right corner and carries both a broader shift distribution and a
     linear gradient, mimicking an isolated dislocation bundle.
     """
+    _check_synth_shape(shape)
     rng = np.random.default_rng(seed)
     values = scale_khz * rng.standard_cauchy(size=shape)
     h, w = shape

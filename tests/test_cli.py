@@ -378,17 +378,16 @@ def test_photophysics_ti_band_command(tmp_path):
         assert 0 < lo <= hi
 
 
-_HEAVY_SCIPY = ("scipy.signal", "scipy.ndimage", "scipy.integrate", "scipy.stats")
-
-
-def _run_fresh(argv):
-    """main(argv) in a fresh interpreter: its exit code and which of
-    _HEAVY_SCIPY it left in sys.modules."""
+def _run_fresh(argv=None):
+    """Import nvsk.cli in a fresh interpreter and run main(argv) unless argv
+    is None: the exit code (None when not run) and the sorted names of every
+    scipy module left in sys.modules."""
     code = (
         "import json, sys\n"
         "from nvsk.cli import main\n"
-        f"code = main({argv!r})\n"
-        f"print(json.dumps([code, [m for m in {_HEAVY_SCIPY!r} if m in sys.modules]]))\n"
+        f"code = None if {argv!r} is None else main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "print(json.dumps([code, loaded]))\n"
     )
     src = str(Path(nvsk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -399,13 +398,55 @@ def _run_fresh(argv):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_ti_band_imports_no_heavy_scipy_module(tmp_path):
-    out = tmp_path / "band.csv"
-    code, loaded = _run_fresh(
-        ["photophysics", "ti-band", "--grid", "1:10:log:2", "--out", str(out)]
-    )
-    assert code == 0 and out.exists()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["dephasing", "--config", "{cfg}", "--out", "{tmp}/budget.json"],
+        ["sensitivity", "sweep", "--sample", "{cfg}", "--table", "{table}",
+         "--grid", "1e-3:1e1:log:4", "--out", "{tmp}/curve.csv"],
+        ["sensitivity", "optimal-n", "--to-grid", "0.1:100:log:5", "--out", "{tmp}/n.csv"],
+        ["photophysics", "ti-band", "--grid", "1:10:log:2", "--out", "{tmp}/band.csv"],
+        ["strain", "synth", "--model", "two-region", "--shape", "64x64",
+         "--out", "{tmp}/map.csv"],
+    ],
+    ids=["import", "dephasing", "sensitivity-sweep", "sensitivity-optimal-n", "ti-band",
+         "strain-synth"],
+)
+def test_command_loads_no_scipy_module(tmp_path, sample_cfg, argv):
+    table = tmp_path / "low.csv"
+    table.write_text(table_rows_to_csv_text(LOW_N_ROWS))
+    if argv is not None:
+        argv = [a.format(tmp=tmp_path, cfg=sample_cfg, table=table) for a in argv]
+    code, loaded = _run_fresh(argv)
+    assert code == (None if argv is None else 0)
     assert loaded == []
+
+
+def _strain_analyze_argv(tmp_path):
+    map_path = tmp_path / "map.csv"
+    assert main(["strain", "synth", "--model", "stationary", "--shape", "128x128",
+                 "--seed", "3", "--out", str(map_path)]) == 0
+    return ["strain", "analyze", str(map_path), "--sizes", "96:384:log:3",
+            "--out", str(tmp_path / "stats.json")]
+
+
+def _ramsey_fit_argv(tmp_path):
+    signal = tmp_path / "signal.csv"
+    assert main(["ramsey", "synth", "--t2", "10", "--detuning", "1.3", "--seed", "1",
+                 "--noise-sigma", "4e-4", "--out", str(signal)]) == 0
+    return ["ramsey", "fit", str(signal), "--out", str(tmp_path / "fit.json")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_strain_analyze_argv, charge_argv, _ramsey_fit_argv],
+    ids=["strain-analyze", "charge-decompose", "ramsey-fit"],
+)
+def test_solver_commands_load_scipy_optimize_when_they_run(tmp_path, make_argv):
+    code, loaded = _run_fresh(make_argv(tmp_path))
+    assert code == 0
+    assert "scipy.optimize" in loaded
 
 
 def test_simulate_imports_its_scipy_modules_when_it_runs(tmp_path):
@@ -455,9 +496,17 @@ def test_usage_error_exit_code(capsys):
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--baseline", "inf"],
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--noise-sigma", "-1"],
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--noise-sigma", "nan"],
+        ["strain", "synth", "--model", "stationary", "--shape", "100000x100000"],
+        ["strain", "analyze", "{map}", "--sizes", "12:96:log:3", "--bin-width-khz", "1e300"],
+        ["photophysics", "ti-band", "--grid", "1e200:1e201:log:2"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
+    if "{map}" in argv:
+        map_path = tmp_path / "map.csv"
+        assert main(["strain", "synth", "--model", "stationary", "--shape", "128x128",
+                     "--seed", "3", "--out", str(map_path)]) == 0
+        argv = [str(map_path) if a == "{map}" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nvsk: ") and err.count("\n") == 1 and "Traceback" not in err

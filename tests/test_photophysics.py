@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -300,6 +301,13 @@ def test_contrast_trace_refuses_unbounded_grids():
     # samples; the full-resolution API refuses and points at ti_band
     with pytest.raises(ValidationError, match="ti_band"):
         contrast_trace(PARAMS, 1e-4, 3.0)
+
+
+@pytest.mark.parametrize("intensity", [1e16, 1e200, 1e308])
+def test_ti_band_refuses_an_intensity_beyond_int64_step_counts(intensity):
+    # refused before the first intensity's traces run
+    with pytest.raises(ValidationError, match=re.escape(f"intensity {intensity:g} mW/um")):
+        ti_band(PARAMS, [1e-3, intensity])
 
 
 def test_grids_refuse_non_finite_values():

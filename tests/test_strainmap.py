@@ -3,6 +3,7 @@ import pytest
 
 from nvsk.errors import ComputationError, ValidationError
 from nvsk.strainmap import (
+    MAX_MAP_PIXELS,
     LorentzianFit,
     StrainMap,
     histogram_fwhm,
@@ -95,6 +96,23 @@ def test_partition_stationary_medians_stable():
     assert big.n_tiles == 32 * 32
     assert big.p10 <= big.p25 <= big.median <= big.p75 <= big.p90
     assert big.minimum <= big.p10
+
+
+@pytest.mark.parametrize("width", [1e150, 1e200, 1e300, 1e308])
+def test_fit_refuses_an_overwide_bin_width_before_the_solver(width):
+    # the initial point, its residuals or its Jacobian overflow
+    values = np.random.default_rng(0).standard_cauchy(1000)
+    with pytest.raises(ValidationError, match="out of floating-point range"):
+        histogram_fwhm(values, bin_width_khz=width)
+
+
+@pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
+def test_synth_refuses_a_map_above_the_pixel_limit(synth):
+    args = (6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)
+    with pytest.raises(ValidationError, match="16,777,216-pixel limit"):
+        synth((100_000, 100_000), *args)
+    with pytest.raises(ValidationError, match="pixel limit"):
+        synth((MAX_MAP_PIXELS // 1024 + 1, 1024), *args)
 
 
 def test_partition_tile_size_guards():
