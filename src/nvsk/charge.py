@@ -104,8 +104,10 @@ def charge_fraction(
         raise ValidationError("PL weights must be >= 0")
     if w_minus == 0 and w_zero == 0:
         raise ValidationError("both PL weights are zero; charge fraction undefined")
-    if not brightness_ratio > 0:
-        raise ValidationError(f"brightness_ratio must be > 0, got {brightness_ratio}")
+    if not (math.isfinite(brightness_ratio) and brightness_ratio > 0):
+        raise ValidationError(
+            f"brightness_ratio must be finite and > 0, got {brightness_ratio}"
+        )
     return w_minus / (w_minus + brightness_ratio * w_zero)
 
 

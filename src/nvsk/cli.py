@@ -1,8 +1,9 @@
 """Command-line front end: `nvsk <module> <verb>`.
 
-Commands emit plot-ready CSV/JSON plus a manifest sidecar; figure rendering
-is left to the caller's plotting stack. Exit codes: 0 success, 1 input
-validation error, 2 computation failure.
+Each command computes its result and returns it with the configuration it
+resolved; main() writes that result as plot-ready CSV/JSON plus a manifest
+sidecar. Figure rendering is left to the caller's plotting stack. Exit
+codes: 0 success, 1 input validation error, 2 computation failure.
 """
 
 from __future__ import annotations
@@ -105,20 +106,38 @@ def _load_config(path) -> ResolvedConfig:
     return parse_config(path) if path else default_config()
 
 
-def _manifest(args, config: dict, seed=None, inputs=("config",)) -> dataio.RunManifest:
-    """Manifest of this run: the argv main() parsed, the resolved config,
-    and the hashes of the input files named by the `inputs` arguments."""
-    manifest = dataio.RunManifest(command=list(args.argv), config=config, seed=seed)
-    for label in inputs:
+def _write(args, result, config: dict) -> None:
+    """Write a command's result to --out with its manifest sidecar: a list
+    of (header, values) columns as CSV, a StrainMap as a CSV grid with its
+    JSON sidecar, a dict as JSON. A dict without --out is printed to stdout
+    instead, with no manifest.
+
+    The manifest records the argv main() parsed, the resolved config, the
+    --seed of commands that take one, and the hashes of the input files
+    named by the command's `inputs` arguments.
+    """
+    if isinstance(result, dict) and not args.out:
+        print(dataio.format_json(result))
+        return
+    manifest = dataio.RunManifest(
+        command=list(args.argv), config=config, seed=getattr(args, "seed", None)
+    )
+    for label in args.inputs:
         if getattr(args, label, None):
             manifest.add_input(label, getattr(args, label))
-    return manifest
+    if isinstance(result, dict):
+        dataio.emit_json(result, args.out, manifest)
+    elif isinstance(result, strainmap.StrainMap):
+        dataio.save_strain_map(result, args.out)
+        dataio.write_manifest(args.out, manifest)
+    else:
+        dataio.emit_csv(result, args.out, manifest)
 
 
 # --- dephasing ---
 
 
-def cmd_dephasing(args) -> int:
+def cmd_dephasing(args):
     cfg = _load_config(args.config)
     sample = cfg.sample()
     budget = spin_bath_budget(sample, cfg.bath_coefficients())
@@ -132,11 +151,7 @@ def cmd_dephasing(args) -> int:
     result.update(full.as_dict())
     result["t2_star_sq_us"] = full.t2_star_total
     result["t2_star_dq_us"] = dq_t2star(full)
-    if args.out:
-        dataio.emit_json(result, args.out, _manifest(args, cfg.as_dict()))
-    else:
-        print(dataio.format_json(result))
-    return 0
+    return result, cfg.as_dict()
 
 
 # --- sensitivity ---
@@ -161,7 +176,7 @@ def _sweep_rows(sample, table, grid, protocol, cfg):
     return rows
 
 
-def cmd_sensitivity_sweep(args) -> int:
+def cmd_sensitivity_sweep(args):
     cfg = _load_config(args.sample)
     sample = cfg.sample()
     table = dataio.ingest_intensity_table(args.table)
@@ -170,33 +185,24 @@ def cmd_sensitivity_sweep(args) -> int:
     else:
         grid = _log_grid(*table.intensity_range, 25)
     rows = _sweep_rows(sample, table, grid, args.protocol, cfg)
-    dataio.emit_csv(
-        [
-            ("intensity_mw_um2", [r.intensity for r in rows]),
-            ("tau_opt_us", [r.tau for r in rows]),
-            ("eta_g_sqrt_us_cm3", [r.eta for r in rows]),
-        ],
-        args.out,
-        _manifest(args, cfg.as_dict(), inputs=("sample", "table")),
-    )
-    return 0
+    columns = [
+        ("intensity_mw_um2", [r.intensity for r in rows]),
+        ("tau_opt_us", [r.tau for r in rows]),
+        ("eta_g_sqrt_us_cm3", [r.eta for r in rows]),
+    ]
+    return columns, cfg.as_dict()
 
 
-def cmd_sensitivity_optimal_n(args) -> int:
+def cmd_sensitivity_optimal_n(args):
     cfg = _load_config(args.config)
     grid = parse_grid(args.to_grid)
     n_opt = [
         optimal_nitrogen(t_o, cfg.metric_config()).concentration.ppm for t_o in grid
     ]
-    dataio.emit_csv(
-        [("t_overhead_us", grid), ("n_opt_ppm", n_opt)],
-        args.out,
-        _manifest(args, cfg.as_dict()),
-    )
-    return 0
+    return [("t_overhead_us", grid), ("n_opt_ppm", n_opt)], cfg.as_dict()
 
 
-def cmd_sensitivity_compare(args) -> int:
+def cmd_sensitivity_compare(args):
     cfg_a = _load_config(args.sample_a)
     cfg_b = _load_config(args.sample_b)
     table_a = dataio.ingest_intensity_table(args.table_a)
@@ -212,28 +218,21 @@ def cmd_sensitivity_compare(args) -> int:
     rows_a = _sweep_rows(cfg_a.sample(), table_a, grid, args.protocol, cfg_a)
     rows_b = _sweep_rows(cfg_b.sample(), table_b, grid, args.protocol, cfg_b)
     ratios = [a.eta / b.eta for a, b in zip(rows_a, rows_b)]
-    manifest = _manifest(
-        args,
-        {"a": cfg_a.as_dict(), "b": cfg_b.as_dict()},
-        inputs=("sample_a", "table_a", "sample_b", "table_b"),
-    )
-    dataio.emit_csv(
-        [("intensity_mw_um2", grid), ("eta_ratio_a_over_b", ratios)],
-        args.out,
-        manifest,
-    )
-    return 0
+    columns = [("intensity_mw_um2", grid), ("eta_ratio_a_over_b", ratios)]
+    return columns, {"a": cfg_a.as_dict(), "b": cfg_b.as_dict()}
 
 
 # --- photophysics ---
 
 
-def cmd_photophysics_simulate(args) -> int:
+def cmd_photophysics_simulate(args):
     cfg = _load_config(args.config)
     params = cfg.five_level_params()
     s = photophysics.saturation_parameter(args.intensity, args.isat)
-    dt = args.dt if args.dt else photophysics.max_stable_dt(params, s)
-    t_end = args.t_end if args.t_end else photophysics.default_trace_window(params, s)
+    dt = photophysics.max_stable_dt(params, s) if args.dt is None else args.dt
+    t_end = (
+        photophysics.default_trace_window(params, s) if args.t_end is None else args.t_end
+    )
     _check_trace_grid(
         "--t-end", t_end, "--dt", dt,
         "pass a shorter --t-end (or use ti-band for slow-pumping regimes)",
@@ -245,40 +244,31 @@ def cmd_photophysics_simulate(args) -> int:
     curve = photophysics.contrast_trace(
         params, args.intensity, args.isat, t_end=t_end, dt=dt
     )
-    manifest = _manifest(args, cfg.as_dict())
-    dataio.emit_csv(
-        [
-            ("t_us", trace.times),
-            ("pl_rate_per_us", trace.values),
-            ("contrast", curve.contrast),
-        ],
-        args.out,
-        manifest,
-    )
-    return 0
+    columns = [
+        ("t_us", trace.times),
+        ("pl_rate_per_us", trace.values),
+        ("contrast", curve.contrast),
+    ]
+    return columns, cfg.as_dict()
 
 
-def cmd_photophysics_ti_band(args) -> int:
+def cmd_photophysics_ti_band(args):
     cfg = _load_config(args.config)
     params = cfg.five_level_params()
     grid = parse_grid(args.grid, default_count=40)
     band = photophysics.ti_band(params, grid)
-    dataio.emit_csv(
-        [
-            ("intensity_mw_um2", band.intensities),
-            ("t_i_lower_us", band.lower),
-            ("t_i_upper_us", band.upper),
-        ],
-        args.out,
-        _manifest(args, cfg.as_dict()),
-    )
-    return 0
+    columns = [
+        ("intensity_mw_um2", band.intensities),
+        ("t_i_lower_us", band.lower),
+        ("t_i_upper_us", band.upper),
+    ]
+    return columns, cfg.as_dict()
 
 
 # --- ramsey ---
 
 
-def cmd_ramsey_synth(args) -> int:
+def cmd_ramsey_synth(args):
     cfg = _load_config(args.config)
     model = ramsey.RamseyModel(
         t2_star=args.t2,
@@ -296,15 +286,10 @@ def cmd_ramsey_synth(args) -> int:
     )
     tau = np.arange(args.dtau, tau_end + 0.5 * args.dtau, args.dtau)
     signal = ramsey.synthesize(model, tau, noise_sigma=args.noise_sigma, seed=args.seed)
-    dataio.emit_csv(
-        [("tau_us", tau), ("contrast", signal)],
-        args.out,
-        _manifest(args, cfg.as_dict(), seed=args.seed),
-    )
-    return 0
+    return [("tau_us", tau), ("contrast", signal)], cfg.as_dict()
 
 
-def cmd_ramsey_fit(args) -> int:
+def cmd_ramsey_fit(args):
     cfg = _load_config(args.config)
     _, columns = dataio.read_columns(args.signal, ("tau_us", "contrast"))
     result = ramsey.fit(columns["tau_us"], columns["contrast"], n_hyperfine=args.lines)
@@ -312,18 +297,13 @@ def cmd_ramsey_fit(args) -> int:
     payload["t2_star_formatted"] = parenthesis_format(
         result.t2_star, result.t2_star_sigma, " us"
     )
-    manifest = _manifest(args, cfg.as_dict(), inputs=("config", "signal"))
-    if args.out:
-        dataio.emit_json(payload, args.out, manifest)
-    else:
-        print(dataio.format_json(payload))
-    return 0
+    return payload, cfg.as_dict()
 
 
 # --- strain ---
 
 
-def cmd_strain_analyze(args) -> int:
+def cmd_strain_analyze(args):
     cfg = _load_config(args.config)
     strain_map = dataio.load_strain_map(args.map)
     sizes = parse_grid(args.sizes, default_count=12)
@@ -351,21 +331,17 @@ def cmd_strain_analyze(args) -> int:
         "partitions": [s.as_dict() for s in stats],
         "scaling": scaling.as_dict(),
     }
-    manifest = _manifest(args, cfg.as_dict(), inputs=("config", "map"))
-    if args.out:
-        dataio.emit_json(result, args.out, manifest)
-    else:
-        print(dataio.format_json(result))
-    return 0
+    return result, cfg.as_dict()
 
 
-def cmd_strain_synth(args) -> int:
+def cmd_strain_synth(args):
     try:
         shape = tuple(int(x) for x in args.shape.split("x"))
     except ValueError:
         shape = ()
     if len(shape) != 2 or min(shape) <= 0:
         raise ValidationError(f"--shape must be ROWSxCOLS, got {args.shape!r}")
+    config = _load_config(args.config).as_dict()
     if args.model == "stationary":
         strain_map = strainmap.synth_stationary(
             shape, args.pitch_um, args.scale_khz, seed=args.seed
@@ -378,16 +354,14 @@ def cmd_strain_synth(args) -> int:
             hot_scale_khz=args.hot_scale_khz,
             seed=args.seed,
         )
-    dataio.save_strain_map(strain_map, args.out)
-    manifest = _manifest(args, _load_config(args.config).as_dict(), seed=args.seed)
-    dataio.write_manifest(args.out, manifest)
-    return 0
+    return strain_map, config
 
 
 # --- charge ---
 
 
-def cmd_charge_decompose(args) -> int:
+def cmd_charge_decompose(args):
+    config = _load_config(args.config).as_dict()
     measured = dataio.load_spectrum(args.measured)
     basis_minus = dataio.load_spectrum(args.basis_minus)
     basis_zero = dataio.load_spectrum(args.basis_zero)
@@ -398,16 +372,7 @@ def cmd_charge_decompose(args) -> int:
         brightness_ratio=args.brightness_ratio,
         intensity_mw_um2=args.intensity,
     )
-    manifest = _manifest(
-        args,
-        _load_config(args.config).as_dict(),
-        inputs=("config", "measured", "basis_minus", "basis_zero"),
-    )
-    if args.out:
-        dataio.emit_json(result.as_dict(), args.out, manifest)
-    else:
-        print(dataio.format_json(result.as_dict()))
-    return 0
+    return result.as_dict(), config
 
 
 # --- wiring ---
@@ -419,6 +384,7 @@ def build_parser() -> _Parser:
     no state in it, so main() parses every argv on the same parser."""
     parser = _Parser(prog="nvsk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nvsk {__version__}")
+    parser.set_defaults(inputs=("config",))  # arguments naming hashed input files
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dephasing", help="T2* budget for a sample config")
@@ -436,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument("--protocol", choices=("sq", "dq"), default="sq")
     p.add_argument("--grid", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sensitivity_sweep)
+    p.set_defaults(func=cmd_sensitivity_sweep, inputs=("sample", "table"))
 
     p = sens_sub.add_parser("optimal-n")
     p.add_argument("--to-grid", required=True, help="overhead grid, e.g. 0.1:100:log")
@@ -452,7 +418,9 @@ def build_parser() -> _Parser:
     p.add_argument("--protocol", choices=("sq", "dq"), default="sq")
     p.add_argument("--grid", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sensitivity_compare)
+    p.set_defaults(
+        func=cmd_sensitivity_compare, inputs=("sample_a", "table_a", "sample_b", "table_b")
+    )
 
     photo = sub.add_parser("photophysics", help="five-level model simulations")
     photo_sub = photo.add_subparsers(dest="verb", required=True)
@@ -496,7 +464,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lines", type=int, default=3)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ramsey_fit)
+    p.set_defaults(func=cmd_ramsey_fit, inputs=("config", "signal"))
 
     strain = sub.add_parser("strain", help="strain-map statistics")
     strain_sub = strain.add_subparsers(dest="verb", required=True)
@@ -509,7 +477,7 @@ def build_parser() -> _Parser:
     p.add_argument("--other-rate-per-us", type=float, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_strain_analyze)
+    p.set_defaults(func=cmd_strain_analyze, inputs=("config", "map"))
 
     p = strain_sub.add_parser("synth")
     p.add_argument("--model", choices=("stationary", "two-region"), required=True)
@@ -533,7 +501,9 @@ def build_parser() -> _Parser:
     p.add_argument("--brightness-ratio", type=float, default=charge.DEFAULT_BRIGHTNESS_RATIO)
     p.add_argument("--intensity", type=float, default=None, help="mW/um^2")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_charge_decompose)
+    p.set_defaults(
+        func=cmd_charge_decompose, inputs=("config", "measured", "basis_minus", "basis_zero")
+    )
 
     return parser
 
@@ -544,7 +514,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.argv = argv
-        return args.func(args)
+        _write(args, *args.func(args))
+        return 0
     except ValidationError as exc:
         print(f"nvsk: {exc}", file=sys.stderr)
         return 1

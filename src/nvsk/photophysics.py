@@ -256,17 +256,15 @@ def pl_rate(trajectory: Trajectory) -> PLTrace:
     )
 
 
-def _design_lowpass(dt: float) -> np.ndarray:
-    """Second-order sections (b0, b1, b2, 1, a1, a2) of the readout filter at
-    step dt, in the layout and section order of scipy's
-    butter(..., output="sos").
+def _lowpass_poles(dt: float):
+    """Digital poles and overall gain of the readout filter at step dt: one
+    upper-half-plane pole per second-order section, in section order.
 
     The analog Butterworth poles, prewarped to the cutoff, go through the
     bilinear transform z = (4 + p) / (4 - p) (sample rate normalised to 2);
     all zeros land on z = -1. DEFAULT_FILTER_ORDER is even, so each section
     holds one upper-half-plane pole and its conjugate; sections farthest
-    from the unit circle come first, and the overall gain sits on the first
-    numerator.
+    from the unit circle come first.
     """
     fs = 1.0 / dt  # sample rate in MHz for time in us
     if fs < 10.0 * DEFAULT_FILTER_CUTOFF_MHZ:
@@ -280,13 +278,25 @@ def _design_lowpass(dt: float) -> np.ndarray:
     gain = warped**n * (1.0 / np.prod(4.0 - analog)).real
     poles = (4.0 + analog) / (4.0 - analog)
     upper = poles[poles.imag > 0]
-    upper = upper[np.argsort(-np.abs(1.0 - np.abs(upper)))]
+    return upper[np.argsort(-np.abs(1.0 - np.abs(upper)))], gain
+
+
+def _sections(upper: np.ndarray, gain: float) -> np.ndarray:
+    """Second-order sections (b0, b1, b2, 1, a1, a2) of the poles and gain
+    of _lowpass_poles, in the layout and section order of scipy's
+    butter(..., output="sos"); the overall gain sits on the first numerator.
+    """
     sos = np.empty((len(upper), 6))
     sos[:, :4] = [1.0, 2.0, 1.0, 1.0]
     sos[:, 4] = -2.0 * upper.real
     sos[:, 5] = (upper * upper.conj()).real
     sos[0, :3] *= gain
     return sos
+
+
+def _design_lowpass(dt: float) -> np.ndarray:
+    """Second-order sections of the readout filter at step dt."""
+    return _sections(*_lowpass_poles(dt))
 
 
 def lowpass(trace: PLTrace) -> PLTrace:
@@ -355,9 +365,12 @@ def _filter_state_space(dt: float):
     [[sigma, omega], [-omega, sigma]], input [1, 0] and output
     [beta1, -(beta2 + beta1 sigma) / omega]. Unlike the direct-form
     states, this realization stays well conditioned as the poles crowd
-    towards z = 1 at high sample rates.
+    towards z = 1 at high sample rates. sigma and omega are the bilinear
+    poles themselves: omega = sqrt(a2 - sigma^2) from the rounded section
+    coefficients would cancel to zero at small dt.
     """
-    sos = _design_lowpass(dt)
+    poles, gain = _lowpass_poles(dt)
+    sos = _sections(poles, gain)
     n = 2 * len(sos)
     f = np.zeros((n, n))
     g = np.zeros(n)
@@ -365,8 +378,7 @@ def _filter_state_space(dt: float):
     d = 1.0
     for k, (b0, b1, b2, _a0, a1, a2) in enumerate(sos):
         lo = 2 * k
-        sigma = -0.5 * a1
-        omega = math.sqrt(a2 - sigma * sigma)
+        sigma, omega = poles.real[k], poles.imag[k]
         beta1, beta2 = b1 - a1 * b0, b2 - a2 * b0
         # the section's input is the output d u + h z of those before it
         f[lo, :lo] = h[:lo]

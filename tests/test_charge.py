@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,13 @@ def test_charge_fraction_guards():
         charge_fraction(-0.1, 0.5)
     with pytest.raises(ValidationError):
         charge_fraction(0.5, 0.5, brightness_ratio=0.0)
+
+
+@pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan])
+def test_charge_fraction_refuses_a_non_finite_brightness_ratio(ratio):
+    # an infinite ratio would report psi = 0 for any NV0 weight
+    with pytest.raises(ValidationError, match="brightness_ratio must be finite and > 0"):
+        charge_fraction(0.5, 0.5, brightness_ratio=ratio)
 
 
 def test_decompose_to_psi_validity_flag():

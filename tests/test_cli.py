@@ -176,6 +176,16 @@ def test_strain_synth_analyze(tmp_path, capsys):
     assert len(payload["partitions"]) == 4
 
 
+def test_strain_synth_with_a_refused_config_writes_nothing(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SAMPLE_CFG.replace("psi = 0.2", "psi = 1.3"))
+    argv = ["strain", "synth", "--model", "stationary", "--shape", "32x32", "--seed", "1",
+            "--config", str(bad), "--out", str(tmp_path / "map.csv")]
+    assert main(argv) == 1
+    assert "psi" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
 def test_strain_analyze_uses_config_bath_rate(sample_cfg, tmp_path):
     map_path = tmp_path / "map.csv"
     main(["strain", "synth", "--model", "two-region", "--shape", "256x256",
@@ -243,6 +253,12 @@ def test_charge_decompose_refuses_a_bad_intensity(tmp_path, capsys, value, messa
     argv[-1] = value
     assert main(argv) == 1
     assert capsys.readouterr().err == f"nvsk: {message}\n"
+
+
+def test_charge_decompose_refuses_an_infinite_brightness_ratio(tmp_path, capsys):
+    assert main(charge_argv(tmp_path) + ["--brightness-ratio", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err == "nvsk: brightness_ratio must be finite and > 0, got inf\n"
 
 
 def test_sensitivity_optimal_n_curve(tmp_path):
@@ -347,6 +363,74 @@ def test_manifest_records_the_argv_given_to_main(tmp_path, sample_cfg):
         manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
         assert manifest["command"] == argv
     assert set(manifest["inputs"]) == {"sample_a", "table_a", "sample_b", "table_b"}
+
+
+def _regeneration_inputs(tmp_path):
+    """Every input file the commands below read, in tmp_path; the strain map
+    and Ramsey signal come from the synth commands at fixed seeds."""
+    (tmp_path / "s.cfg").write_text(SAMPLE_CFG)
+    (tmp_path / "low.csv").write_text(table_rows_to_csv_text(LOW_N_ROWS))
+    charge_argv(tmp_path)
+    assert main(["strain", "synth", "--model", "stationary", "--shape", "128x128",
+                 "--seed", "3", "--out", str(tmp_path / "in_map.csv")]) == 0
+    assert main(["ramsey", "synth", "--t2", "10", "--detuning", "1.3", "--seed", "1",
+                 "--noise-sigma", "4e-4", "--out", str(tmp_path / "in_signal.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, artifacts, inputs",
+    [
+        (["dephasing", "--config", "s.cfg", "--out", "budget.json"], ["budget.json"],
+         {"config"}),
+        (["sensitivity", "sweep", "--sample", "s.cfg", "--table", "low.csv",
+          "--grid", "1e-3:1e1:log:3", "--out", "curve.csv"], ["curve.csv"],
+         {"sample", "table"}),
+        (["sensitivity", "optimal-n", "--to-grid", "0.1:100:log:4", "--config", "s.cfg",
+          "--out", "n.csv"], ["n.csv"], {"config"}),
+        (["sensitivity", "compare", "--sample-a", "s.cfg", "--table-a", "low.csv",
+          "--sample-b", "s.cfg", "--table-b", "low.csv", "--grid", "1e-3:1e1:log:3",
+          "--out", "ratio.csv"], ["ratio.csv"],
+         {"sample_a", "table_a", "sample_b", "table_b"}),
+        (["photophysics", "simulate", "--intensity", "10", "--isat", "3", "--t-end", "5",
+          "--config", "s.cfg", "--out", "trace.csv"], ["trace.csv"], {"config"}),
+        (["photophysics", "ti-band", "--grid", "1:10:log:2", "--config", "s.cfg",
+          "--out", "band.csv"], ["band.csv"], {"config"}),
+        (["ramsey", "synth", "--t2", "8.6", "--detuning", "0.4", "--noise-sigma", "4e-4",
+          "--seed", "9", "--config", "s.cfg", "--out", "signal.csv"], ["signal.csv"],
+         {"config"}),
+        (["ramsey", "fit", "in_signal.csv", "--config", "s.cfg", "--out", "fit.json"],
+         ["fit.json"], {"config", "signal"}),
+        (["strain", "synth", "--model", "stationary", "--shape", "64x48", "--seed", "5",
+          "--config", "s.cfg", "--out", "map.csv"], ["map.csv", "map.json"], {"config"}),
+        (["strain", "analyze", "in_map.csv", "--sizes", "96:384:log:3", "--config", "s.cfg",
+          "--out", "stats.json"], ["stats.json"], {"config", "map"}),
+        (["charge", "decompose", "--measured", "m.csv", "--basis-minus", "bm.csv",
+          "--basis-zero", "b0.csv", "--config", "s.cfg", "--out", "psi.json"], ["psi.json"],
+         {"config", "measured", "basis_minus", "basis_zero"}),
+    ],
+    ids=["dephasing", "sensitivity-sweep", "sensitivity-optimal-n", "sensitivity-compare",
+         "photophysics-simulate", "photophysics-ti-band", "ramsey-synth", "ramsey-fit",
+         "strain-synth", "strain-analyze", "charge-decompose"],
+)
+def test_manifest_command_regenerates_the_artifact(
+    tmp_path, monkeypatch, argv, artifacts, inputs
+):
+    monkeypatch.chdir(tmp_path)
+    _regeneration_inputs(tmp_path)
+    assert main(argv) == 0
+    written = {name: (tmp_path / name).read_bytes() for name in artifacts}
+    sidecar = tmp_path / f"{artifacts[0]}.manifest.json"
+    manifest = json.loads(sidecar.read_text())
+    assert set(manifest["inputs"]) == inputs
+    assert manifest["seed"] == (int(argv[argv.index("--seed") + 1])
+                                if "--seed" in argv else None)
+    for name in [*artifacts, sidecar.name]:
+        (tmp_path / name).unlink()
+    assert main(manifest["command"]) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in artifacts} == written
+    again = json.loads(sidecar.read_text())
+    assert again["inputs"] == manifest["inputs"]
+    assert (again["command"], again["seed"]) == (manifest["command"], manifest["seed"])
 
 
 def test_photophysics_simulate(tmp_path):
@@ -499,6 +583,10 @@ def test_usage_error_exit_code(capsys):
         ["strain", "synth", "--model", "stationary", "--shape", "100000x100000"],
         ["strain", "analyze", "{map}", "--sizes", "12:96:log:3", "--bin-width-khz", "1e300"],
         ["photophysics", "ti-band", "--grid", "1e200:1e201:log:2"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "5",
+         "--dt", "0"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "0",
+         "--dt", "0.001"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):

@@ -10,6 +10,7 @@ from scipy.linalg import expm, null_space
 
 from nvsk.errors import ValidationError
 from nvsk.photophysics import (
+    DEFAULT_FILTER_CUTOFF_MHZ,
     GROUND_MS0,
     GROUND_MS_PM1,
     ContrastCurve,
@@ -19,6 +20,7 @@ from nvsk.photophysics import (
     _contrast_arrays,
     _design_lowpass,
     _expm,
+    _filter_state_space,
     _mean3,
     contrast_trace,
     default_trace_window,
@@ -200,6 +202,24 @@ def test_filter_design_matches_scipy_butter():
         assert np.all(np.abs(sos - oracle) <= 4 * eps * np.abs(oracle))
 
 
+@pytest.mark.parametrize("intensity", [1e-3, 1.0, 1e3, 1e6, 1e9])
+def test_filter_state_space_response_matches_the_butterworth_closed_form(intensity):
+    # |H(e^iw)| = 1 / sqrt(1 + (tan(w/2) / tan(pi fc dt))^8) at the
+    # resolution-limited step, where the poles crowd towards z = 1 as the
+    # pumping grows. Float poles lie within eps of z = 1 only to about
+    # eps / tan(pi fc dt) relative, which bounds the response's accuracy.
+    dt = max_stable_dt(PARAMS, saturation_parameter(intensity, 1.0))
+    f, g, h, d = _filter_state_space(dt)
+    warped = math.tan(math.pi * DEFAULT_FILTER_CUTOFF_MHZ * dt)
+    tol = 10.0 * np.finfo(float).eps / warped
+    for ratio in (0.0, 0.5, 1.0, 2.0, 4.0):  # tan(w/2) / tan(pi fc dt)
+        z = np.exp(2j * math.atan(ratio * warped))
+        response = d + h @ np.linalg.solve(z * np.eye(len(f)) - f, g)
+        assert abs(response) * math.sqrt(1.0 + ratio**8) == pytest.approx(1.0, abs=tol)
+        if ratio == 0.0:
+            assert response == pytest.approx(1.0, abs=tol)  # unity DC gain
+
+
 def test_three_sample_mean_matches_scipy_uniform_filter():
     from scipy.ndimage import uniform_filter1d
 
@@ -294,6 +314,16 @@ def test_ti_band_ordering_and_saturation():
     assert rel_width[-1] < rel_width[0]
     # finite and positive at s = 1
     assert initialization_time(contrast_trace(PARAMS, 1.0, 1.0)) > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_ti_band_holds_at_extreme_pumping():
+    # steps of ~1e-9 and ~1e-11 us, where the filter poles sit within ~1e-9
+    # of z = 1: the band stays finite, ordered and at its saturated level
+    band = ti_band(PARAMS, [1e7, 1e9])
+    assert np.all((0 < band.lower) & (band.lower <= band.upper))
+    saturated = ti_band(PARAMS, [1e5])
+    assert band.upper == pytest.approx(saturated.upper[0], rel=1e-4)
 
 
 def test_contrast_trace_refuses_unbounded_grids():
