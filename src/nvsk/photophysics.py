@@ -158,6 +158,11 @@ def _check_grid(params, s, t_end, dt):
             f"required dt <= {limit:.6g} us"
         )
     n_steps = int(math.ceil(t_end / dt - 1e-9))
+    if n_steps < 1:
+        raise ValidationError(
+            f"t_end = {t_end:g} us is shorter than one step dt = {dt:g} us; "
+            "a trace needs at least two samples"
+        )
     return n_steps
 
 

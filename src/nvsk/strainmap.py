@@ -11,6 +11,7 @@ whether enlarging the sensor keeps paying off.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,6 +26,10 @@ ORIENTATIONS = ("nv1", "nv2", "nv3", "nv4")
 _MIN_PIXELS_FOR_FIT = 100
 _MIN_TILE_PIXELS = 4
 _HISTOGRAM_HALF_RANGE_IQR = 20.0
+# The solver's trust-region step squares dot products of the parameter
+# vector, so the largest parameter, the amplitude peak count x (FWHM/2)^2,
+# meets its fourth power; keep that 256 times below the largest double.
+_MAX_AMPLITUDE = (sys.float_info.max / 256.0) ** 0.25
 
 
 @dataclass
@@ -161,6 +166,12 @@ def histogram_fwhm(
         finite = np.isfinite(resid(x0)).all() and np.isfinite(jac(x0)).all()
     if not finite:
         raise _out_of_range(bin_w)
+    if not x0[2] < _MAX_AMPLITUDE:
+        raise ValidationError(
+            f"bin width {bin_w:g} kHz takes the Lorentzian fit out of floating-point "
+            f"range: its amplitude, peak count x (FWHM/2)^2 = {x0[2]:.3g}, must stay "
+            f"below (largest double / 256)^(1/4) = {_MAX_AMPLITUDE:.3g}"
+        )
     result = least_squares(
         resid,
         x0,

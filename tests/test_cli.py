@@ -193,7 +193,7 @@ def test_strain_analyze_uses_config_bath_rate(sample_cfg, tmp_path):
     out = tmp_path / "stats.json"
     assert (
         main(
-            ["strain", "analyze", str(map_path), "--sizes", "384:1536:log:3",
+            ["strain", "analyze", str(map_path), "--sizes", "768:1536:log:3",
              "--config", sample_cfg, "--out", str(out)]
         )
         == 0
@@ -587,6 +587,8 @@ def test_usage_error_exit_code(capsys):
          "--dt", "0"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "0",
          "--dt", "0.001"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "1e-12"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "1e-300"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
@@ -598,6 +600,22 @@ def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nvsk: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_strain_bin_widths_fit_or_refuse_without_warnings(tmp_path, capsys):
+    # warnings are errors here, so an overflow inside the solver fails the test
+    map_path = tmp_path / "map.csv"
+    assert main(["strain", "synth", "--model", "stationary", "--shape", "256x256",
+                 "--seed", "3", "--out", str(map_path)]) == 0
+    outcomes = set()
+    for width in 10.0 ** np.arange(-3, 301, 3):
+        rc = main(["strain", "analyze", str(map_path), "--sizes", "768:1536:log:3",
+                   "--bin-width-khz", repr(float(width)), "--out", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err
+        if rc:
+            assert rc in (1, 2) and err.startswith("nvsk: ") and err.count("\n") == 1
+        outcomes.add(rc)
+    assert outcomes == {0, 1, 2}
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nvsk import dataio
 from nvsk.dataio import (
     _CSV_BLOCK_ROWS,
+    _KERNEL_MIN_CELLS,
+    _float_rows,
     FLOAT_FORMAT,
     RunManifest,
     emit_csv,
@@ -142,6 +147,101 @@ def test_emit_csv_matches_per_cell_oracle(tmp_path, n):
     assert path.read_bytes() == per_cell_csv(columns)
 
 
+def per_cell_rows(block) -> bytes:
+    """Oracle for _float_rows: each row after a newline, cell by cell."""
+    return "".join(
+        "\n" + ",".join(FLOAT_FORMAT % float(v) for v in row) for row in block
+    ).encode("ascii")
+
+
+def kernel_block(values, width=3):
+    """All of values, repeated into a block large enough for the numpy kernel."""
+    values = np.asarray(values)
+    rows = -(-max(_KERNEL_MIN_CELLS, values.size) // width)
+    return np.resize(values, (rows, width))
+
+
+def assert_kernel_matches(values, width=3):
+    block = kernel_block(values, width)
+    assert bytes(_float_rows(block)) == per_cell_rows(block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64), st.integers(1, 7))
+@example([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf], 3)
+def test_float_rows_match_percent_format(values, width):
+    assert_kernel_matches(values, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(width=32), min_size=1, max_size=64), st.integers(1, 7))
+def test_float_rows_match_percent_format_float32(values, width):
+    assert_kernel_matches(np.array(values, dtype=np.float32), width)
+
+
+def directed_floats():
+    values = [0.0, -0.0, 5e-324, 1e-4, 1e9, 999999999.5, 9.9999999995e8, 123456789.5]
+    for k in range(-5, 11):
+        p = 10.0**k
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+        values += [p * (1.0 + j * 1e-9) for j in range(-9, 10)]
+    # scaled mantissas q + 1/2 and the doubles one and two ulps either side
+    rng = np.random.default_rng(7)
+    for exp in range(-5, 10):
+        for q in rng.integers(10**8, 10**9, 20).tolist() + [10**8, 10**9 - 1]:
+            half = (q + 0.5) * 10.0 ** (exp - 8)
+            below = np.nextafter(half, 0.0)
+            above = np.nextafter(half, math.inf)
+            values += [half, below, above, np.nextafter(below, 0.0),
+                       np.nextafter(above, math.inf)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_float_rows_directed_cases(width):
+    assert_kernel_matches(directed_floats(), width)
+
+
+def test_float_rows_exact_when_the_decade_is_one_off(monkeypatch):
+    # log10 may round across a power of ten: a decade off either way must
+    # leave the cell to %, not print other digits
+    decade = dataio._decade
+    rng = np.random.default_rng(3)
+
+    def one_off(a, out):
+        decade(a, out)
+        out += rng.integers(-1, 2, out.shape)
+
+    monkeypatch.setattr(dataio, "_decade", one_off)
+    assert_kernel_matches(directed_floats(), 3)
+
+
+def test_float_rows_random_doubles():
+    rng = np.random.default_rng(11)
+    n = 200_000
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 14, n)
+    values[::5] = np.round(values[::5], rng.integers(0, 8))  # trailing zeros
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    for width in (1, 3, 4):
+        block = np.concatenate([values, bits])[: (n // width) * width].reshape(-1, width)
+        assert bytes(_float_rows(block)) == per_cell_rows(block)
+
+
+@pytest.mark.parametrize("n", [0, 1, 170, 171, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+def test_emit_csv_float_columns_match_per_cell_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * 0.00746268657
+    columns = [
+        ("t_us", t),
+        ("pl", rng.standard_normal(n).astype(np.float32)),
+        ("contrast", 1.0 - 1e-3 * rng.random(n) * 10.0 ** rng.integers(-6, 3, n)),
+    ]
+    path = tmp_path / "floats.csv"
+    emit_csv(columns, path)
+    assert path.read_bytes() == per_cell_csv(columns)
+
+
 def test_emit_csv_rejects_non_column_values(tmp_path):
     with pytest.raises(ValidationError, match="one-dimensional"):
         emit_csv([("a", np.ones((3, 2)))], tmp_path / "x.csv")
@@ -262,6 +362,22 @@ def test_strain_map_roundtrip(tmp_path):
     assert not loaded.mask[3, 7]  # masked pixel stored as nan
     ok = loaded.mask
     assert np.allclose(loaded.values[ok], values[ok], rtol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (300, 257)])
+def test_save_strain_map_writes_what_savetxt_wrote(tmp_path, shape):
+    # cubed Cauchy draws: tails past 1e9 and below 1e-4 print in exponent notation
+    rng = np.random.default_rng(9)
+    values = 10.0 * rng.standard_cauchy(shape) ** 3
+    mask = rng.random(shape) > 0.05
+    save_strain_map(StrainMap(values=values, pixel_pitch_um=3.0, mask=mask), tmp_path / "m.csv")
+    oracle = tmp_path / "oracle.csv"
+    np.savetxt(oracle, np.where(mask, values, np.nan), delimiter=",", fmt=FLOAT_FORMAT,
+               newline="\n")
+    written = (tmp_path / "m.csv").read_bytes()
+    assert written == oracle.read_bytes()
+    if shape[0] > 8:
+        assert b"nan" in written and b"e+" in written and b"e-" in written
 
 
 def test_strain_map_requires_sidecar(tmp_path):

@@ -106,6 +106,13 @@ def test_fit_refuses_an_overwide_bin_width_before_the_solver(width):
         histogram_fwhm(values, bin_width_khz=width)
 
 
+def test_fit_refuses_an_amplitude_whose_fourth_power_overflows():
+    # finite residuals and Jacobian, but the solver squares amplitude^2
+    values = np.random.default_rng(0).standard_cauchy(1000)
+    with pytest.raises(ValidationError, match=r"amplitude, peak count x \(FWHM/2\)\^2"):
+        histogram_fwhm(values, bin_width_khz=1e40)
+
+
 @pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
 def test_synth_refuses_a_map_above_the_pixel_limit(synth):
     args = (6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)
