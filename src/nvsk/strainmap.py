@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import least_squares  # perfbench wraps it to count tile fits; goes with a batched fit
+from .core import least_squares, scalar_pow
 from .dephasing import strain_rate_from_fwhm
 from .errors import ComputationError, ValidationError
 
@@ -30,6 +30,12 @@ _HISTOGRAM_HALF_RANGE_IQR = 20.0
 # vector, so the largest parameter, the amplitude peak count x (FWHM/2)^2,
 # meets its fourth power; keep that 256 times below the largest double.
 _MAX_AMPLITUDE = (sys.float_info.max / 256.0) ** 0.25
+_FIT_BOUNDS = ([-np.inf, 1e-12, 0.0, -np.inf], np.inf)  # FWHM > 0, amplitude >= 0
+# Most histogram bins (fits x bins) one stacked solve holds: an array
+# over them takes 256 KiB, and the solver holds a few dozen (the Jacobian
+# and the SVD's factors take four each). Larger stacks were no faster on
+# the benchmark's maps and raised its peak RSS.
+_FIT_CELLS = 1 << 15
 
 
 @dataclass
@@ -113,24 +119,111 @@ def _histogram_edges(n_values: int, q25, q50, q75, bin_width: Optional[float]):
 
 
 def _lorentzian_residual_and_jacobian(centers, counts):
-    def resid(x):
-        f0, fwhm, amp, off = x
-        return amp / ((centers - f0) ** 2 + (fwhm / 2.0) ** 2) + off - counts
+    """Residuals and Jacobian of Lorentzian fits to stacked histograms, one
+    per row of centers and counts."""
 
-    def jac(x):
-        f0, fwhm, amp, off = x
-        den = (centers - f0) ** 2 + (fwhm / 2.0) ** 2
+    def parts(x, rows):
+        f0, fwhm, amp, off = x.T[:, :, None]
+        # as scipy's per-histogram call squared its scalar half width
+        half_width_sq = scalar_pow(fwhm / 2.0, 2)
+        c = centers[rows]
+        return c, f0, fwhm, amp, off, (c - f0) ** 2 + half_width_sq
+
+    def resid(x, rows):
+        c, f0, fwhm, amp, off, den = parts(x, rows)
+        return amp / den + off - counts[rows]
+
+    def jac(x, rows):
+        c, f0, fwhm, amp, off, den = parts(x, rows)
         return np.stack(
             [
-                amp * 2.0 * (centers - f0) / den**2,
+                amp * 2.0 * (c - f0) / den**2,
                 -amp * (fwhm / 2.0) / den**2,
                 1.0 / den,
-                np.ones_like(centers),
+                np.ones_like(c),
             ],
-            axis=1,
+            axis=2,
         )
 
     return resid, jac
+
+
+class _Histogram(NamedTuple):
+    centers: np.ndarray
+    counts: np.ndarray
+    bin_width: float
+    x0: np.ndarray  # center, FWHM, amplitude, offset
+
+
+def _histogram(values, bin_width_khz: Optional[float], quartiles=None) -> _Histogram:
+    """Histogram shifts and set up their Lorentzian fit.
+
+    Non-finite entries are dropped, unless the quartiles of values are
+    given: values are then all finite and enough.
+    """
+    if quartiles is None:
+        values = values[np.isfinite(values)]
+        if len(values) < _MIN_PIXELS_FOR_FIT:
+            raise ValidationError(
+                f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(values)}"
+            )
+        _check_bin_width(bin_width_khz)
+        quartiles = np.percentile(values, [25.0, 50.0, 75.0])
+    q25, q50, q75 = quartiles
+    edges = _histogram_edges(len(values), q25, q50, q75, bin_width_khz)
+    counts, _ = np.histogram(values, bins=edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    counts = counts.astype(float)
+    bin_w = edges[1] - edges[0]
+
+    fwhm0 = max(q75 - q25, bin_w)
+    with np.errstate(over="ignore"):
+        x0 = np.array([q50, fwhm0, max(counts.max(), 1.0) * (fwhm0 / 2.0) ** 2, 0.0])
+    return _Histogram(centers, counts, bin_w, x0)
+
+
+def _stacked_fits(hists):
+    """Residual function, Jacobian and initial points of the fits to
+    histograms of one bin count."""
+    resid, jac = _lorentzian_residual_and_jacobian(
+        np.stack([h.centers for h in hists]), np.stack([h.counts for h in hists])
+    )
+    return resid, jac, np.stack([h.x0 for h in hists])
+
+
+def _refuse_out_of_range(hists) -> None:
+    """Raise for the first histogram, in order, whose fit starts out of
+    floating-point range.
+
+    An overwide bin width overflows the initial point, residuals or
+    Jacobian; refuse it here rather than inside the solver.
+    """
+    finite = np.empty(len(hists), dtype=bool)
+    for chunk in _chunks([len(h.counts) for h in hists]):
+        resid, jac, x0 = _stacked_fits([hists[i] for i in chunk])
+        rows = np.arange(len(chunk))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            finite[chunk] = (
+                np.isfinite(resid(x0, rows)).all(axis=1)
+                & np.isfinite(jac(x0, rows)).all(axis=(1, 2))
+            )
+    for hist, ok in zip(hists, finite):
+        if not ok:
+            raise _out_of_range(hist.bin_width)
+        if not hist.x0[2] < _MAX_AMPLITUDE:
+            raise ValidationError(
+                f"bin width {hist.bin_width:g} kHz takes the Lorentzian fit out of "
+                f"floating-point range: its amplitude, peak count x (FWHM/2)^2 = "
+                f"{hist.x0[2]:.3g}, must stay below (largest double / 256)^(1/4) = "
+                f"{_MAX_AMPLITUDE:.3g}"
+            )
+
+
+def _fit_lorentzians(hists):
+    """Fit a Lorentzian to each of histograms of one bin count, in one
+    stacked solve."""
+    resid, jac, x0 = _stacked_fits(hists)
+    return least_squares(resid, x0, jac, _FIT_BOUNDS, xtol=1e-10, ftol=1e-10, max_nfev=400)
 
 
 def histogram_fwhm(
@@ -141,58 +234,25 @@ def histogram_fwhm(
 
     Non-finite entries are dropped. Binning is Freedman-Diaconis unless a
     fixed width is given; initialization uses the sample median and
-    interquartile range, so the fit is deterministic.
+    interquartile range, so the fit is deterministic. The fit is
+    core.least_squares on one problem: scipy's trust-region reflective
+    least squares, run in numpy.
     """
-    values = np.asarray(values, dtype=float)
-    values = values[np.isfinite(values)]
-    if len(values) < _MIN_PIXELS_FOR_FIT:
-        raise ValidationError(
-            f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(values)}"
-        )
-    _check_bin_width(bin_width_khz)
-    q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-    edges = _histogram_edges(len(values), q25, q50, q75, bin_width_khz)
-    counts, _ = np.histogram(values, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    counts = counts.astype(float)
-    bin_w = edges[1] - edges[0]
-
-    fwhm0 = max(q75 - q25, bin_w)
-    resid, jac = _lorentzian_residual_and_jacobian(centers, counts)
-    # an overwide bin width overflows the initial point, residuals or
-    # Jacobian; refuse it here rather than inside the solver
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x0 = np.array([q50, fwhm0, max(counts.max(), 1.0) * (fwhm0 / 2.0) ** 2, 0.0])
-        finite = np.isfinite(resid(x0)).all() and np.isfinite(jac(x0)).all()
-    if not finite:
-        raise _out_of_range(bin_w)
-    if not x0[2] < _MAX_AMPLITUDE:
-        raise ValidationError(
-            f"bin width {bin_w:g} kHz takes the Lorentzian fit out of floating-point "
-            f"range: its amplitude, peak count x (FWHM/2)^2 = {x0[2]:.3g}, must stay "
-            f"below (largest double / 256)^(1/4) = {_MAX_AMPLITUDE:.3g}"
-        )
-    result = least_squares(
-        resid,
-        x0,
-        jac=jac,
-        bounds=([-np.inf, 1e-12, 0.0, -np.inf], [np.inf, np.inf, np.inf, np.inf]),
-        xtol=1e-10,
-        ftol=1e-10,
-        max_nfev=400,
-    )
-    f0, fwhm, amp, off = result.x
-    if fwhm < bin_w:
+    hist = _histogram(np.asarray(values, dtype=float), bin_width_khz)
+    _refuse_out_of_range([hist])
+    result = _fit_lorentzians([hist])
+    f0, fwhm, amp, off = result.x[0]
+    if fwhm < hist.bin_width:
         raise ComputationError(
             f"under-resolved linewidth: fitted FWHM {fwhm:g} kHz is below "
-            f"one bin width {bin_w:g} kHz"
+            f"one bin width {hist.bin_width:g} kHz"
         )
     return LorentzianFit(
         center_khz=float(f0),
         fwhm_khz=float(fwhm),
         amplitude=float(amp),
         offset=float(off),
-        residual_rms=float(np.sqrt(np.mean(result.fun**2))),
+        residual_rms=float(np.sqrt(np.mean(result.fun[0] ** 2))),
     )
 
 
@@ -273,24 +333,13 @@ def partition_sweep(
             raise ValidationError(
                 f"tile size {size:g} um ({n_px} px) exceeds the map extent"
             )
-        fwhms = []
-        skipped = 0
-        total = 0
-        for i in range(off_r, h - n_px + 1, n_px):
-            for k in range(off_c, w - n_px + 1, n_px):
-                total += 1
-                tile_vals = strain_map.values[i : i + n_px, k : k + n_px]
-                tile_mask = strain_map.mask[i : i + n_px, k : k + n_px]
-                vals = tile_vals[tile_mask]
-                if len(vals) < _MIN_PIXELS_FOR_FIT:
-                    skipped += 1
-                    continue
-                try:
-                    fit = histogram_fwhm(vals - vals.mean(), bin_width_khz)
-                except ComputationError:
-                    skipped += 1
-                    continue
-                fwhms.append(fit.fwhm_khz)
+        hists, skipped = _tile_histograms(strain_map, n_px, off_r, off_c, bin_width_khz)
+        fwhm = np.empty(len(hists))
+        for chunk in _chunks([len(hist.counts) for hist in hists]):
+            fwhm[chunk] = _fit_lorentzians([hists[i] for i in chunk]).x[:, 1]
+        # a fit narrower than one bin is unresolved: skipped
+        fwhms = [float(f) for f, hist in zip(fwhm, hists) if not f < hist.bin_width]
+        skipped += len(hists) - len(fwhms)
         if not fwhms:
             raise ComputationError(
                 f"no tile of size {size:g} um produced a usable linewidth"
@@ -299,11 +348,75 @@ def partition_sweep(
             PartitionStats(
                 size_um=float(size),
                 fwhms_khz=tuple(fwhms),
-                n_tiles=total,
+                n_tiles=len(fwhms) + skipped,
                 n_skipped=skipped,
             )
         )
     return stats
+
+
+def _tiles(grid: np.ndarray, n_px: int, off_r: int, off_c: int) -> np.ndarray:
+    """The whole n_px x n_px tiles of grid from (off_r, off_c): one row per
+    tile, tiles and the pixels in each in row-major order."""
+    h, w = grid.shape
+    rows, cols = (h - off_r) // n_px, (w - off_c) // n_px
+    block = grid[off_r : off_r + rows * n_px, off_c : off_c + cols * n_px]
+    return block.reshape(rows, n_px, cols, n_px).swapaxes(1, 2).reshape(rows * cols, -1)
+
+
+def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
+    """Histograms of the mean-subtracted valid shifts of every tile with
+    enough of them, in scan order, and the count of tiles skipped. The
+    first tile in scan order whose fit would leave floating-point range is
+    refused, as a tile-by-tile loop would refuse it.
+
+    Tiles with the same number of valid pixels share one row mean and one
+    percentile call, which give each tile's own values bit for bit.
+    """
+    values = _tiles(strain_map.values, n_px, off_r, off_c)
+    valid = _tiles(strain_map.mask, n_px, off_r, off_c)
+    n_valid = valid.sum(axis=1)
+    shifts = [None] * len(values)
+    quartiles = [None] * len(values)
+    for count in np.unique(n_valid[n_valid >= _MIN_PIXELS_FOR_FIT]):
+        group = np.flatnonzero(n_valid == count)
+        vals = values[group][valid[group]].reshape(group.size, count)
+        vals = vals - vals.mean(axis=1, keepdims=True)
+        # a mean that overflows leaves non-finite shifts: those tiles
+        # drop them and take their quartiles alone
+        finite = np.isfinite(vals).all(axis=1)
+        q = np.percentile(vals[finite], [25.0, 50.0, 75.0], axis=1)
+        for j, tile in enumerate(group[finite]):
+            quartiles[tile] = q[:, j]
+        for j, tile in enumerate(group):
+            shifts[tile] = vals[j]
+    hists, skipped, refused = [], 0, None
+    for tile_shifts, tile_quartiles in zip(shifts, quartiles):
+        if tile_shifts is None:
+            skipped += 1
+            continue
+        try:
+            hists.append(_histogram(tile_shifts, bin_width_khz, tile_quartiles))
+        except ComputationError:
+            skipped += 1
+        except ValidationError as exc:
+            refused = exc  # unless an earlier tile is refused first
+            break
+    _refuse_out_of_range(hists)
+    if refused is not None:
+        raise refused
+    return hists, skipped
+
+
+def _chunks(n_bins):
+    """Indices of the fits of each bin count, cut into stacks of at most
+    _FIT_CELLS bins (one fit at least)."""
+    n_bins = np.asarray(n_bins)
+    for count in np.unique(n_bins):
+        same = np.flatnonzero(n_bins == count)
+        size = max(_FIT_CELLS // count, 1)
+        for start in range(0, len(same), size):
+            yield same[start : start + size]
 
 
 @dataclass(frozen=True)

@@ -493,26 +493,25 @@ def _run_fresh(argv=None):
         ["photophysics", "ti-band", "--grid", "1:10:log:2", "--out", "{tmp}/band.csv"],
         ["strain", "synth", "--model", "two-region", "--shape", "64x64",
          "--out", "{tmp}/map.csv"],
+        ["strain", "analyze", "{map}", "--sizes", "96:384:log:3",
+         "--out", "{tmp}/stats.json"],
     ],
     ids=["import", "dephasing", "sensitivity-sweep", "sensitivity-optimal-n", "ti-band",
-         "strain-synth"],
+         "strain-synth", "strain-analyze"],
 )
 def test_command_loads_no_scipy_module(tmp_path, sample_cfg, argv):
     table = tmp_path / "low.csv"
     table.write_text(table_rows_to_csv_text(LOW_N_ROWS))
+    map_path = tmp_path / "synth_map.csv"
+    if argv is not None and "{map}" in argv:
+        assert main(["strain", "synth", "--model", "stationary", "--shape", "128x128",
+                     "--seed", "3", "--out", str(map_path)]) == 0
     if argv is not None:
-        argv = [a.format(tmp=tmp_path, cfg=sample_cfg, table=table) for a in argv]
+        argv = [a.format(tmp=tmp_path, cfg=sample_cfg, table=table, map=map_path)
+                for a in argv]
     code, loaded = _run_fresh(argv)
     assert code == (None if argv is None else 0)
     assert loaded == []
-
-
-def _strain_analyze_argv(tmp_path):
-    map_path = tmp_path / "map.csv"
-    assert main(["strain", "synth", "--model", "stationary", "--shape", "128x128",
-                 "--seed", "3", "--out", str(map_path)]) == 0
-    return ["strain", "analyze", str(map_path), "--sizes", "96:384:log:3",
-            "--out", str(tmp_path / "stats.json")]
 
 
 def _ramsey_fit_argv(tmp_path):
@@ -524,8 +523,8 @@ def _ramsey_fit_argv(tmp_path):
 
 @pytest.mark.parametrize(
     "make_argv",
-    [_strain_analyze_argv, charge_argv, _ramsey_fit_argv],
-    ids=["strain-analyze", "charge-decompose", "ramsey-fit"],
+    [charge_argv, _ramsey_fit_argv],
+    ids=["charge-decompose", "ramsey-fit"],
 )
 def test_solver_commands_load_scipy_optimize_when_they_run(tmp_path, make_argv):
     code, loaded = _run_fresh(make_argv(tmp_path))
@@ -581,7 +580,7 @@ def test_usage_error_exit_code(capsys):
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--noise-sigma", "-1"],
         ["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--noise-sigma", "nan"],
         ["strain", "synth", "--model", "stationary", "--shape", "100000x100000"],
-        ["strain", "analyze", "{map}", "--sizes", "12:96:log:3", "--bin-width-khz", "1e300"],
+        ["strain", "analyze", "{map}", "--sizes", "96:384:log:3", "--bin-width-khz", "1e300"],
         ["photophysics", "ti-band", "--grid", "1e200:1e201:log:2"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "5",
          "--dt", "0"],
@@ -600,6 +599,8 @@ def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nvsk: ") and err.count("\n") == 1 and "Traceback" not in err
+    if "--bin-width-khz" in argv:
+        assert err.startswith("nvsk: bin width 1e+300 kHz takes the Lorentzian fit")
 
 
 def test_strain_bin_widths_fit_or_refuse_without_warnings(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.optimize
 
+from nvsk import strainmap
 from nvsk.errors import ComputationError, ValidationError
 from nvsk.strainmap import (
     MAX_MAP_PIXELS,
@@ -209,3 +213,111 @@ def test_tile_offset_changes_tiling():
     shifted = partition_sweep(m, [128.0], tile_offset=(13, 13))
     assert base[0].n_tiles == shifted[0].n_tiles == 4
     assert base[0].fwhms_khz != shifted[0].fwhms_khz
+
+
+def _map_with_holes(synth, seed):
+    """A 256^2 map at 6 um pitch with a NaN block and scattered NaN pixels,
+    so tiles differ in their counts of valid pixels."""
+    args = (6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)
+    values = synth((256, 256), *args, seed=seed).values.copy()
+    values[:75, :50] = np.nan
+    values[np.random.default_rng(seed).random(values.shape) < 0.02] = np.nan
+    return StrainMap(values=values, pixel_pitch_um=6.0)
+
+
+def _per_tile_histograms(strain_map, n_px, offset, bin_width_khz):
+    """Tile by tile, in a plain loop: the reference for
+    strainmap._tile_histograms."""
+    h, w = strain_map.values.shape
+    hists, skipped = [], 0
+    for i in range(offset, h - n_px + 1, n_px):
+        for k in range(offset, w - n_px + 1, n_px):
+            tile = np.s_[i : i + n_px, k : k + n_px]
+            vals = strain_map.values[tile][strain_map.mask[tile]]
+            if len(vals) < 100:
+                skipped += 1
+                continue
+            try:
+                hists.append(strainmap._histogram(vals - vals.mean(), bin_width_khz))
+            except ComputationError:
+                skipped += 1
+    return hists, skipped
+
+
+@pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
+@pytest.mark.parametrize("n_px, offset, bin_width", [(16, 0, None), (32, 7, None), (32, 3, 2.0)])
+def test_tile_histograms_equal_the_per_tile_loop(synth, n_px, offset, bin_width):
+    m = _map_with_holes(synth, seed=5)
+    hists, skipped = strainmap._tile_histograms(m, n_px, offset, offset, bin_width)
+    ref, ref_skipped = _per_tile_histograms(m, n_px, offset, bin_width)
+    assert skipped == ref_skipped and len(hists) == len(ref)
+    assert len({len(h.counts) for h in hists}) > 1  # several bin counts: several stacks
+    for got, want in zip(hists, ref):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)  # bit for bit
+
+
+def _scipy_tile_fit(hist):
+    c, y = hist.centers, hist.counts
+
+    def fun(x):
+        f0, fwhm, amp, off = x
+        return amp / ((c - f0) ** 2 + (fwhm / 2.0) ** 2) + off - y
+
+    def jac(x):
+        f0, fwhm, amp, off = x
+        den = (c - f0) ** 2 + (fwhm / 2.0) ** 2
+        return np.stack([amp * 2.0 * (c - f0) / den**2, -amp * (fwhm / 2.0) / den**2,
+                         1.0 / den, np.ones_like(c)], axis=1)
+
+    return scipy.optimize.least_squares(
+        fun, hist.x0, jac=jac, bounds=([-np.inf, 1e-12, 0.0, -np.inf], np.inf),
+        xtol=1e-10, ftol=1e-10, max_nfev=400,
+    )
+
+
+@pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
+def test_every_tile_fit_matches_scipy(synth):
+    m = synth((256, 256), *((6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)),
+              seed=2)
+    for n_px in (16, 32):
+        hists, _ = strainmap._tile_histograms(m, n_px, 0, 0, None)
+        for chunk in strainmap._chunks([len(h.counts) for h in hists]):
+            result = strainmap._fit_lorentzians([hists[i] for i in chunk])
+            for row, i in enumerate(chunk):
+                ref = _scipy_tile_fit(hists[i])
+                assert result.nfevs[row] == ref.nfev
+                np.testing.assert_allclose(result.x[row], ref.x, rtol=1e-12, atol=0)
+
+
+def test_partition_sweep_memory_stays_within_the_fit_stacks():
+    # 64 tiles holding the same 256 shifts, so their histograms share one
+    # bin count: about 4,700 bins of 0.2 kHz, 300k in all. A stack of
+    # _FIT_CELLS = 32k bins holds about 1 MiB per parameter-wide array,
+    # and the 64 histograms take 5 MB; one stack of all 64 would take
+    # some 9 times the solver's share.
+    rng = np.random.default_rng(4)
+    shifts = 10.0 * rng.standard_cauchy(256)
+    tiles = np.array([rng.permutation(shifts).reshape(16, 16) for _ in range(64)])
+    values = tiles.reshape(8, 8, 16, 16).swapaxes(1, 2).reshape(128, 128)
+    m = StrainMap(values=values, pixel_pitch_um=1.0)
+    tracemalloc.start()
+    try:
+        stats = partition_sweep(m, [16.0], bin_width_khz=0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats[0].n_tiles == 64 and stats[0].n_skipped == 0
+    assert peak < 24e6
+
+
+def test_partition_refuses_the_first_out_of_range_tile_in_scan_order():
+    # at 1e40 kHz every tile's amplitude overflows; the message carries the
+    # tile's own peak count, which the holes make differ from tile to tile
+    m = _map_with_holes(synth_stationary, seed=5)
+    with pytest.raises(ValidationError, match="amplitude") as caught:
+        partition_sweep(m, [192.0], bin_width_khz=1e40)
+    first = _per_tile_histograms(m, 32, 0, 1e40)[0][0]
+    with pytest.raises(ValidationError) as expected:
+        strainmap._refuse_out_of_range([first])
+    assert str(caught.value) == str(expected.value)
