@@ -228,10 +228,11 @@ def least_squares(fun, x0, jac, bounds, *, xtol, ftol, gtol=1e-8, max_nfev) -> L
     agrees with scipy's, as it does for numpy 2.4 with scipy 1.17. bounds
     is (lower, upper), each a scalar or one value per parameter.
 
-    strainmap's tile fits call it as strainmap.least_squares, the name
-    perfbench's tracer wraps. It is defined here because the tracer also
-    wraps every public function strainmap defines, which would wrap it
-    twice and count each fit twice.
+    It is the one bounded solver of nvsk: ramsey.fit runs it on a stack
+    of one problem, and strainmap's tile fits call it as
+    strainmap.least_squares, the name perfbench's tracer wraps. It is
+    defined here because the tracer also wraps every public function
+    strainmap defines, which would wrap it twice and count each fit twice.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 2:

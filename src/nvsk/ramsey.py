@@ -6,10 +6,11 @@ equally weighted hyperfine-split cosine lines,
     S(tau) = baseline + amplitude * exp(-(tau/T2*)^p)
              * (1/n) * sum_j cos(2*pi*(detuning + j*a_hf)*tau + phi_j)
 
-with the line index j centered on zero. Fitting is one least-squares solve
-of the full model with its closed-form Jacobian, from T2* by log-envelope
-regression and from the reading of the spectrum's (detuning, splitting)
-that variable projection scores best; the whole procedure is deterministic.
+with the line index j centered on zero. Fitting is one core.least_squares
+solve of the full model with its closed-form Jacobian, from T2* by
+log-envelope regression and from the reading of the spectrum's (detuning,
+splitting) that variable projection scores best; deterministic, and numpy
+alone: scipy's least_squares is only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -21,13 +22,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .core import least_squares
+from .errors import ValidationError
 
 DEFAULT_HYPERFINE_MHZ = 2.16  # 14N triplet splitting, configurable
 
 _MIN_PERIODS = 8.0
 _MIN_SAMPLES_PER_PERIOD = 4.0
 _MAX_LINES = 8  # most lines `fit` takes: 4n(n-1) readings of n cosines per sample
+# fit bounds on (baseline, amplitude, T2* in us, p, detuning, splitting)
+_LOWER = np.array([-np.inf, 0.0, 1e-3, 0.5, 0.0, 0.0])
+_UPPER = np.array([np.inf, np.inf, 1e7, 3.0, np.inf, np.inf])
 
 
 @dataclass(frozen=True)
@@ -244,13 +249,15 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     strongest spectral peaks for the frequencies, log-envelope regression
     for T2*), then one trust-region least-squares solve over (baseline,
     amplitude, T2*, p, detuning, splitting) with phases fixed at zero and
-    the model's closed-form Jacobian. Uncertainties come from the local
+    the model's closed-form Jacobian; one line does not depend on the
+    splitting, which then keeps its seed. Uncertainties come from the local
     curvature at the optimum. `n_evaluations` counts the residual
     evaluations of that one solve; Jacobian evaluations are not counted.
 
     tau must be finite, >= 0 and non-decreasing with a positive median
     step (a first delay of 0 and some repeated delays are accepted); the
-    signal must be finite; n_hyperfine must lie in [1, 8].
+    signal must be finite; n_hyperfine must lie in [1, 8]. The T2* seed
+    must lie within the fit's bounds, [1e-3, 1e7] us.
     """
     if n_hyperfine < 1:
         raise ValidationError(f"n_hyperfine must be >= 1, got {n_hyperfine}")
@@ -296,42 +303,43 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
             f"{_MIN_SAMPLES_PER_PERIOD:g} samples per period of the fastest line"
         )
 
-    from scipy.optimize import least_squares
+    if not _LOWER[2] <= t2_0 <= _UPPER[2]:
+        raise ValidationError(
+            f"T2* seed {t2_0:.3g} us lies outside the fit's bounds "
+            f"[{_LOWER[2]:g}, {_UPPER[2]:g}] us: tau must be in microseconds"
+        )
+    x0 = np.array([baseline0, amp0, t2_0, 1.0, max(det0, 1e-6), max(a0, 1e-6)])
+    # one line does not depend on the splitting, whose zero Jacobian column
+    # would stall the solve: it is left out and keeps its seed
+    n = 6 if n_hyperfine > 1 else 5
 
-    # scipy asks for the Jacobian at the x whose residual it has just
+    # the solver asks for the Jacobian at the x whose residual it has just
     # evaluated, so the terms of that evaluation are kept and reused
     last = [None, None]  # x and the model terms at x
 
-    def terms(x):
+    def terms(free):
+        x = np.concatenate([free[0], x0[n:]])
         if not np.array_equal(x, last[0]):
-            last[:] = x.copy(), _model_terms(tau, j, x)
-        return last[1]
+            last[:] = x, _model_terms(tau, j, x)
+        return last
 
-    lower = [-np.inf, 0.0, 1e-3, 0.5, 0.0, 0.0]
-    upper = [np.inf, np.inf, 1e7, 3.0, np.inf, np.inf]
-    x0 = [baseline0, amp0, t2_0, 1.0, max(det0, 1e-6), max(a0, 1e-6)]
-    best = least_squares(
-        lambda x: _model(x, terms(x)) - signal,
-        x0,
-        jac=lambda x: _jacobian(tau, j, x, terms(x)),
-        bounds=(lower, upper),
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=200 * (len(x0) + 1),
-    )
-    if not np.all(np.isfinite(best.x)):
-        raise ComputationError(f"fit did not converge after {best.nfev} evaluations")
+    def residuals(free, rows):
+        return (_model(*terms(free)) - signal)[None]
 
-    base, amp, t2, p, det, split = best.x
-    dof = max(1, len(signal) - 6)
-    s2 = 2.0 * best.cost / dof
-    jtj = best.jac.T @ best.jac
-    cov = s2 * np.linalg.pinv(jtj)
+    def jacobian(free, rows):
+        return _jacobian(tau, j, *terms(free))[None, :, :n]
+
+    best = least_squares(residuals, x0[None, :n], jacobian, (_LOWER[:n], _UPPER[:n]),
+                         xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=200 * (n + 1))
+    x, best_terms = terms(best.x)
+    base, amp, t2, p, det, split = x
+    residual = best.fun[0]
+    dof = max(1, len(signal) - n)
+    s2 = np.dot(residual, residual) / dof
+    jac = jacobian(best.x, None)[0]
+    cov = s2 * np.linalg.pinv(jac.T @ jac)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
     freqs = det + j * split
-    best_terms = _model_terms(tau, j, best.x)
-    residual = _model(best.x, best_terms) - signal
     return RamseyFitResult(
         t2_star=float(t2),
         t2_star_sigma=float(sigmas[2]),

@@ -495,9 +495,10 @@ def _run_fresh(argv=None):
          "--out", "{tmp}/map.csv"],
         ["strain", "analyze", "{map}", "--sizes", "96:384:log:3",
          "--out", "{tmp}/stats.json"],
+        ["ramsey", "fit", "{signal}", "--out", "{tmp}/fit.json"],
     ],
     ids=["import", "dephasing", "sensitivity-sweep", "sensitivity-optimal-n", "ti-band",
-         "strain-synth", "strain-analyze"],
+         "strain-synth", "strain-analyze", "ramsey-fit"],
 )
 def test_command_loads_no_scipy_module(tmp_path, sample_cfg, argv):
     table = tmp_path / "low.csv"
@@ -506,26 +507,19 @@ def test_command_loads_no_scipy_module(tmp_path, sample_cfg, argv):
     if argv is not None and "{map}" in argv:
         assert main(["strain", "synth", "--model", "stationary", "--shape", "128x128",
                      "--seed", "3", "--out", str(map_path)]) == 0
+    signal = tmp_path / "signal.csv"
+    if argv is not None and "{signal}" in argv:
+        assert main(["ramsey", "synth", "--t2", "10", "--detuning", "1.3", "--seed", "1",
+                     "--noise-sigma", "4e-4", "--out", str(signal)]) == 0
     if argv is not None:
-        argv = [a.format(tmp=tmp_path, cfg=sample_cfg, table=table, map=map_path)
-                for a in argv]
+        argv = [a.format(tmp=tmp_path, cfg=sample_cfg, table=table, map=map_path,
+                         signal=signal) for a in argv]
     code, loaded = _run_fresh(argv)
     assert code == (None if argv is None else 0)
     assert loaded == []
 
 
-def _ramsey_fit_argv(tmp_path):
-    signal = tmp_path / "signal.csv"
-    assert main(["ramsey", "synth", "--t2", "10", "--detuning", "1.3", "--seed", "1",
-                 "--noise-sigma", "4e-4", "--out", str(signal)]) == 0
-    return ["ramsey", "fit", str(signal), "--out", str(tmp_path / "fit.json")]
-
-
-@pytest.mark.parametrize(
-    "make_argv",
-    [charge_argv, _ramsey_fit_argv],
-    ids=["charge-decompose", "ramsey-fit"],
-)
+@pytest.mark.parametrize("make_argv", [charge_argv], ids=["charge-decompose"])
 def test_solver_commands_load_scipy_optimize_when_they_run(tmp_path, make_argv):
     code, loaded = _run_fresh(make_argv(tmp_path))
     assert code == 0
@@ -588,6 +582,7 @@ def test_usage_error_exit_code(capsys):
          "--dt", "0.001"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "1e-12"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "1e-300"],
+        ["ramsey", "fit", "{signal}"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
@@ -596,11 +591,20 @@ def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
         assert main(["strain", "synth", "--model", "stationary", "--shape", "128x128",
                      "--seed", "3", "--out", str(map_path)]) == 0
         argv = [str(map_path) if a == "{map}" else a for a in argv]
+    if "{signal}" in argv:
+        # a 0.9 ns record, whose T2* seed lies below the fit's bounds
+        signal = tmp_path / "signal.csv"
+        assert main(["ramsey", "synth", "--t2", "0.0003", "--detuning", "20000",
+                     "--splitting", "2160", "--dtau", "0.00001", "--tau-end", "0.0009",
+                     "--out", str(signal)]) == 0
+        argv = [str(signal) if a == "{signal}" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nvsk: ") and err.count("\n") == 1 and "Traceback" not in err
     if "--bin-width-khz" in argv:
         assert err.startswith("nvsk: bin width 1e+300 kHz takes the Lorentzian fit")
+    if "fit" in argv:
+        assert err.startswith("nvsk: T2* seed 0.000409 us lies outside the fit's bounds")
 
 
 def test_strain_bin_widths_fit_or_refuse_without_warnings(tmp_path, capsys):

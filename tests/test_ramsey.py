@@ -296,21 +296,90 @@ def test_fit_recovers_detuning_sweep(detuning, t2, noise):
 
 
 def test_fit_is_one_short_solve(monkeypatch):
-    import scipy.optimize
-
     calls = []
-    solve = scipy.optimize.least_squares
+    solve = nvsk.ramsey.least_squares
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    monkeypatch.setattr(nvsk.ramsey, "least_squares", counted)
     tau = synth_grid(8.6)
     result = fit(tau, synthesize(standard_model(t2_star=8.6, detuning=0.25, p=2.0), tau))
     assert len(calls) == 1
     assert result.n_evaluations < 50
     assert result.t2_star == pytest.approx(8.6, rel=1e-9)
+
+
+def _assert_port_matches_scipy(monkeypatch, tau, signal, n_hyperfine=3):
+    """Fit the signal, solving the problem the fit hands its solver also with
+    scipy.optimize.least_squares on the same arguments, and compare."""
+    from scipy.optimize import least_squares as oracle
+
+    solve, solves = nvsk.ramsey.least_squares, []
+
+    def both(fun, x0, jac, bounds, **kwargs):
+        rows = np.arange(1)
+        expected = oracle(lambda x: fun(x[None], rows)[0], x0[0],
+                          jac=lambda x: jac(x[None], rows)[0], bounds=bounds, **kwargs)
+        solves.append((solve(fun, x0, jac, bounds, **kwargs), expected))
+        return solves[-1][0]
+
+    monkeypatch.setattr(nvsk.ramsey, "least_squares", both)
+    fit(tau, signal, n_hyperfine)
+    [(port, expected)] = solves
+    assert np.allclose(port.x[0], expected.x, rtol=1e-12, atol=0.0)
+    assert port.nfevs[0] == expected.nfev
+    assert port.status[0] == expected.status
+
+
+@pytest.mark.parametrize(
+    "t2, detuning, p, noise, lines",
+    [(17.7, 0.4, 1.0, 0.0, 3), (17.7, 0.4, 1.0, 4e-4, 3), (8.6, 0.25, 2.0, 4e-4, 3),
+     (5.0, 1.7, 1.5, 4e-4, 3), (20.0, 0.7, 1.0, 1e-4, 3), (10.0, 1.3, 1.0, 4e-4, 1)],
+)
+def test_fit_solver_matches_scipy_least_squares(monkeypatch, t2, detuning, p, noise, lines):
+    tau = synth_grid(t2)
+    model = standard_model(t2_star=t2, detuning=detuning, p=p, n_hyperfine=lines)
+    _assert_port_matches_scipy(monkeypatch, tau, synthesize(model, tau, noise, seed=2), lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t2=st.floats(5.0, 20.0),
+    detuning=st.floats(0.3, 2.0),
+    p=st.floats(0.8, 2.5),
+    noise=st.sampled_from([0.0, 1e-4, 4e-4]),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_solver_matches_scipy_least_squares_on_random_signals(t2, detuning, p, noise, seed):
+    tau = synth_grid(t2)
+    signal = synthesize(standard_model(t2_star=t2, detuning=detuning, p=p), tau, noise, seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            _assert_port_matches_scipy(monkeypatch, tau, signal)
+        except ValidationError:
+            assume(False)  # refused before the solve: nothing to compare
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("t2", [5.0, 10.0, 20.0])
+def test_one_line_fits_converge(t2, p):
+    # one line does not depend on the splitting; with it in the solve its
+    # zero Jacobian column stalled the trust-region steps to max_nfev
+    tau = synth_grid(t2)
+    for detuning in np.linspace(0.1, 2.0, 12):
+        if detuning * (tau[-1] - tau[0]) < 8.0:
+            continue  # under-sampled: too few periods to fit
+        for noise in (0.0, 4e-4):
+            model = standard_model(t2_star=t2, detuning=detuning, p=p, n_hyperfine=1)
+            result = fit(tau, synthesize(model, tau, noise, seed=1), n_hyperfine=1)
+            assert result.n_evaluations < 50
+            assert result.t2_star == pytest.approx(t2, rel=0.05)
+            assert result.p == pytest.approx(p, rel=0.05)
+            assert result.detuning == pytest.approx(detuning, rel=1e-3)
+            assert result.hyperfine_splitting == DEFAULT_HYPERFINE_MHZ
+            assert result.frequencies == (result.detuning,)
 
 
 def test_fit_accepts_lines_merged_at_half_the_splitting():
