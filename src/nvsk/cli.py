@@ -316,8 +316,9 @@ def cmd_strain_analyze(args):
         )
     else:
         other_rate = 0.0
-    valid = strain_map.valid_values
-    full_fit = strainmap.histogram_fwhm(valid - valid.mean(), args.bin_width_khz)
+    full_fit = strainmap.histogram_fwhm(
+        strainmap.mean_subtracted(strain_map.valid_values), args.bin_width_khz
+    )
     stats = strainmap.partition_sweep(
         strain_map,
         sizes,

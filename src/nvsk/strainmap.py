@@ -101,23 +101,6 @@ def _out_of_range(bin_width) -> ValidationError:
     )
 
 
-def _histogram_edges(n_values: int, q25, q50, q75, bin_width: Optional[float]):
-    iqr = q75 - q25
-    if bin_width is None:
-        # Freedman-Diaconis; heavy-tailed inputs are windowed around the
-        # median so the bin count stays proportionate to the core.
-        if iqr <= 0:
-            raise ComputationError("under-resolved linewidth: zero interquartile range")
-        bin_width = 2.0 * iqr / n_values ** (1.0 / 3.0)
-    half = _HISTOGRAM_HALF_RANGE_IQR * max(iqr, bin_width)
-    lo, hi = q50 - half, q50 + half
-    if not math.isfinite(hi - lo):
-        raise _out_of_range(bin_width)
-    n_bins = int(np.ceil((hi - lo) / bin_width))
-    n_bins = min(max(n_bins, 8), 200_000)
-    return np.linspace(lo, hi, n_bins + 1)
-
-
 def _lorentzian_residual_and_jacobian(centers, counts):
     """Residuals and Jacobian of Lorentzian fits to stacked histograms, one
     per row of centers and counts."""
@@ -148,6 +131,68 @@ def _lorentzian_residual_and_jacobian(centers, counts):
     return resid, jac
 
 
+def _overflowing_mean(n_values: int) -> ValidationError:
+    return ValidationError(
+        f"strain shifts overflow: the mean of {n_values:,} valid pixels is not finite"
+    )
+
+
+def _subtract_means(values: np.ndarray) -> np.ndarray:
+    """Subtract from each row of values (along its last axis) the row's
+    mean, in place; returns which means are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=-1, keepdims=True)
+        values -= means
+    return np.isfinite(means[..., 0])
+
+
+def mean_subtracted(values) -> np.ndarray:
+    """A 1-D array of shifts less its mean, as a new array. Shifts whose
+    mean overflows are refused."""
+    shifts = np.array(values, dtype=float)
+    if not _subtract_means(shifts):
+        raise _overflowing_mean(len(shifts))
+    return shifts
+
+
+def _sorted_quartiles(rows: np.ndarray):
+    """np.percentile(rows, [25, 50, 75], axis=1), bit for bit, of rows
+    sorted along axis 1, each at least two long: numpy's linear rule on the
+    order statistics a and b around each quartile's fractional index t,
+    a + (b - a) t, or b - (b - a) (1 - t) when t >= 1/2."""
+    n = rows.shape[1]
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        index = (n - 1) * q
+        i = math.floor(index)
+        t = index - i
+        a, b = rows[:, i], rows[:, i + 1]
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return quartiles
+
+
+def _linspace_rows(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], num) as row i, bit for bit, by linspace's
+    own rule: arange(num) * step + lo, the last point set to hi. Where the
+    step underflows to zero, linspace takes another rule, which agrees
+    only where hi equals lo; a positive bin width leaves no other case."""
+    step = (hi - lo) / (num - 1)
+    edges = np.arange(num, dtype=float) * step[:, None]
+    edges += lo[:, None]
+    edges[:, -1] = hi
+    return edges
+
+
+def _sorted_counts(row: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram(row, edges)[0] of a sorted row: differences of where
+    each edge falls in the row, on the left of every edge but the last and
+    on the right of the last, as np.histogram counts."""
+    below = row.searchsorted(edges)
+    below[-1] = row.searchsorted(edges[-1], "right")
+    return below[1:] - below[:-1]
+
+
 class _Histogram(NamedTuple):
     centers: np.ndarray
     counts: np.ndarray
@@ -155,31 +200,65 @@ class _Histogram(NamedTuple):
     x0: np.ndarray  # center, FWHM, amplitude, offset
 
 
-def _histogram(values, bin_width_khz: Optional[float], quartiles=None) -> _Histogram:
-    """Histogram shifts and set up their Lorentzian fit.
+def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]) -> list:
+    """Histograms of rows of sorted finite shifts, all of one length, with
+    the start points of their Lorentzian fits.
 
-    Non-finite entries are dropped, unless the quartiles of values are
-    given: values are then all finite and enough.
+    Returns per row its _Histogram, the ComputationError that skips it
+    (Freedman-Diaconis binning of a zero interquartile range) or the
+    ValidationError that refuses it (edges out of floating-point range).
+    The rows' quartiles come from their sorted columns, the edges of the
+    rows of one bin count from one array op, and each row's counts from
+    searchsorted on it.
     """
-    if quartiles is None:
-        values = values[np.isfinite(values)]
-        if len(values) < _MIN_PIXELS_FOR_FIT:
-            raise ValidationError(
-                f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(values)}"
-            )
-        _check_bin_width(bin_width_khz)
-        quartiles = np.percentile(values, [25.0, 50.0, 75.0])
-    q25, q50, q75 = quartiles
-    edges = _histogram_edges(len(values), q25, q50, q75, bin_width_khz)
-    counts, _ = np.histogram(values, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    counts = counts.astype(float)
-    bin_w = edges[1] - edges[0]
+    n = rows.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q25, q50, q75 = _sorted_quartiles(rows)
+        iqr = q75 - q25
+        if bin_width_khz is None:
+            # Freedman-Diaconis; heavy-tailed inputs are windowed around the
+            # median so the bin count stays proportionate to the core.
+            skip = iqr <= 0
+            width = 2.0 * iqr / n ** (1.0 / 3.0)
+        else:
+            skip = np.zeros(len(rows), dtype=bool)
+            width = np.full(len(rows), float(bin_width_khz))
+        half = _HISTOGRAM_HALF_RANGE_IQR * np.maximum(iqr, width)
+        lo, hi = q50 - half, q50 + half
+        # a width that underflows to zero leaves no bins to count in
+        refuse = ~skip & ~(np.isfinite(hi - lo) & (width > 0))
+        n_bins = np.clip(np.ceil((hi - lo) / width), 8, 200_000)
+    results = [None] * len(rows)
+    for i in np.flatnonzero(skip):
+        results[i] = ComputationError("under-resolved linewidth: zero interquartile range")
+    for i in np.flatnonzero(refuse):
+        results[i] = _out_of_range(width[i])
+    fitted = ~(skip | refuse)
+    for count in np.unique(n_bins[fitted]).astype(int):
+        same = np.flatnonzero(fitted & (n_bins == count))
+        edges = _linspace_rows(lo[same], hi[same], count + 1)
+        counts = np.empty((len(same), count))
+        for i, row_edges, row_counts in zip(same, edges, counts):
+            row_counts[:] = _sorted_counts(rows[i], row_edges)
+        centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        bin_w = edges[:, 1] - edges[:, 0]
+        fwhm0 = np.maximum(iqr[same], bin_w)
+        with np.errstate(over="ignore"):
+            amplitude = np.maximum(counts.max(axis=1), 1.0) * scalar_pow(fwhm0 / 2.0, 2)
+        x0 = np.stack([q50[same], fwhm0, amplitude, np.zeros(len(same))], axis=1)
+        for j, i in enumerate(same):
+            results[i] = _Histogram(centers[j], counts[j], bin_w[j], x0[j])
+    return results
 
-    fwhm0 = max(q75 - q25, bin_w)
-    with np.errstate(over="ignore"):
-        x0 = np.array([q50, fwhm0, max(counts.max(), 1.0) * (fwhm0 / 2.0) ** 2, 0.0])
-    return _Histogram(centers, counts, bin_w, x0)
+
+def _finite_histogram(values: np.ndarray, bin_width_khz: Optional[float]):
+    """The one entry of _histograms for the finite entries of a 1-D array
+    of shifts, or the ValidationError that refuses too few of them."""
+    shifts = values[np.isfinite(values)]
+    if len(shifts) < _MIN_PIXELS_FOR_FIT:
+        return ValidationError(f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(shifts)}")
+    shifts.sort()
+    return _histograms(shifts[None, :], bin_width_khz)[0]
 
 
 def _stacked_fits(hists):
@@ -232,13 +311,17 @@ def histogram_fwhm(
 ) -> LorentzianFit:
     """Histogram a 1-D array of shifts and fit a Lorentzian; returns the FWHM.
 
-    Non-finite entries are dropped. Binning is Freedman-Diaconis unless a
-    fixed width is given; initialization uses the sample median and
-    interquartile range, so the fit is deterministic. The fit is
-    core.least_squares on one problem: scipy's trust-region reflective
-    least squares, run in numpy.
+    Non-finite entries are dropped, and the rest are histogrammed as a
+    group of one tile: one sort gives the quartiles and the counts.
+    Binning is Freedman-Diaconis unless a fixed width is given;
+    initialization uses the sample median and interquartile range, so the
+    fit is deterministic. The fit is core.least_squares on one problem:
+    scipy's trust-region reflective least squares, run in numpy.
     """
-    hist = _histogram(np.asarray(values, dtype=float), bin_width_khz)
+    _check_bin_width(bin_width_khz)
+    hist = _finite_histogram(np.asarray(values, dtype=float), bin_width_khz)
+    if not isinstance(hist, _Histogram):
+        raise hist
     _refuse_out_of_range([hist])
     result = _fit_lorentzians([hist])
     f0, fwhm, amp, off = result.x[0]
@@ -370,38 +453,39 @@ def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
     first tile in scan order whose fit would leave floating-point range is
     refused, as a tile-by-tile loop would refuse it.
 
-    Tiles with the same number of valid pixels share one row mean and one
-    percentile call, which give each tile's own values bit for bit.
+    The tiles with one number of valid pixels form a group: one row mean
+    and one in-place sort of its rows, which give each tile's own values
+    bit for bit, and then _histograms of the sorted rows. A tile whose
+    mean overflows is refused. A tile with a finite mean but shifts that
+    overflow drops them and forms a group of one.
     """
     values = _tiles(strain_map.values, n_px, off_r, off_c)
     valid = _tiles(strain_map.mask, n_px, off_r, off_c)
     n_valid = valid.sum(axis=1)
-    shifts = [None] * len(values)
-    quartiles = [None] * len(values)
+    tiles = [None] * len(values)  # None: too few valid pixels
     for count in np.unique(n_valid[n_valid >= _MIN_PIXELS_FOR_FIT]):
         group = np.flatnonzero(n_valid == count)
-        vals = values[group][valid[group]].reshape(group.size, count)
-        vals = vals - vals.mean(axis=1, keepdims=True)
-        # a mean that overflows leaves non-finite shifts: those tiles
-        # drop them and take their quartiles alone
-        finite = np.isfinite(vals).all(axis=1)
-        q = np.percentile(vals[finite], [25.0, 50.0, 75.0], axis=1)
-        for j, tile in enumerate(group[finite]):
-            quartiles[tile] = q[:, j]
-        for j, tile in enumerate(group):
-            shifts[tile] = vals[j]
+        shifts = values[group][valid[group]].reshape(group.size, count)
+        finite_mean = _subtract_means(shifts)
+        shifts.sort(axis=1)
+        # sorted, a row holds any non-finite shift at one of its ends
+        finite = finite_mean & np.isfinite(shifts[:, [0, -1]]).all(axis=1)
+        rows = shifts if finite.all() else shifts[finite]
+        for tile, hist in zip(group[finite], _histograms(rows, bin_width_khz)):
+            tiles[tile] = hist
+        for tile, row, mean_ok in zip(group[~finite], shifts[~finite], finite_mean[~finite]):
+            tiles[tile] = (
+                _finite_histogram(row, bin_width_khz) if mean_ok else _overflowing_mean(count)
+            )
     hists, skipped, refused = [], 0, None
-    for tile_shifts, tile_quartiles in zip(shifts, quartiles):
-        if tile_shifts is None:
-            skipped += 1
-            continue
-        try:
-            hists.append(_histogram(tile_shifts, bin_width_khz, tile_quartiles))
-        except ComputationError:
-            skipped += 1
-        except ValidationError as exc:
-            refused = exc  # unless an earlier tile is refused first
+    for tile in tiles:
+        if isinstance(tile, _Histogram):
+            hists.append(tile)
+        elif isinstance(tile, ValidationError):
+            refused = tile  # unless an earlier tile is refused first
             break
+        else:
+            skipped += 1
     _refuse_out_of_range(hists)
     if refused is not None:
         raise refused
@@ -486,6 +570,11 @@ def _check_synth_shape(shape) -> None:
         )
 
 
+def _check_synth_shifts(values, scales: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"synthetic shifts are not all finite at {scales}")
+
+
 def synth_stationary(
     shape: tuple,
     pixel_pitch_um: float,
@@ -499,7 +588,9 @@ def synth_stationary(
     """
     _check_synth_shape(shape)
     rng = np.random.default_rng(seed)
-    values = scale_khz * rng.standard_cauchy(size=shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = scale_khz * rng.standard_cauchy(size=shape)
+    _check_synth_shifts(values, f"scale {scale_khz:g} kHz")
     return StrainMap(values=values, pixel_pitch_um=pixel_pitch_um)
 
 
@@ -522,10 +613,12 @@ def synth_two_region(
     """
     _check_synth_shape(shape)
     rng = np.random.default_rng(seed)
-    values = scale_khz * rng.standard_cauchy(size=shape)
     h, w = shape
     hot_h, hot_w = int(h * _HOT_FRACTION), int(w * _HOT_FRACTION)
-    hot = hot_scale_khz * rng.standard_cauchy(size=(hot_h, hot_w))
-    ramp = np.linspace(0.0, 4.0 * hot_scale_khz, hot_w)
-    values[h - hot_h :, w - hot_w :] = hot + ramp[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = scale_khz * rng.standard_cauchy(size=shape)
+        hot = hot_scale_khz * rng.standard_cauchy(size=(hot_h, hot_w))
+        ramp = np.linspace(0.0, 4.0 * hot_scale_khz, hot_w)
+        values[h - hot_h :, w - hot_w :] = hot + ramp[None, :]
+    _check_synth_shifts(values, f"scales {scale_khz:g} and {hot_scale_khz:g} kHz")
     return StrainMap(values=values, pixel_pitch_um=pixel_pitch_um)

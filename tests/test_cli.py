@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nvsk
+from nvsk import dataio, strainmap
 from nvsk.cli import build_parser, main, parenthesis_format, parse_grid
 from nvsk.core import MAX_TRACE_SAMPLES
 from synthdata import HIGH_N_ROWS, LOW_N_ROWS, table_rows_to_csv_text
@@ -583,6 +584,10 @@ def test_usage_error_exit_code(capsys):
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "1e-12"],
         ["photophysics", "simulate", "--intensity", "1", "--isat", "2", "--t-end", "1e-300"],
         ["ramsey", "fit", "{signal}"],
+        ["strain", "synth", "--model", "stationary", "--shape", "128x128", "--seed", "3",
+         "--scale-khz", "1e306"],
+        ["strain", "synth", "--model", "two-region", "--shape", "128x128", "--seed", "3",
+         "--hot-scale-khz", "1e308"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
@@ -621,6 +626,22 @@ def test_strain_bin_widths_fit_or_refuse_without_warnings(tmp_path, capsys):
             assert rc in (1, 2) and err.startswith("nvsk: ") and err.count("\n") == 1
         outcomes.add(rc)
     assert outcomes == {0, 1, 2}
+
+
+def test_strain_analyze_refuses_shifts_whose_mean_overflows(tmp_path, capsys):
+    # 16,326 finite shifts of scale 1e306 kHz: their sum overflows
+    with np.errstate(over="ignore"):
+        values = 1e306 * np.random.default_rng(3).standard_cauchy((128, 128))
+    map_path = tmp_path / "map.csv"
+    dataio.save_strain_map(strainmap.StrainMap(values=values, pixel_pitch_um=6.0), map_path)
+    rc = main(["strain", "analyze", str(map_path), "--sizes", "96:384:log:3",
+               "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (
+        f"nvsk: strain shifts overflow: the mean of {np.isfinite(values).sum():,} "
+        "valid pixels is not finite\n"
+    )
 
 
 @pytest.mark.parametrize(

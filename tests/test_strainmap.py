@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvsk import strainmap
 from nvsk.errors import ComputationError, ValidationError
@@ -225,6 +227,38 @@ def _map_with_holes(synth, seed):
     return StrainMap(values=values, pixel_pitch_um=6.0)
 
 
+def _numpy_edges(shifts, bin_width_khz):
+    """The quartiles and histogram edges of one array of finite shifts by
+    np.percentile and np.linspace, or None where Freedman-Diaconis binning
+    meets a zero interquartile range."""
+    q25, q50, q75 = np.percentile(shifts, [25.0, 50.0, 75.0])
+    iqr = q75 - q25
+    if bin_width_khz is None:
+        if iqr <= 0:
+            return None
+        bin_width_khz = 2.0 * iqr / len(shifts) ** (1.0 / 3.0)
+    half = 20.0 * max(iqr, bin_width_khz)
+    lo, hi = q50 - half, q50 + half
+    n_bins = min(max(int(np.ceil((hi - lo) / bin_width_khz)), 8), 200_000)
+    return (q25, q50, q75), np.linspace(lo, hi, n_bins + 1)
+
+
+def _numpy_histogram(shifts, bin_width_khz):
+    """The histogram of one array of finite shifts and its fit's start
+    point (centers, counts, bin width, x0) by np.percentile, np.linspace
+    and np.histogram: the reference for strainmap's one-sort path. None
+    where Freedman-Diaconis binning meets a zero interquartile range."""
+    binning = _numpy_edges(shifts, bin_width_khz)
+    if binning is None:
+        return None
+    (q25, q50, q75), edges = binning
+    counts = np.histogram(shifts, bins=edges)[0].astype(float)
+    bin_w = edges[1] - edges[0]
+    fwhm0 = max(q75 - q25, bin_w)
+    x0 = np.array([q50, fwhm0, max(counts.max(), 1.0) * (fwhm0 / 2.0) ** 2, 0.0])
+    return 0.5 * (edges[:-1] + edges[1:]), counts, bin_w, x0
+
+
 def _per_tile_histograms(strain_map, n_px, offset, bin_width_khz):
     """Tile by tile, in a plain loop: the reference for
     strainmap._tile_histograms."""
@@ -237,11 +271,26 @@ def _per_tile_histograms(strain_map, n_px, offset, bin_width_khz):
             if len(vals) < 100:
                 skipped += 1
                 continue
-            try:
-                hists.append(strainmap._histogram(vals - vals.mean(), bin_width_khz))
-            except ComputationError:
+            with np.errstate(over="ignore"):
+                shifts = vals - vals.mean()
+            hist = _numpy_histogram(shifts[np.isfinite(shifts)], bin_width_khz)
+            if hist is None:
                 skipped += 1
+            else:
+                hists.append(hist)
     return hists, skipped
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_same_histograms(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(a, b):
+            assert _same_bits(x, y)
 
 
 @pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
@@ -250,11 +299,9 @@ def test_tile_histograms_equal_the_per_tile_loop(synth, n_px, offset, bin_width)
     m = _map_with_holes(synth, seed=5)
     hists, skipped = strainmap._tile_histograms(m, n_px, offset, offset, bin_width)
     ref, ref_skipped = _per_tile_histograms(m, n_px, offset, bin_width)
-    assert skipped == ref_skipped and len(hists) == len(ref)
+    assert skipped == ref_skipped
     assert len({len(h.counts) for h in hists}) > 1  # several bin counts: several stacks
-    for got, want in zip(hists, ref):
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)  # bit for bit
+    _assert_same_histograms(hists, ref)
 
 
 def _scipy_tile_fit(hist):
@@ -319,5 +366,157 @@ def test_partition_refuses_the_first_out_of_range_tile_in_scan_order():
         partition_sweep(m, [192.0], bin_width_khz=1e40)
     first = _per_tile_histograms(m, 32, 0, 1e40)[0][0]
     with pytest.raises(ValidationError) as expected:
-        strainmap._refuse_out_of_range([first])
+        strainmap._refuse_out_of_range([strainmap._Histogram(*first)])
     assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bin_width", [None, 0.5])
+def test_full_map_histogram_equals_numpy(bin_width):
+    # the full-map fit histograms its finite shifts as a group of one tile
+    m = _map_with_holes(synth_two_region, seed=6)
+    valid = m.valid_values
+    shifts = strainmap.mean_subtracted(valid)
+    assert np.array_equal(shifts, valid - valid.mean())
+    with_gaps = np.concatenate([[np.inf], shifts[:500], [np.nan, -np.inf], shifts[500:]])
+    want = _numpy_histogram(shifts, bin_width)
+    _assert_same_histograms([strainmap._finite_histogram(with_gaps, bin_width)], [want])
+    fit = strainmap._fit_lorentzians([strainmap._Histogram(*want)])
+    got = histogram_fwhm(with_gaps, bin_width)
+    assert (got.center_khz, got.fwhm_khz, got.amplitude, got.offset) == tuple(fit.x[0])
+
+
+def _four_tiles(seed):
+    """A 64^2 map at 1 um pitch: four 32-px tiles of Cauchy shifts."""
+    return synth_stationary((64, 64), 1.0, 10.0, seed=seed).values.copy()
+
+
+def test_partition_refuses_the_first_tile_whose_mean_overflows():
+    # tile 1 has 1,024 valid pixels and tile 3 1,000, so tile 3's group of
+    # equal counts comes first, but tile 1 comes first in scan order
+    values = _four_tiles(seed=1)
+    values[:32, 32:] = 1e308  # the sum of the shifts overflows
+    values[32:, 32:] = -1e308
+    values[32:35, 32:40] = np.nan
+    m = StrainMap(values=values, pixel_pitch_um=1.0)
+    with pytest.raises(ValidationError) as caught:
+        partition_sweep(m, [32.0])
+    assert str(caught.value) == (
+        "strain shifts overflow: the mean of 1,024 valid pixels is not finite"
+    )
+    with pytest.raises(ValidationError, match="strain shifts overflow"):
+        strainmap.mean_subtracted(values[32:, 32:].ravel())
+
+
+def test_tile_with_overflowing_shifts_drops_them():
+    # a finite mean, 7.8e305, but the one large negative value less that
+    # mean overflows; the 127 equal shifts left have no spread: skipped
+    values = _four_tiles(seed=2)
+    values[:32, 32:] = np.nan
+    values[:4, 32:] = 2.2e306
+    values[0, 32] = -1.79e308
+    tile = values[:4, 32:].ravel()
+    with np.errstate(over="ignore"):
+        mean = tile.mean()
+        assert np.isfinite(mean) and np.isfinite(tile - mean).sum() == 127
+    m = StrainMap(values=values, pixel_pitch_um=1.0)
+    hists, skipped = strainmap._tile_histograms(m, 32, 0, 0, None)
+    ref, ref_skipped = _per_tile_histograms(m, 32, 0, None)
+    assert skipped == ref_skipped == 1
+    _assert_same_histograms(hists, ref)
+
+
+def test_a_bin_count_past_its_cap_takes_the_cap():
+    # at 5e-324 kHz, (hi - lo) / width overflows; at 1e-300 it does not.
+    # Both counts pass the 200,000-bin cap, over the same edges.
+    rows = np.sort(np.random.default_rng(0).standard_cauchy(1000))[None, :]
+    tiny = strainmap._histograms(rows, 5e-324)[0]
+    assert len(tiny.counts) == 200_000
+    _assert_same_histograms([tiny], [strainmap._histograms(rows, 1e-300)[0]])
+
+
+# Bit-for-bit properties of the one-sort statistics against numpy. Shifts
+# are Cauchy draws, rounded to a grid when ties are wanted; no draw is -0.0,
+# since a sort and a partition may leave either of two tied zeros of
+# opposite sign in place.
+_shift_draws = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(100, 3000),  # row length
+    st.sampled_from([None, 1.0, 0.25]),  # tie grid, kHz
+)
+
+
+def _shifts(seed, n, grid, rows=None):
+    rng = np.random.default_rng(seed)
+    values = 10.0 * rng.standard_cauchy(n if rows is None else (rows, n))
+    if grid is not None:
+        values = np.round(values / grid) * grid
+    return values + 0.0  # no -0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw=_shift_draws, rows=st.integers(1, 5))
+def test_sorted_quartiles_equal_percentile(draw, rows):
+    values = _shifts(*draw, rows=rows)
+    want = np.percentile(values, [25.0, 50.0, 75.0], axis=1)
+    got = strainmap._sorted_quartiles(np.sort(values, axis=1))
+    assert _same_bits(np.array(got), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-1e6, 1e6),
+    width=st.floats(1e-6, 1e6),
+    num=st.integers(9, 4001),
+    rows=st.integers(1, 4),
+)
+def test_linspace_rows_equal_linspace(lo, width, num, rows):
+    lo = lo + np.arange(rows) * width
+    hi = lo + width * np.linspace(1.0, 2.0, rows)
+    want = np.array([np.linspace(a, b, num) for a, b in zip(lo, hi)])
+    assert _same_bits(strainmap._linspace_rows(lo, hi, num), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=_shift_draws, num=st.integers(9, 400), data=st.data())
+def test_sorted_counts_equal_histogram(draw, num, data):
+    # edges over part of the values' range, some values set on interior
+    # edges and on the last edge, the rest in range or outside it
+    values = _shifts(*draw)
+    lo, hi = np.percentile(values, sorted(data.draw(st.lists(
+        st.floats(0.0, 100.0), min_size=2, max_size=2, unique=True))))
+    edges = np.linspace(lo, hi, num)
+    on_edges = data.draw(st.lists(st.integers(1, num - 1), max_size=50))
+    values[: len(on_edges)] = edges[on_edges]
+    values[len(on_edges)] = edges[-1]
+    want = np.histogram(values, bins=edges)[0]
+    assert np.array_equal(strainmap._sorted_counts(np.sort(values), edges), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw=_shift_draws, bin_width=st.one_of(st.none(), st.floats(0.01, 50.0)),
+       data=st.data())
+def test_histograms_equal_numpy(draw, bin_width, data):
+    # Values below the order statistics that make the lower quartile, or
+    # above those that make the upper one, can move onto edges without
+    # moving the quartiles, so the edges stay put.
+    values = _shifts(*draw)
+    binning = _numpy_edges(values, bin_width)
+    if binning is not None:
+        edges = binning[1]
+        n, order = len(values), np.sort(values)
+        low, high = order[(n - 1) // 4], order[3 * (n - 1) // 4 + 1]
+        targets = np.concatenate(
+            [edges[edges < low], edges[edges > high], [edges[0] - 1.0, edges[-1] + 1.0]]
+        )
+        movable = np.flatnonzero((values < low) | (values > high))
+        picks = data.draw(st.lists(st.integers(0, len(targets) - 1), max_size=200))
+        for position, pick in zip(movable, picks):
+            if (values[position] < low) == (targets[pick] < low):
+                values[position] = targets[pick]
+        assert np.array_equal(_numpy_edges(values, bin_width)[1], edges)
+    want = _numpy_histogram(values, bin_width)
+    got = strainmap._histograms(np.sort(values)[None, :], bin_width)[0]
+    if want is None:
+        assert isinstance(got, ComputationError)
+    else:
+        _assert_same_histograms([got], [want])
