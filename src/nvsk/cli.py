@@ -126,12 +126,12 @@ def _write(args, result, config: dict) -> None:
         if getattr(args, label, None):
             manifest.add_input(label, getattr(args, label))
     if isinstance(result, dict):
-        dataio.emit_json(result, args.out, manifest)
+        dataio.emit_json(result, args.out)
     elif isinstance(result, strainmap.StrainMap):
         dataio.save_strain_map(result, args.out)
-        dataio.write_manifest(args.out, manifest)
     else:
-        dataio.emit_csv(result, args.out, manifest)
+        dataio.emit_csv(result, args.out)
+    dataio.write_manifest(args.out, manifest)
 
 
 # --- dephasing ---

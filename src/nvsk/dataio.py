@@ -1,22 +1,22 @@
 """File ingestion and result serialization.
 
-Every emitted artifact gets a manifest sidecar (<path>.manifest.json) that
-records the command, the fully resolved configuration, content digests of
-all inputs, and any seeds, so a result file can always be regenerated.
-Result files themselves are deterministic: fixed field order, floats
-printed with 9 significant digits, '.' decimal separator, LF line endings.
+write_manifest writes the manifest sidecar (<path>.manifest.json) of an
+emitted artifact: the command, the fully resolved configuration, content
+digests of all inputs, and any seeds, so a result file can always be
+regenerated. Result files themselves are deterministic: fixed field order,
+floats printed with 9 significant digits, '.' decimal separator, LF line
+endings.
 
-A float cell of a CSV file is exactly the bytes of FLOAT_FORMAT % float(v).
-emit_csv (when every column is a float array) and save_strain_map write
-blocks of rows through _float_rows, which builds the cells of a block of at
-least _KERNEL_MIN_CELLS cells in numpy: the nine digits come from one
+A CSV file holds float columns only, and its cells are exactly the bytes of
+FLOAT_FORMAT % float(v). emit_csv and save_strain_map write blocks of rows
+through _float_rows, which builds the cells of a block of at least
+_KERNEL_MIN_CELLS cells in numpy: the nine digits come from one
 multiplication by an exact power of ten and one rounding to an integer. A
 cell whose digits this does not prove is formatted with % on its own and
 spliced in: zero, nan and inf, a value that prints in exponent notation
 (below 1e-4 or from 1e9 on, once rounded), a scaled value that lands on a
 rounding half, and one whose log10 falls in the neighbouring decade.
-Smaller blocks, and tables with a column of another type, are formatted
-with one % on a repeated row template.
+Smaller blocks are formatted with one % on a repeated row template.
 """
 
 from __future__ import annotations
@@ -105,12 +105,10 @@ def write_manifest(out_path, manifest: RunManifest) -> Path:
     return sidecar
 
 
-def emit_json(result: dict, path, manifest: Optional[RunManifest] = None) -> None:
+def emit_json(result: dict, path) -> None:
     """Write a result dict as JSON with the standard float formatting."""
     payload = json.dumps(_round_floats(result), indent=2) + "\n"
     _write_bytes(path, payload)
-    if manifest is not None:
-        write_manifest(path, manifest)
 
 
 def format_json(result: dict) -> str:
@@ -273,63 +271,34 @@ def _float_rows(block: np.ndarray, cells: Optional[_Cells] = None):
     return b"".join(pieces)
 
 
-def _column_cells(values: np.ndarray):
-    """Cell format of one column and a function turning a slice of it into
-    the values that format takes: floats print with FLOAT_FORMAT, anything
-    else as its str()."""
-    if values.dtype.kind == "f":
-        return FLOAT_FORMAT, np.ndarray.tolist
-    if values.dtype.kind in "biuUS":
-        return "%s", np.ndarray.tolist
+def emit_csv(columns, path) -> None:
+    """Write named float columns as CSV; headers carry the unit suffixes.
 
-    def cells(part):
-        return [
-            FLOAT_FORMAT % float(v) if isinstance(v, (float, np.floating)) else str(v)
-            for v in part
-        ]
-
-    return "%s", cells
-
-
-def emit_csv(columns, path, manifest: Optional[RunManifest] = None) -> None:
-    """Write named columns as CSV; headers carry the unit suffixes.
-
-    columns is a sequence of (header, values) pairs of equal length. Rows
-    are formatted and written in blocks of _CSV_BLOCK_ROWS: by _float_rows
-    when every column is a float array, else with one % on a repeated row
-    template per block.
+    columns is a sequence of (header, values) pairs of equal length, each
+    values a 1-D float array or a sequence of floats. Rows are formatted by
+    _float_rows and written in blocks of _CSV_BLOCK_ROWS.
     """
     headers = [h for h, _ in columns]
     arrays = [np.asarray(v) for _, v in columns]
     if any(a.ndim != 1 for a in arrays):
         raise ValidationError("CSV columns must be one-dimensional")
+    not_float = [h for h, a in zip(headers, arrays) if a.dtype.kind != "f"]
+    if not_float:
+        raise ValidationError(f"CSV columns must hold floats: {', '.join(not_float)}")
     lengths = {len(a) for a in arrays}
     if len(lengths) != 1:
         raise ValidationError(f"column lengths differ: {sorted(lengths)}")
     n_rows, width = lengths.pop(), len(arrays)
-    formats, converters = zip(*(_column_cells(a) for a in arrays))
-    row_template = "\n" + ",".join(formats)
-    floats = all(a.dtype.kind == "f" for a in arrays)
-    if floats:
-        block = np.empty((min(n_rows, _CSV_BLOCK_ROWS), width))
-        cells = _Cells(block.size) if block.size >= _KERNEL_MIN_CELLS else None
+    block = np.empty((min(n_rows, _CSV_BLOCK_ROWS), width))
+    cells = _Cells(block.size) if block.size >= _KERNEL_MIN_CELLS else None
     with open(path, "wb") as handle:
         handle.write(",".join(headers).encode("utf-8"))
         for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
             hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
-            if floats:
-                for j, a in enumerate(arrays):
-                    block[: hi - lo, j] = a[lo:hi]
-                rows = _float_rows(block[: hi - lo], cells)
-            else:
-                flat = [None] * ((hi - lo) * width)
-                for j, (a, convert) in enumerate(zip(arrays, converters)):
-                    flat[j::width] = convert(a[lo:hi])
-                rows = (row_template * (hi - lo) % tuple(flat)).encode("utf-8")
-            handle.write(rows)
+            for j, a in enumerate(arrays):
+                block[: hi - lo, j] = a[lo:hi]
+            handle.write(_float_rows(block[: hi - lo], cells))
         handle.write(b"\n")
-    if manifest is not None:
-        write_manifest(path, manifest)
 
 
 # --- measured CSV tables ---

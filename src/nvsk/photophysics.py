@@ -82,7 +82,12 @@ def saturation_parameter(intensity, i_sat: float) -> float:
     i = as_mw_per_um2(intensity)
     if not i_sat > 0:
         raise ValidationError(f"i_sat must be > 0, got {i_sat}")
-    return i / i_sat
+    s = i / float(i_sat)
+    if not math.isfinite(s):
+        raise ValidationError(
+            f"saturation parameter I/I_sat = {i:g}/{i_sat:g} overflows: i_sat is too small"
+        )
+    return s
 
 
 def rate_matrix(params: FiveLevelParams, s: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import least_squares
+from .core import MAX_TRACE_SAMPLES, least_squares
 from .errors import ValidationError
 
 DEFAULT_HYPERFINE_MHZ = 2.16  # 14N triplet splitting, configurable
@@ -91,7 +91,11 @@ def synthesize(
     noise_sigma: float = 0.0,
     seed: Optional[int] = None,
 ) -> np.ndarray:
-    """Evaluate the model on a grid, optionally adding Gaussian noise."""
+    """Evaluate the model on a grid, optionally adding Gaussian noise.
+
+    A grid whose samples times lines pass MAX_TRACE_SAMPLES, the size of
+    the phase matrix the model builds, is refused, and so is a signal that
+    is not all finite."""
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or len(tau) < 2:
         raise ValidationError("tau grid must be a 1-D array with >= 2 points")
@@ -99,10 +103,21 @@ def synthesize(
         raise ValidationError("tau grid must be positive and increasing")
     if not 0 <= noise_sigma < math.inf:
         raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-    signal = model.evaluate(tau)
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        signal = signal + rng.normal(0.0, noise_sigma, size=tau.shape)
+    if len(tau) * model.n_hyperfine > MAX_TRACE_SAMPLES:
+        raise ValidationError(
+            f"{len(tau):,} samples of {model.n_hyperfine:,} lines exceed the "
+            f"{MAX_TRACE_SAMPLES:,}-value limit of one synthetic signal"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = model.evaluate(tau)
+        if noise_sigma > 0:
+            rng = np.random.default_rng(seed)
+            signal = signal + rng.normal(0.0, noise_sigma, size=tau.shape)
+    if not np.isfinite(signal).all():
+        raise ValidationError(
+            f"synthetic signal is not all finite at detuning {model.detuning:g} MHz, "
+            f"amplitude {model.amplitude:g} and noise sigma {noise_sigma:g}"
+        )
     return signal
 
 

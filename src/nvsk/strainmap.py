@@ -193,23 +193,27 @@ def _sorted_counts(row: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return below[1:] - below[:-1]
 
 
-class _Histogram(NamedTuple):
-    centers: np.ndarray
-    counts: np.ndarray
-    bin_width: float
-    x0: np.ndarray  # center, FWHM, amplitude, offset
+class _Stack(NamedTuple):
+    """Histograms of one bin count, one row each, and the start points of
+    their Lorentzian fits."""
+
+    rows: np.ndarray  # the row (or tile) each histogram belongs to
+    centers: np.ndarray  # (k, bins)
+    counts: np.ndarray  # (k, bins)
+    bin_widths: np.ndarray  # (k,)
+    x0: np.ndarray  # (k, 4): center, FWHM, amplitude, offset
 
 
-def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]) -> list:
+def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]):
     """Histograms of rows of sorted finite shifts, all of one length, with
     the start points of their Lorentzian fits.
 
-    Returns per row its _Histogram, the ComputationError that skips it
-    (Freedman-Diaconis binning of a zero interquartile range) or the
-    ValidationError that refuses it (edges out of floating-point range).
-    The rows' quartiles come from their sorted columns, the edges of the
-    rows of one bin count from one array op, and each row's counts from
-    searchsorted on it.
+    Returns one _Stack per bin count, and a dict holding for each row it
+    cannot histogram the ComputationError that skips it (Freedman-Diaconis
+    binning of a zero interquartile range) or the ValidationError that
+    refuses it (edges out of floating-point range). The rows' quartiles
+    come from their sorted columns, the edges of the rows of one bin count
+    from one array op, and each row's counts from searchsorted on it.
     """
     n = rows.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -228,11 +232,12 @@ def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]) -> list:
         # a width that underflows to zero leaves no bins to count in
         refuse = ~skip & ~(np.isfinite(hi - lo) & (width > 0))
         n_bins = np.clip(np.ceil((hi - lo) / width), 8, 200_000)
-    results = [None] * len(rows)
-    for i in np.flatnonzero(skip):
-        results[i] = ComputationError("under-resolved linewidth: zero interquartile range")
-    for i in np.flatnonzero(refuse):
-        results[i] = _out_of_range(width[i])
+    errors = {
+        int(i): ComputationError("under-resolved linewidth: zero interquartile range")
+        for i in np.flatnonzero(skip)
+    }
+    errors.update((int(i), _out_of_range(width[i])) for i in np.flatnonzero(refuse))
+    stacks = []
     fitted = ~(skip | refuse)
     for count in np.unique(n_bins[fitted]).astype(int):
         same = np.flatnonzero(fitted & (n_bins == count))
@@ -246,63 +251,66 @@ def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]) -> list:
         with np.errstate(over="ignore"):
             amplitude = np.maximum(counts.max(axis=1), 1.0) * scalar_pow(fwhm0 / 2.0, 2)
         x0 = np.stack([q50[same], fwhm0, amplitude, np.zeros(len(same))], axis=1)
-        for j, i in enumerate(same):
-            results[i] = _Histogram(centers[j], counts[j], bin_w[j], x0[j])
-    return results
+        stacks.append(_Stack(same, centers, counts, bin_w, x0))
+    return stacks, errors
 
 
 def _finite_histogram(values: np.ndarray, bin_width_khz: Optional[float]):
-    """The one entry of _histograms for the finite entries of a 1-D array
-    of shifts, or the ValidationError that refuses too few of them."""
+    """_histograms of the finite entries of a 1-D array of shifts, as row 0,
+    or row 0's ValidationError that refuses too few of them."""
     shifts = values[np.isfinite(values)]
     if len(shifts) < _MIN_PIXELS_FOR_FIT:
-        return ValidationError(f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(shifts)}")
+        return [], {0: ValidationError(
+            f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(shifts)}"
+        )}
     shifts.sort()
-    return _histograms(shifts[None, :], bin_width_khz)[0]
+    return _histograms(shifts[None, :], bin_width_khz)
 
 
-def _stacked_fits(hists):
-    """Residual function, Jacobian and initial points of the fits to
-    histograms of one bin count."""
-    resid, jac = _lorentzian_residual_and_jacobian(
-        np.stack([h.centers for h in hists]), np.stack([h.counts for h in hists])
-    )
-    return resid, jac, np.stack([h.x0 for h in hists])
+def _fit(stacks, errors) -> list:
+    """Fit a Lorentzian to every histogram of stacks; returns the rows,
+    bin widths and solver result of each part of a stack solved.
 
-
-def _refuse_out_of_range(hists) -> None:
-    """Raise for the first histogram, in order, whose fit starts out of
-    floating-point range.
-
-    An overwide bin width overflows the initial point, residuals or
-    Jacobian; refuse it here rather than inside the solver.
+    Each stack is solved in parts of at most _FIT_CELLS bins (one
+    histogram at least), on slices of its arrays. Each part is first
+    range-checked: a bin width that overflows the start point, residuals
+    or Jacobian is refused here rather than inside the solver. Once errors
+    or the range check hold a ValidationError, no further part is solved,
+    and the ValidationError of the first row, in row order, is raised.
     """
-    finite = np.empty(len(hists), dtype=bool)
-    for chunk in _chunks([len(h.counts) for h in hists]):
-        resid, jac, x0 = _stacked_fits([hists[i] for i in chunk])
-        rows = np.arange(len(chunk))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            finite[chunk] = (
-                np.isfinite(resid(x0, rows)).all(axis=1)
-                & np.isfinite(jac(x0, rows)).all(axis=(1, 2))
+    refused = {row: e for row, e in errors.items() if isinstance(e, ValidationError)}
+    fits = []
+    for stack in stacks:
+        size = max(_FIT_CELLS // stack.counts.shape[1], 1)
+        for start in range(0, len(stack.rows), size):
+            part = slice(start, start + size)
+            rows, bin_w, x0 = stack.rows[part], stack.bin_widths[part], stack.x0[part]
+            resid, jac = _lorentzian_residual_and_jacobian(
+                stack.centers[part], stack.counts[part]
             )
-    for hist, ok in zip(hists, finite):
-        if not ok:
-            raise _out_of_range(hist.bin_width)
-        if not hist.x0[2] < _MAX_AMPLITUDE:
-            raise ValidationError(
-                f"bin width {hist.bin_width:g} kHz takes the Lorentzian fit out of "
-                f"floating-point range: its amplitude, peak count x (FWHM/2)^2 = "
-                f"{hist.x0[2]:.3g}, must stay below (largest double / 256)^(1/4) = "
-                f"{_MAX_AMPLITUDE:.3g}"
-            )
-
-
-def _fit_lorentzians(hists):
-    """Fit a Lorentzian to each of histograms of one bin count, in one
-    stacked solve."""
-    resid, jac, x0 = _stacked_fits(hists)
-    return least_squares(resid, x0, jac, _FIT_BOUNDS, xtol=1e-10, ftol=1e-10, max_nfev=400)
+            every = np.arange(len(rows))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                finite = (
+                    np.isfinite(resid(x0, every)).all(axis=1)
+                    & np.isfinite(jac(x0, every)).all(axis=(1, 2))
+                )
+            for i in np.flatnonzero(~finite):
+                refused[int(rows[i])] = _out_of_range(bin_w[i])
+            for i in np.flatnonzero(finite & ~(x0[:, 2] < _MAX_AMPLITUDE)):
+                refused[int(rows[i])] = ValidationError(
+                    f"bin width {bin_w[i]:g} kHz takes the Lorentzian fit out of "
+                    f"floating-point range: its amplitude, peak count x (FWHM/2)^2 = "
+                    f"{x0[i, 2]:.3g}, must stay below (largest double / 256)^(1/4) = "
+                    f"{_MAX_AMPLITUDE:.3g}"
+                )
+            if not refused:
+                result = least_squares(
+                    resid, x0, jac, _FIT_BOUNDS, xtol=1e-10, ftol=1e-10, max_nfev=400
+                )
+                fits.append((rows, bin_w, result))
+    if refused:
+        raise refused[min(refused)]
+    return fits
 
 
 def histogram_fwhm(
@@ -311,24 +319,24 @@ def histogram_fwhm(
 ) -> LorentzianFit:
     """Histogram a 1-D array of shifts and fit a Lorentzian; returns the FWHM.
 
-    Non-finite entries are dropped, and the rest are histogrammed as a
-    group of one tile: one sort gives the quartiles and the counts.
-    Binning is Freedman-Diaconis unless a fixed width is given;
-    initialization uses the sample median and interquartile range, so the
-    fit is deterministic. The fit is core.least_squares on one problem:
-    scipy's trust-region reflective least squares, run in numpy.
+    Non-finite entries are dropped, and the rest are histogrammed and
+    fitted as a group of one tile, down the path partition_sweep takes:
+    one sort gives the quartiles and the counts. Binning is
+    Freedman-Diaconis unless a fixed width is given; initialization uses
+    the sample median and interquartile range, so the fit is
+    deterministic. The fit is core.least_squares on one problem: scipy's
+    trust-region reflective least squares, run in numpy.
     """
     _check_bin_width(bin_width_khz)
-    hist = _finite_histogram(np.asarray(values, dtype=float), bin_width_khz)
-    if not isinstance(hist, _Histogram):
-        raise hist
-    _refuse_out_of_range([hist])
-    result = _fit_lorentzians([hist])
+    stacks, errors = _finite_histogram(np.asarray(values, dtype=float), bin_width_khz)
+    if errors:
+        raise errors[0]
+    [(_, bin_w, result)] = _fit(stacks, errors)
     f0, fwhm, amp, off = result.x[0]
-    if fwhm < hist.bin_width:
+    if fwhm < bin_w[0]:
         raise ComputationError(
             f"under-resolved linewidth: fitted FWHM {fwhm:g} kHz is below "
-            f"one bin width {hist.bin_width:g} kHz"
+            f"one bin width {bin_w[0]:g} kHz"
         )
     return LorentzianFit(
         center_khz=float(f0),
@@ -416,13 +424,14 @@ def partition_sweep(
             raise ValidationError(
                 f"tile size {size:g} um ({n_px} px) exceeds the map extent"
             )
-        hists, skipped = _tile_histograms(strain_map, n_px, off_r, off_c, bin_width_khz)
-        fwhm = np.empty(len(hists))
-        for chunk in _chunks([len(hist.counts) for hist in hists]):
-            fwhm[chunk] = _fit_lorentzians([hists[i] for i in chunk]).x[:, 1]
-        # a fit narrower than one bin is unresolved: skipped
-        fwhms = [float(f) for f, hist in zip(fwhm, hists) if not f < hist.bin_width]
-        skipped += len(hists) - len(fwhms)
+        stacks, errors, n_tiles = _tile_histograms(strain_map, n_px, off_r, off_c, bin_width_khz)
+        fwhm = np.empty(n_tiles)
+        usable = np.zeros(n_tiles, dtype=bool)
+        for tiles, bin_w, result in _fit(stacks, errors):
+            fwhm[tiles] = result.x[:, 1]
+            # a fit narrower than one bin is unresolved: skipped
+            usable[tiles] = ~(result.x[:, 1] < bin_w)
+        fwhms = tuple(fwhm[usable].tolist())
         if not fwhms:
             raise ComputationError(
                 f"no tile of size {size:g} um produced a usable linewidth"
@@ -430,9 +439,9 @@ def partition_sweep(
         stats.append(
             PartitionStats(
                 size_um=float(size),
-                fwhms_khz=tuple(fwhms),
-                n_tiles=len(fwhms) + skipped,
-                n_skipped=skipped,
+                fwhms_khz=fwhms,
+                n_tiles=n_tiles,
+                n_skipped=n_tiles - len(fwhms),
             )
         )
     return stats
@@ -449,9 +458,10 @@ def _tiles(grid: np.ndarray, n_px: int, off_r: int, off_c: int) -> np.ndarray:
 
 def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
     """Histograms of the mean-subtracted valid shifts of every tile with
-    enough of them, in scan order, and the count of tiles skipped. The
-    first tile in scan order whose fit would leave floating-point range is
-    refused, as a tile-by-tile loop would refuse it.
+    enough of them: the _Stacks of _histograms, each row labelled with its
+    tile's index in scan order, the skip or refusal error of each tile
+    that has one, and the number of tiles. A tile with too few valid
+    shifts has neither and is skipped.
 
     The tiles with one number of valid pixels form a group: one row mean
     and one in-place sort of its rows, which give each tile's own values
@@ -462,7 +472,7 @@ def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
     values = _tiles(strain_map.values, n_px, off_r, off_c)
     valid = _tiles(strain_map.mask, n_px, off_r, off_c)
     n_valid = valid.sum(axis=1)
-    tiles = [None] * len(values)  # None: too few valid pixels
+    stacks, errors = [], {}
     for count in np.unique(n_valid[n_valid >= _MIN_PIXELS_FOR_FIT]):
         group = np.flatnonzero(n_valid == count)
         shifts = values[group][valid[group]].reshape(group.size, count)
@@ -471,36 +481,16 @@ def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
         # sorted, a row holds any non-finite shift at one of its ends
         finite = finite_mean & np.isfinite(shifts[:, [0, -1]]).all(axis=1)
         rows = shifts if finite.all() else shifts[finite]
-        for tile, hist in zip(group[finite], _histograms(rows, bin_width_khz)):
-            tiles[tile] = hist
+        parts = [(group[finite], _histograms(rows, bin_width_khz))]
         for tile, row, mean_ok in zip(group[~finite], shifts[~finite], finite_mean[~finite]):
-            tiles[tile] = (
-                _finite_histogram(row, bin_width_khz) if mean_ok else _overflowing_mean(count)
-            )
-    hists, skipped, refused = [], 0, None
-    for tile in tiles:
-        if isinstance(tile, _Histogram):
-            hists.append(tile)
-        elif isinstance(tile, ValidationError):
-            refused = tile  # unless an earlier tile is refused first
-            break
-        else:
-            skipped += 1
-    _refuse_out_of_range(hists)
-    if refused is not None:
-        raise refused
-    return hists, skipped
-
-
-def _chunks(n_bins):
-    """Indices of the fits of each bin count, cut into stacks of at most
-    _FIT_CELLS bins (one fit at least)."""
-    n_bins = np.asarray(n_bins)
-    for count in np.unique(n_bins):
-        same = np.flatnonzero(n_bins == count)
-        size = max(_FIT_CELLS // count, 1)
-        for start in range(0, len(same), size):
-            yield same[start : start + size]
+            if mean_ok:
+                parts.append((np.array([tile]), _finite_histogram(row, bin_width_khz)))
+            else:
+                errors[int(tile)] = _overflowing_mean(count)
+        for tiles, (part_stacks, part_errors) in parts:
+            stacks += [stack._replace(rows=tiles[stack.rows]) for stack in part_stacks]
+            errors.update((int(tiles[i]), error) for i, error in part_errors.items())
+    return stacks, errors, len(values)
 
 
 @dataclass(frozen=True)

@@ -588,6 +588,12 @@ def test_usage_error_exit_code(capsys):
          "--scale-khz", "1e306"],
         ["strain", "synth", "--model", "two-region", "--shape", "128x128", "--seed", "3",
          "--hot-scale-khz", "1e308"],
+        ["photophysics", "simulate", "--intensity", "1", "--isat", "1e-310"],
+        ["photophysics", "ti-band", "--grid", "1:10:log:2", "--config", "{config}"],
+        ["ramsey", "synth", "--t2", "1", "--detuning", "1", "--lines", "100000000"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "1e308"],
+        ["ramsey", "synth", "--t2", "10", "--detuning", "1", "--amplitude", "1e308",
+         "--noise-sigma", "1e308", "--seed", "1"],
     ],
 )
 def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
@@ -603,6 +609,11 @@ def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
                      "--splitting", "2160", "--dtau", "0.00001", "--tau-end", "0.0009",
                      "--out", str(signal)]) == 0
         argv = [str(signal) if a == "{signal}" else a for a in argv]
+    if "{config}" in argv:
+        # a band saturation intensity whose I/I_sat overflows
+        config = tmp_path / "isat.cfg"
+        config.write_text("[photophysics]\ni_sat_lower_mw_um2 = 1e-310\n")
+        argv = [str(config) if a == "{config}" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("nvsk: ") and err.count("\n") == 1 and "Traceback" not in err
@@ -610,6 +621,12 @@ def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
         assert err.startswith("nvsk: bin width 1e+300 kHz takes the Lorentzian fit")
     if "fit" in argv:
         assert err.startswith("nvsk: T2* seed 0.000409 us lies outside the fit's bounds")
+    if "1e-310" in argv or "--config" in argv:
+        assert err.startswith("nvsk: saturation parameter I/I_sat = 1/1e-310 overflows")
+    if "--lines" in argv:
+        assert err.startswith("nvsk: 50 samples of 100,000,000 lines exceed")
+    if "1e308" in argv and "ramsey" in argv:
+        assert err.startswith("nvsk: synthetic signal is not all finite")
 
 
 def test_strain_bin_widths_fit_or_refuse_without_warnings(tmp_path, capsys):

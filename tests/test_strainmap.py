@@ -261,13 +261,16 @@ def _numpy_histogram(shifts, bin_width_khz):
 
 def _per_tile_histograms(strain_map, n_px, offset, bin_width_khz):
     """Tile by tile, in a plain loop: the reference for
-    strainmap._tile_histograms."""
+    strainmap._tile_histograms. Returns the histogram of each tile that
+    has one, by the tile's index in scan order, and the count of tiles
+    skipped."""
     h, w = strain_map.values.shape
-    hists, skipped = [], 0
+    hists, skipped, tile = {}, 0, -1
     for i in range(offset, h - n_px + 1, n_px):
         for k in range(offset, w - n_px + 1, n_px):
-            tile = np.s_[i : i + n_px, k : k + n_px]
-            vals = strain_map.values[tile][strain_map.mask[tile]]
+            tile += 1
+            pixels = np.s_[i : i + n_px, k : k + n_px]
+            vals = strain_map.values[pixels][strain_map.mask[pixels]]
             if len(vals) < 100:
                 skipped += 1
                 continue
@@ -277,8 +280,27 @@ def _per_tile_histograms(strain_map, n_px, offset, bin_width_khz):
             if hist is None:
                 skipped += 1
             else:
-                hists.append(hist)
+                hists[tile] = hist
     return hists, skipped
+
+
+def _by_row(stacks):
+    """The histograms of stacks, (centers, counts, bin width, x0) each, by
+    their row (or tile) index, in row order."""
+    hists = {
+        int(row): (s.centers[i], s.counts[i], s.bin_widths[i], s.x0[i])
+        for s in stacks
+        for i, row in enumerate(s.rows)
+    }
+    assert len(hists) == sum(len(s.rows) for s in stacks)  # no row twice
+    return dict(sorted(hists.items()))
+
+
+def _stack_of(hists):
+    """A _Stack of histograms (centers, counts, bin width, x0) of one bin
+    count, rows 0, 1, ..."""
+    centers, counts, bin_widths, x0 = (np.array(part) for part in zip(*hists))
+    return strainmap._Stack(np.arange(len(hists)), centers, counts, bin_widths, x0)
 
 
 def _same_bits(a, b):
@@ -287,9 +309,11 @@ def _same_bits(a, b):
 
 
 def _assert_same_histograms(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for x, y in zip(a, b):
+    """got and want hold the same histograms, bit for bit, under the same
+    keys in the same order."""
+    assert list(got) == list(want)
+    for key in want:
+        for x, y in zip(got[key], want[key], strict=True):
             assert _same_bits(x, y)
 
 
@@ -297,15 +321,17 @@ def _assert_same_histograms(got, want):
 @pytest.mark.parametrize("n_px, offset, bin_width", [(16, 0, None), (32, 7, None), (32, 3, 2.0)])
 def test_tile_histograms_equal_the_per_tile_loop(synth, n_px, offset, bin_width):
     m = _map_with_holes(synth, seed=5)
-    hists, skipped = strainmap._tile_histograms(m, n_px, offset, offset, bin_width)
+    stacks, errors, n_tiles = strainmap._tile_histograms(m, n_px, offset, offset, bin_width)
     ref, ref_skipped = _per_tile_histograms(m, n_px, offset, bin_width)
-    assert skipped == ref_skipped
-    assert len({len(h.counts) for h in hists}) > 1  # several bin counts: several stacks
+    assert len({s.counts.shape[1] for s in stacks}) > 1  # several bin counts
+    hists = _by_row(stacks)
     _assert_same_histograms(hists, ref)
+    assert n_tiles - len(hists) == ref_skipped
+    assert all(isinstance(e, ComputationError) for e in errors.values())
 
 
 def _scipy_tile_fit(hist):
-    c, y = hist.centers, hist.counts
+    c, y, _, x0 = hist
 
     def fun(x):
         f0, fwhm, amp, off = x
@@ -318,23 +344,58 @@ def _scipy_tile_fit(hist):
                          1.0 / den, np.ones_like(c)], axis=1)
 
     return scipy.optimize.least_squares(
-        fun, hist.x0, jac=jac, bounds=([-np.inf, 1e-12, 0.0, -np.inf], np.inf),
+        fun, x0, jac=jac, bounds=([-np.inf, 1e-12, 0.0, -np.inf], np.inf),
         xtol=1e-10, ftol=1e-10, max_nfev=400,
     )
 
 
-@pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
-def test_every_tile_fit_matches_scipy(synth):
-    m = synth((256, 256), *((6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)),
-              seed=2)
+@pytest.mark.parametrize(
+    "synth, holes, bin_width",
+    [(synth_stationary, False, None), (synth_two_region, False, None),
+     (synth_two_region, True, 2.0)],
+    ids=["synth_stationary", "synth_two_region", "holes-fixed-width"],
+)
+def test_every_tile_fit_matches_scipy(synth, holes, bin_width):
+    if holes:
+        m = _map_with_holes(synth, seed=5)
+    else:
+        args = (6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)
+        m = synth((256, 256), *args, seed=2)
+    spans_groups = False
     for n_px in (16, 32):
-        hists, _ = strainmap._tile_histograms(m, n_px, 0, 0, None)
-        for chunk in strainmap._chunks([len(h.counts) for h in hists]):
-            result = strainmap._fit_lorentzians([hists[i] for i in chunk])
-            for row, i in enumerate(chunk):
-                ref = _scipy_tile_fit(hists[i])
+        stacks, errors, _ = strainmap._tile_histograms(m, n_px, 0, 0, bin_width)
+        # with a fixed width, tiles of different valid-pixel counts (groups)
+        # share a bin count, and each group is solved as its own stack
+        spans_groups |= len(stacks) > len({s.counts.shape[1] for s in stacks})
+        hists = _by_row(stacks)
+        fitted = []
+        for tiles, bin_w, result in strainmap._fit(stacks, errors):
+            for row, tile in enumerate(tiles):
+                assert bin_w[row] == hists[tile][2]
+                ref = _scipy_tile_fit(hists[tile])
                 assert result.nfevs[row] == ref.nfev
                 np.testing.assert_allclose(result.x[row], ref.x, rtol=1e-12, atol=0)
+                fitted.append(tile)
+        assert sorted(fitted) == list(hists)  # every tile fitted once
+    assert spans_groups == holes
+
+
+def test_partition_skips_tiles_narrower_than_a_bin():
+    # tiles 1 and 2 spread over about 0.02 kHz, far below a 1 kHz bin: their
+    # fits are under-resolved, and the other two keep their own fits
+    rng = np.random.default_rng(1)
+    values = 10.0 * rng.standard_cauchy((64, 64))
+    values[:32, 32:] = 0.01 * rng.standard_cauchy((32, 32))
+    values[32:, :32] = 0.02 * rng.standard_cauchy((32, 32))
+    stats = partition_sweep(StrainMap(values=values, pixel_pitch_um=1.0), [32.0],
+                            bin_width_khz=1.0)[0]
+    assert (stats.n_tiles, stats.n_skipped) == (4, 2)
+    tiles = [values[:32, :32], values[32:, 32:]]
+    assert stats.fwhms_khz == tuple(
+        histogram_fwhm(strainmap.mean_subtracted(t.ravel()), 1.0).fwhm_khz for t in tiles
+    )
+    with pytest.raises(ComputationError, match="below one bin width"):
+        histogram_fwhm(strainmap.mean_subtracted(values[:32, 32:].ravel()), 1.0)
 
 
 def test_partition_sweep_memory_stays_within_the_fit_stacks():
@@ -364,9 +425,9 @@ def test_partition_refuses_the_first_out_of_range_tile_in_scan_order():
     m = _map_with_holes(synth_stationary, seed=5)
     with pytest.raises(ValidationError, match="amplitude") as caught:
         partition_sweep(m, [192.0], bin_width_khz=1e40)
-    first = _per_tile_histograms(m, 32, 0, 1e40)[0][0]
+    first = next(iter(_per_tile_histograms(m, 32, 0, 1e40)[0].values()))
     with pytest.raises(ValidationError) as expected:
-        strainmap._refuse_out_of_range([strainmap._Histogram(*first)])
+        strainmap._fit([_stack_of([first])], {})
     assert str(caught.value) == str(expected.value)
 
 
@@ -379,8 +440,10 @@ def test_full_map_histogram_equals_numpy(bin_width):
     assert np.array_equal(shifts, valid - valid.mean())
     with_gaps = np.concatenate([[np.inf], shifts[:500], [np.nan, -np.inf], shifts[500:]])
     want = _numpy_histogram(shifts, bin_width)
-    _assert_same_histograms([strainmap._finite_histogram(with_gaps, bin_width)], [want])
-    fit = strainmap._fit_lorentzians([strainmap._Histogram(*want)])
+    stacks, errors = strainmap._finite_histogram(with_gaps, bin_width)
+    assert errors == {}
+    _assert_same_histograms(_by_row(stacks), {0: want})
+    [(_, _, fit)] = strainmap._fit([_stack_of([want])], {})
     got = histogram_fwhm(with_gaps, bin_width)
     assert (got.center_khz, got.fwhm_khz, got.amplitude, got.offset) == tuple(fit.x[0])
 
@@ -419,19 +482,21 @@ def test_tile_with_overflowing_shifts_drops_them():
         mean = tile.mean()
         assert np.isfinite(mean) and np.isfinite(tile - mean).sum() == 127
     m = StrainMap(values=values, pixel_pitch_um=1.0)
-    hists, skipped = strainmap._tile_histograms(m, 32, 0, 0, None)
+    stacks, errors, n_tiles = strainmap._tile_histograms(m, 32, 0, 0, None)
     ref, ref_skipped = _per_tile_histograms(m, 32, 0, None)
-    assert skipped == ref_skipped == 1
-    _assert_same_histograms(hists, ref)
+    assert ref_skipped == 1 and list(errors) == [1]
+    assert isinstance(errors[1], ComputationError)
+    _assert_same_histograms(_by_row(stacks), ref)
+    assert n_tiles == 4
 
 
 def test_a_bin_count_past_its_cap_takes_the_cap():
     # at 5e-324 kHz, (hi - lo) / width overflows; at 1e-300 it does not.
     # Both counts pass the 200,000-bin cap, over the same edges.
     rows = np.sort(np.random.default_rng(0).standard_cauchy(1000))[None, :]
-    tiny = strainmap._histograms(rows, 5e-324)[0]
-    assert len(tiny.counts) == 200_000
-    _assert_same_histograms([tiny], [strainmap._histograms(rows, 1e-300)[0]])
+    tiny = _by_row(strainmap._histograms(rows, 5e-324)[0])
+    assert len(tiny[0][1]) == 200_000
+    _assert_same_histograms(tiny, _by_row(strainmap._histograms(rows, 1e-300)[0]))
 
 
 # Bit-for-bit properties of the one-sort statistics against numpy. Shifts
@@ -515,8 +580,9 @@ def test_histograms_equal_numpy(draw, bin_width, data):
                 values[position] = targets[pick]
         assert np.array_equal(_numpy_edges(values, bin_width)[1], edges)
     want = _numpy_histogram(values, bin_width)
-    got = strainmap._histograms(np.sort(values)[None, :], bin_width)[0]
+    stacks, errors = strainmap._histograms(np.sort(values)[None, :], bin_width)
     if want is None:
-        assert isinstance(got, ComputationError)
+        assert stacks == [] and isinstance(errors[0], ComputationError)
     else:
-        _assert_same_histograms([got], [want])
+        assert errors == {}
+        _assert_same_histograms(_by_row(stacks), {0: want})
