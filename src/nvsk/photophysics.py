@@ -26,10 +26,10 @@ join the populations in one 9-dimensional state with a single step matrix;
 the filtered PL at any sample is an output row of a power of that matrix.
 The contrast and initialization-time routines evaluate those rows only at
 the samples they keep, and import no scipy. evolve() instead integrates the
-rate equations with scipy's adaptive Runge-Kutta method and lowpass() runs
-the filter over a given trace with scipy's sosfilt; each imports scipy when
-it is called. The test suite cross-checks the two paths. The steady state
-is a linear solve on A.
+rate equations with scipy's adaptive Runge-Kutta method, importing
+scipy.integrate when it is called, and lowpass() runs the same state-space
+filter over a given trace in numpy, block by block. The test suite
+cross-checks the two paths. The steady state is a linear solve on A.
 """
 
 from __future__ import annotations
@@ -195,25 +195,34 @@ def evolve(
     """Integrate the rate equations, reporting populations every dt.
 
     Adaptive eighth-order Runge-Kutta with tight tolerances; total
-    population is conserved to well below 1e-9 over the trajectory.
+    population is conserved to well below 1e-9 over the trajectory. The
+    loop is solve_ivp's with t_eval set to the grid: scipy's DOP853 solver
+    is stepped to the end of the grid, and after each step its dense output
+    gives the grid points the step reached. They are written into the
+    preallocated populations, so the result is solve_ivp's bit for bit
+    without its list of per-step arrays. scipy.integrate is imported when
+    this runs.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import DOP853
 
     n_steps = _check_grid(params, s, t_end, dt)
     a = rate_matrix(params, s)
     grid = np.arange(n_steps + 1) * dt
-    sol = solve_ivp(
-        lambda _t, y: a @ y,
-        (0.0, grid[-1]),
-        initial.as_array(),
-        method="DOP853",
-        t_eval=grid,
-        rtol=1e-10,
-        atol=1e-12,
+    solver = DOP853(
+        lambda _t, y: a @ y, 0.0, initial.as_array(), float(grid[-1]),
+        rtol=1e-10, atol=1e-12,
     )
-    if not sol.success:
-        raise ComputationError(f"integration failed: {sol.message}")
-    return Trajectory(sol.t, sol.y.T, s=s, params=params)
+    populations = np.empty((len(grid), 5))
+    done = 0  # grid points written
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise ComputationError(f"integration failed: {message}")
+        reached = int(np.searchsorted(grid, solver.t, side="right"))
+        if reached > done:
+            populations[done:reached] = solver.dense_output()(grid[done:reached]).T
+            done = reached
+    return Trajectory(grid, populations, s=s, params=params)
 
 
 def steady_state(params: FiveLevelParams, s: float) -> StateVector:
@@ -304,29 +313,6 @@ def _sections(upper: np.ndarray, gain: float) -> np.ndarray:
     return sos
 
 
-def _design_lowpass(dt: float) -> np.ndarray:
-    """Second-order sections of the readout filter at step dt."""
-    return _sections(*_lowpass_poles(dt))
-
-
-def lowpass(trace: PLTrace) -> PLTrace:
-    """Causal Butterworth low-pass emulating the acquisition hardware.
-
-    Order DEFAULT_FILTER_ORDER with cutoff DEFAULT_FILTER_CUTOFF_MHZ, bilinear
-    design at the trace sample rate; unity DC gain. The filter is
-    causal (startup transient included), matching how the instrument sees a
-    signal that switches on at t = 0.
-    """
-    from scipy.signal import sosfilt
-
-    sos = _design_lowpass(trace.dt)
-    values = sosfilt(sos, trace.values)
-    return PLTrace(
-        times=trace.times, values=values, s=trace.s, filtered=True,
-        params=trace.params,
-    )
-
-
 def _slowest_relaxation(params: FiveLevelParams, s: float) -> float:
     lam = np.linalg.eigvals(rate_matrix(params, s))
     rates = np.sort(np.abs(lam.real))
@@ -398,6 +384,93 @@ def _filter_state_space(dt: float):
         h[lo : lo + 2] = beta1, -(beta2 + beta1 * sigma) / omega
         d *= b0
     return f, g, h, d
+
+
+# Samples per block of lowpass, and blocks per chunk. A block's outputs are
+# its inputs times a (64, 64) Toeplitz matrix, so a chunk's are one
+# (64, 64) x (64, 64) product: 262,144 multiply-adds, the most OpenBLAS runs
+# on one thread.
+_FILTER_BLOCK = 64
+
+
+def lowpass(trace: PLTrace) -> PLTrace:
+    """Causal Butterworth low-pass emulating the acquisition hardware.
+
+    Order DEFAULT_FILTER_ORDER with cutoff DEFAULT_FILTER_CUTOFF_MHZ, bilinear
+    design at the trace sample rate; unity DC gain. The filter is
+    causal (startup transient included), matching how the instrument sees a
+    signal that switches on at t = 0.
+
+    It runs on the state space (F, G, H, D) of _filter_state_space, the
+    realization the readout uses, from a zero state. Samples go in blocks
+    of _FILTER_BLOCK: a block's outputs are its inputs times the Toeplitz
+    matrix of the impulse response D, HG, HFG, ... plus H F^j times its
+    start state, and its end state is F^_FILTER_BLOCK times its start state
+    plus the sum of F^(_FILTER_BLOCK - 1 - j) G x_j. The start states of a
+    chunk of _FILTER_BLOCK blocks come from a doubling scan over those end
+    states, so each chunk is a few small products on preallocated buffers.
+    """
+    f, g, h, d = _filter_state_space(trace.dt)
+    m, dim = _FILTER_BLOCK, len(f)
+    out_rows = np.empty((m, dim))  # row j: H F^j
+    in_rows = np.empty((m, dim))  # row j: (F^(m - 1 - j) G)^T
+    row, col = h, g
+    for j in range(m):
+        out_rows[j] = row
+        in_rows[m - 1 - j] = col
+        row, col = row @ f, f @ col
+    impulse = np.concatenate([[d], out_rows[:-1] @ g])
+    lag = np.arange(m) - np.arange(m)[:, None]
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)  # [i, j]: impulse[j - i]
+    # transposed advances of a block state over 1, 2, 4, ... blocks
+    advances_t = [np.linalg.matrix_power(f, m).T]
+    while len(advances_t) < (m - 1).bit_length():
+        advances_t.append(advances_t[-1] @ advances_t[-1])
+
+    x = np.asarray(trace.values, dtype=float)
+    # a block's product would spread a non-finite sample to the samples
+    # before it
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise ValidationError("PL values to filter must be finite")
+    n = len(x)
+    values = np.empty(n)
+    chunk = m * m
+    states = np.empty((m, dim))  # start state of each block of the chunk
+    inputs = np.empty((m, dim))  # input part of each block's end state
+    moved = np.empty((m, dim))
+    response = np.empty((m, m))
+    tail_in = np.zeros((m, m))  # the last, partial chunk, zero-padded
+    tail_out = np.empty((m, m))
+    state = np.zeros(dim)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        k = -(-(hi - lo) // m)  # blocks in this chunk
+        if hi - lo == chunk:
+            u = x[lo:hi].reshape(m, m)
+            out = values[lo:hi].reshape(m, m)
+        else:
+            tail_in.flat[: hi - lo] = x[lo:hi]
+            u, out = tail_in[:k], tail_out[:k]
+        np.matmul(u, in_rows, out=inputs[:k])
+        states[0] = state
+        states[1:k] = inputs[: k - 1]
+        span = 1
+        for step_t in advances_t:
+            if span >= k:
+                break
+            np.matmul(states[: k - span], step_t, out=moved[: k - span])
+            states[span:k] += moved[: k - span]
+            span *= 2
+        state = states[k - 1] @ advances_t[0] + inputs[k - 1]
+        np.matmul(states[:k], out_rows.T, out=response[:k])
+        np.matmul(u, toeplitz, out=out)
+        out += response[:k]
+    if n % chunk:
+        values[n - n % chunk :] = tail_out.flat[: n % chunk]
+    return PLTrace(
+        times=trace.times, values=values, s=trace.s, filtered=True,
+        params=trace.params,
+    )
 
 
 # Degree-13 Padé numerator coefficients b_0..b_13 (the denominator's are

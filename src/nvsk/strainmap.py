@@ -30,7 +30,8 @@ _HISTOGRAM_HALF_RANGE_IQR = 20.0
 # vector, so the largest parameter, the amplitude peak count x (FWHM/2)^2,
 # meets its fourth power; keep that 256 times below the largest double.
 _MAX_AMPLITUDE = (sys.float_info.max / 256.0) ** 0.25
-_FIT_BOUNDS = ([-np.inf, 1e-12, 0.0, -np.inf], np.inf)  # FWHM > 0, amplitude >= 0
+_MIN_FWHM = 1e-12
+_FIT_BOUNDS = ([-np.inf, _MIN_FWHM, 0.0, -np.inf], np.inf)  # FWHM > 0, amplitude >= 0
 # Most histogram bins (fits x bins) one stacked solve holds: an array
 # over them takes 256 KiB, and the solver holds a few dozen (the Jacobian
 # and the SVD's factors take four each). Larger stacks were no faster on
@@ -247,7 +248,9 @@ def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]):
             row_counts[:] = _sorted_counts(rows[i], row_edges)
         centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
         bin_w = edges[:, 1] - edges[:, 0]
-        fwhm0 = np.maximum(iqr[same], bin_w)
+        # the fit starts inside its bounds even where a fixed bin width and
+        # the interquartile range are both narrower than _MIN_FWHM
+        fwhm0 = np.maximum(np.maximum(iqr[same], bin_w), _MIN_FWHM)
         with np.errstate(over="ignore"):
             amplitude = np.maximum(counts.max(axis=1), 1.0) * scalar_pow(fwhm0 / 2.0, 2)
         x0 = np.stack([q50[same], fwhm0, amplitude, np.zeros(len(same))], axis=1)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm, null_space
+from scipy.signal import sosfilt
 
 from nvsk.errors import ValidationError
 from nvsk.photophysics import (
@@ -18,10 +20,11 @@ from nvsk.photophysics import (
     PLTrace,
     StateVector,
     _contrast_arrays,
-    _design_lowpass,
     _expm,
     _filter_state_space,
+    _lowpass_poles,
     _mean3,
+    _sections,
     contrast_trace,
     default_trace_window,
     evolve,
@@ -143,7 +146,7 @@ def test_filter_dc_gain():
     # Up to 1 GHz only: above it, 1 + a1 + a2 loses too many digits to
     # cancellation for 1e-12, with scipy's butter coefficients as with these
     for fs in (17.0, 50.0, 170.0, 1e3):
-        sos = _design_lowpass(1.0 / fs)
+        sos = _sections(*_lowpass_poles(1.0 / fs))
         dc = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
         assert dc == pytest.approx(1.0, abs=1e-12)
 
@@ -192,12 +195,21 @@ def test_filter_undersampled_rejected():
         lowpass(trace)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_filter_refuses_non_finite_values(bad):
+    values = np.ones(200)
+    values[100] = bad
+    trace = PLTrace(times=np.arange(200) * 0.01, values=values, s=0.0, filtered=True)
+    with pytest.raises(ValidationError, match="must be finite"):
+        lowpass(trace)
+
+
 def test_filter_design_matches_scipy_butter():
     from scipy.signal import butter
 
     eps = np.finfo(float).eps
     for fs in np.geomspace(17.0, 2e5, 25):
-        sos = _design_lowpass(1.0 / fs)
+        sos = _sections(*_lowpass_poles(1.0 / fs))
         oracle = butter(4, 1.7, fs=1.0 / (1.0 / fs), output="sos")
         assert np.all(np.abs(sos - oracle) <= 4 * eps * np.abs(oracle))
 
@@ -392,6 +404,37 @@ def test_filter_insensitive_to_input_rounding():
     assert np.abs(moved - out).max() < 1e-9 * np.abs(out).max()
 
 
+@pytest.mark.parametrize("s", [0.0, 1e-3, 0.1, 1.0, 30.0, 100.0])
+def test_evolve_equals_solve_ivp(s):
+    dt = max_stable_dt(PARAMS, s)
+    a = rate_matrix(PARAMS, s)
+    for initial in (GROUND_MS0, GROUND_MS_PM1):
+        traj = evolve(PARAMS, s, initial, 20.0, dt)
+        grid = np.arange(len(traj.times)) * dt
+        sol = solve_ivp(
+            lambda _t, y: a @ y, (0.0, grid[-1]), initial.as_array(), method="DOP853",
+            t_eval=grid, rtol=1e-10, atol=1e-12,
+        )
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.populations, sol.y.T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("dt", [0.05, max_stable_dt(PARAMS, 100.0)])
+def test_lowpass_equals_the_sample_by_sample_state_recursion(n, dt):
+    # the blocks, the doubling scan over them and the zero-padded last chunk
+    # against the plain recursion of the same state space
+    f, g, h, d = _filter_state_space(dt)
+    x = np.random.default_rng(n).random(n)
+    state = np.zeros(len(f))
+    oracle = np.empty(n)
+    for i, u in enumerate(x):
+        oracle[i] = h @ state + d * u
+        state = f @ state + g * u
+    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x, s=0.0)).values
+    assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 def test_weak_pumping_band_is_bounded_and_scales_as_one_over_intensity():
     # repolarization windows of ~1e10 resolution-limited steps: only the
     # kept samples are evaluated, and deep below saturation t_I ~ 1/I
@@ -453,6 +496,34 @@ def test_property_lowpass_unity_dc_gain(dt, level):
     assert np.abs(out[n // 2 :] - level).max() < 1e-9 * level
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dt=st.one_of(st.floats(1e-4, 0.05), st.just(max_stable_dt(PARAMS, 100.0))),
+    n=st.one_of(
+        st.sampled_from([2, 3, 63, 64, 65, 4095, 4096, 4097]), st.integers(2, 20_000)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    log_level=st.floats(-3.0, 3.0),
+    step=st.booleans(),
+)
+def test_property_lowpass_matches_sosfilt(dt, n, seed, log_level, step):
+    # The oracle is the direct-form cascade of the same sections. Its own
+    # rounding grows as 1 / tan(pi fc dt)^2 as the poles crowd towards
+    # z = 1: for a step at dt = 1e-4 it is 4e-10 of the peak off an 80-bit
+    # evaluation, which lowpass is within 2.4e-13 of. Below dt ~ 1.8e-3 the
+    # bound follows that growth.
+    x = 10.0**log_level * np.random.default_rng(seed).random(n)
+    if step:
+        x[: n // 3] = 0.0
+        x[n // 3 :] = x[-1]
+    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x, s=0.0)).values
+    oracle = sosfilt(_sections(*_lowpass_poles(dt)), x)
+    warped = math.tan(math.pi * DEFAULT_FILTER_CUTOFF_MHZ * dt)
+    tol = max(1e-11, 4.0 * np.finfo(float).eps / warped**2)
+    assert np.abs(out - oracle).max() <= tol * np.abs(oracle).max()
+    assert out[0] == _filter_state_space(dt)[3] * x[0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(params=rates, s=pump)
 def test_property_contrast_returns_to_one(params, s):
@@ -487,8 +558,9 @@ def test_property_expm_matches_mpmath(params, s, log_norm):
 
 def exact_readout_contrast(params, s, dt, n, block=256):
     """Independent readout oracle on n samples: populations from expm(A t)
-    at every block start and P steps inside the block, PL through lowpass,
-    contrast with the same division floor."""
+    at every block start and P steps inside the block, PL through scipy's
+    sosfilt on the filter's sections, contrast with the same division
+    floor."""
     a = rate_matrix(params, s)
     prop = expm(a * dt)
     start = np.column_stack([GROUND_MS_PM1.as_array(), GROUND_MS0.as_array()])
@@ -498,8 +570,8 @@ def exact_readout_contrast(params, s, dt, n, block=256):
         pl[:, j] = params.gamma_rad * (state[:, 2] + state[:, 3])
         state = prop @ state
     pl = pl.reshape(-1, 2)[:n]
-    times = np.arange(n) * dt
-    sig, ref = (lowpass(PLTrace(times=times, values=v, s=s)).values for v in pl.T)
+    sos = _sections(*_lowpass_poles(dt))
+    sig, ref = (sosfilt(sos, v) for v in pl.T)
     floor = 1e-9 * params.gamma_rad * steady_state(params, s).as_array()[2:4].sum()
     contrast = np.ones(n)
     np.divide(sig, ref, out=contrast, where=np.abs(ref) > floor)

@@ -119,6 +119,15 @@ def test_fit_refuses_an_amplitude_whose_fourth_power_overflows():
         histogram_fwhm(values, bin_width_khz=1e40)
 
 
+def test_fit_below_the_fwhm_bound_starts_on_the_bound():
+    # zero interquartile range and a 1e-13 kHz width: max(iqr, width) lies
+    # below the 1e-12 kHz FWHM bound, so the start point is raised to it
+    [stack], errors = strainmap._finite_histogram(np.full(200, 3.0), 1e-13)
+    assert not errors and stack.x0[0, 1] == 1e-12
+    fit = histogram_fwhm(np.full(200, 3.0), bin_width_khz=1e-13)
+    assert fit.center_khz == 3.0 and fit.fwhm_khz >= 1e-12
+
+
 @pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
 def test_synth_refuses_a_map_above_the_pixel_limit(synth):
     args = (6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)
