@@ -233,10 +233,6 @@ def cmd_photophysics_simulate(args):
     t_end = (
         photophysics.default_trace_window(params, s) if args.t_end is None else args.t_end
     )
-    _check_trace_grid(
-        "--t-end", t_end, "--dt", dt,
-        "pass a shorter --t-end (or use ti-band for slow-pumping regimes)",
-    )
     trajectory = photophysics.evolve(
         params, s, photophysics.GROUND_MS0, t_end=t_end, dt=dt
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import GAMMA_CONVENTIONS, DiamondSample, PhysicalConstants
+from .core import DiamondSample, PhysicalConstants
 from .dephasing import BathCoefficients
 from .errors import ValidationError
 from .photophysics import FiveLevelParams
@@ -39,15 +39,6 @@ def _float_type(raw: str) -> float:
 
 def _int_type(raw: str) -> int:
     return int(raw, 10)
-
-
-def _enum_type(choices):
-    def parse(raw: str):
-        if raw not in choices:
-            raise ValueError(f"must be one of {choices}")
-        return raw
-
-    return parse
 
 
 def _in_range(lo, hi):
@@ -83,9 +74,6 @@ _SCHEMA = {
     },
     "constants": {
         "gamma_e_mhz_per_g": (_float_type, _positive, "> 0", _CONSTANTS.gamma_e),
-        "gamma_convention": (
-            _enum_type(GAMMA_CONVENTIONS), lambda v: True, "", _CONSTANTS.gamma_convention
-        ),
     },
     "bath": {
         "a_ns0_per_us_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_ns0),
@@ -151,10 +139,7 @@ class ResolvedConfig:
 
     def constants(self) -> PhysicalConstants:
         sec = self.values["constants"]
-        return PhysicalConstants(
-            gamma_e=sec["gamma_e_mhz_per_g"],
-            gamma_convention=sec["gamma_convention"],
-        )
+        return PhysicalConstants(gamma_e=sec["gamma_e_mhz_per_g"])
 
     def bath_coefficients(self) -> BathCoefficients:
         sec = self.values["bath"]

@@ -20,13 +20,11 @@ from .errors import ValidationError
 PPM_TO_PER_CM3 = 1.76e17
 
 # Electron gyromagnetic ratio over 2*pi, in MHz/G. Configurable everywhere it
-# is used; the convention flag below records what the stored number means.
+# is used.
 GAMMA_E_MHZ_PER_G = 2.8024
 
-GAMMA_CONVENTIONS = ("gamma_over_2pi", "angular")
-
-# Largest time grid a full-resolution trace (contrast_trace, the simulate and
-# ramsey synth commands) materializes.
+# Largest time grid a full-resolution trace (evolve, contrast_trace, the
+# ramsey synth command) materializes.
 MAX_TRACE_SAMPLES = 5_000_000
 
 
@@ -48,14 +46,6 @@ class Concentration:
         if ppm < 0:
             raise ValidationError(f"concentration must be >= 0 ppm, got {ppm}")
         object.__setattr__(self, "ppm", ppm)
-
-    @classmethod
-    def from_per_cm3(cls, density: float) -> "Concentration":
-        return cls(float(density) / PPM_TO_PER_CM3)
-
-    @property
-    def per_cm3(self) -> float:
-        return self.ppm * PPM_TO_PER_CM3
 
     def __float__(self) -> float:
         return self.ppm
@@ -92,25 +82,19 @@ def as_mw_per_um2(value) -> float:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Numerical constants plus the convention they are stored in.
+    """Numerical constants.
 
-    gamma_convention is "gamma_over_2pi" when gamma_e holds gamma/2pi in
-    MHz/G (the 2.8024 literature number), or "angular" when it holds the
-    angular rate. The flag travels with every output artifact.
+    gamma_e is the electron gyromagnetic ratio over 2pi in MHz/G (the
+    2.8024 literature number); the sensitivity's G*sqrt(us*cm^3) unit
+    assumes that convention, and there is no other.
     """
 
     gamma_e: float = GAMMA_E_MHZ_PER_G
-    gamma_convention: str = "gamma_over_2pi"
 
     def __post_init__(self):
         g = _require_finite("gamma_e", self.gamma_e)
         if g <= 0:
             raise ValidationError(f"gamma_e must be > 0, got {g}")
-        if self.gamma_convention not in GAMMA_CONVENTIONS:
-            raise ValidationError(
-                f"gamma_convention must be one of {GAMMA_CONVENTIONS}, "
-                f"got {self.gamma_convention!r}"
-            )
         object.__setattr__(self, "gamma_e", g)
 
 

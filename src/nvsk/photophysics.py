@@ -151,7 +151,14 @@ def max_stable_dt(params: FiveLevelParams, s: float) -> float:
     )
 
 
-def _check_grid(params, s, t_end, dt):
+# Longest resolution-limited grid ti_band strides over: the step counts of its
+# strided propagators reach four times this and must stay within int64.
+_MAX_GRID_STEPS = 2**61
+
+
+def _check_grid(params, s, t_end, dt, max_samples=_MAX_GRID_STEPS):
+    """Steps of the grid k * dt up to t_end. A grid of more than max_samples
+    samples is refused, counted in float first so that no ratio overflows."""
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValidationError(f"t_end must be finite and > 0, got {t_end}")
     if not dt > 0:
@@ -162,7 +169,14 @@ def _check_grid(params, s, t_end, dt):
             f"dt = {dt:g} us does not resolve the dynamics at s = {s:g}; "
             f"required dt <= {limit:.6g} us"
         )
-    n_steps = int(math.ceil(t_end / dt - 1e-9))
+    steps = t_end / dt - 1e-9
+    if steps > max_samples - 1:
+        raise ValidationError(
+            f"time grid of {steps + 1:,.0f} samples (t_end {t_end:g} us at dt "
+            f"{dt:g} us) exceeds the {max_samples:,}-sample limit; pass a shorter "
+            "t_end, or use ti_band for this regime"
+        )
+    n_steps = int(math.ceil(steps))
     if n_steps < 1:
         raise ValidationError(
             f"t_end = {t_end:g} us is shorter than one step dt = {dt:g} us; "
@@ -174,11 +188,10 @@ def _check_grid(params, s, t_end, dt):
 class Trajectory:
     """Populations sampled on a uniform time grid."""
 
-    def __init__(self, times: np.ndarray, populations: np.ndarray, s: float,
+    def __init__(self, times: np.ndarray, populations: np.ndarray,
                  params: FiveLevelParams):
         self.times = times
         self.populations = populations  # shape (n, 5)
-        self.s = s
         self.params = params
 
     def conservation_error(self) -> float:
@@ -201,11 +214,11 @@ def evolve(
     gives the grid points the step reached. They are written into the
     preallocated populations, so the result is solve_ivp's bit for bit
     without its list of per-step arrays. scipy.integrate is imported when
-    this runs.
+    this runs. A grid of more than MAX_TRACE_SAMPLES samples is refused.
     """
     from scipy.integrate import DOP853
 
-    n_steps = _check_grid(params, s, t_end, dt)
+    n_steps = _check_grid(params, s, t_end, dt, MAX_TRACE_SAMPLES)
     a = rate_matrix(params, s)
     grid = np.arange(n_steps + 1) * dt
     solver = DOP853(
@@ -222,7 +235,7 @@ def evolve(
         if reached > done:
             populations[done:reached] = solver.dense_output()(grid[done:reached]).T
             done = reached
-    return Trajectory(grid, populations, s=s, params=params)
+    return Trajectory(grid, populations, params)
 
 
 def steady_state(params: FiveLevelParams, s: float) -> StateVector:
@@ -245,9 +258,7 @@ class PLTrace:
 
     times: np.ndarray
     values: np.ndarray
-    s: float
     filtered: bool = False
-    params: Optional[FiveLevelParams] = None
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
@@ -269,10 +280,7 @@ def pl_rate(trajectory: Trajectory) -> PLTrace:
     """Emission rate R(t) = gamma_rad * (n3 + n4)."""
     g = trajectory.params.gamma_rad
     values = g * (trajectory.populations[:, 2] + trajectory.populations[:, 3])
-    return PLTrace(
-        times=trajectory.times, values=values, s=trajectory.s,
-        params=trajectory.params,
-    )
+    return PLTrace(times=trajectory.times, values=values)
 
 
 def _lowpass_poles(dt: float):
@@ -332,17 +340,11 @@ def default_trace_window(params: FiveLevelParams, s: float) -> float:
 
 @dataclass
 class ContrastCurve:
-    """Filtered signal/reference PL ratio versus readout delay."""
+    """Filtered signal/reference PL ratio versus readout delay (us), Sig
+    started from m_s=+-1 and Ref from m_s=0."""
 
     times: np.ndarray
     contrast: np.ndarray
-    s: float
-    intensity: float
-    i_sat: float
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 # Kept samples per output block. A power of two, so the row doubling ends on
@@ -467,10 +469,7 @@ def lowpass(trace: PLTrace) -> PLTrace:
         out += response[:k]
     if n % chunk:
         values[n - n % chunk :] = tail_out.flat[: n % chunk]
-    return PLTrace(
-        times=trace.times, values=values, s=trace.s, filtered=True,
-        params=trace.params,
-    )
+    return PLTrace(times=trace.times, values=values, filtered=True)
 
 
 # Degree-13 Padé numerator coefficients b_0..b_13 (the denominator's are
@@ -524,11 +523,9 @@ def _contrast_arrays(
     t_end: float,
     dt: float,
     keep_stride: int = 1,
-    sig_initial: StateVector = GROUND_MS_PM1,
-    ref_initial: StateVector = GROUND_MS0,
 ):
     """Filtered Sig/Ref contrast on the grid k * dt, keeping every
-    keep_stride-th sample.
+    keep_stride-th sample; Sig starts from m_s=+-1, Ref from m_s=0.
 
     Populations and readout filter form one linear state x = (5
     populations, 2 states per filter section) with the exact one-step
@@ -575,8 +572,8 @@ def _contrast_arrays(
     # span >= block, and span == block whenever there is more than one
     # block, so power is the block advance
     state = np.zeros((len(joint), 2))
-    state[:5, 0] = sig_initial.as_array()
-    state[:5, 1] = ref_initial.as_array()
+    state[:5, 0] = GROUND_MS_PM1.as_array()
+    state[:5, 1] = GROUND_MS0.as_array()
     ref_floor = math.inf
     if s > 0:
         ref_floor = 1e-9 * float(pl_row @ steady_state(params, s).as_array())
@@ -589,9 +586,6 @@ def _contrast_arrays(
 
 
 _MAX_KEPT_SAMPLES = 2_000_000
-# Longest resolution-limited grid ti_band strides over: the step counts of its
-# strided propagators reach four times this and must stay within int64.
-_MAX_GRID_STEPS = 2**61
 
 
 def contrast_trace(
@@ -600,8 +594,6 @@ def contrast_trace(
     i_sat: float,
     t_end: Optional[float] = None,
     dt: Optional[float] = None,
-    sig_initial: StateVector = GROUND_MS_PM1,
-    ref_initial: StateVector = GROUND_MS0,
 ) -> ContrastCurve:
     """Simulate the pulsed readout protocol at one excitation intensity.
 
@@ -611,28 +603,18 @@ def contrast_trace(
     back to one as optical pumping repolarizes it. Defaults: dt at the
     resolution limit, t_end spanning the full repolarization transient.
 
-    The full-resolution curve is materialized, so a grid of more than
-    MAX_TRACE_SAMPLES samples (extremely weak pumping) is refused; use
-    ti_band, which evaluates only the samples it keeps, or pass a shorter
-    t_end.
+    The full-resolution curve is materialized, so, as in evolve, a grid of
+    more than MAX_TRACE_SAMPLES samples (extremely weak pumping) is refused;
+    use ti_band, which evaluates only the samples it keeps, or pass a
+    shorter t_end.
     """
-    i = as_mw_per_um2(intensity)
-    s = saturation_parameter(i, i_sat)
+    s = saturation_parameter(intensity, i_sat)
     if dt is None:
         dt = max_stable_dt(params, s)
     if t_end is None:
         t_end = default_trace_window(params, s)
-    n_total = _check_grid(params, s, t_end, dt) + 1
-    if n_total > MAX_TRACE_SAMPLES:
-        raise ValidationError(
-            f"contrast trace of {n_total:,} samples (t_end {t_end:g} us at "
-            f"dt {dt:g} us) exceeds the {MAX_TRACE_SAMPLES:,}-sample limit; "
-            "use ti_band for this regime or pass a shorter t_end"
-        )
-    times, contrast = _contrast_arrays(
-        params, s, t_end, dt, sig_initial=sig_initial, ref_initial=ref_initial
-    )
-    return ContrastCurve(times=times, contrast=contrast, s=s, intensity=i, i_sat=i_sat)
+    _check_grid(params, s, t_end, dt, MAX_TRACE_SAMPLES)
+    return ContrastCurve(*_contrast_arrays(params, s, t_end, dt))
 
 
 def _mean3(x: np.ndarray) -> np.ndarray:
@@ -718,13 +700,12 @@ def ti_band(params: FiveLevelParams, intensities) -> TiBand:
                     f"intensity {i:g} mW/um^2 needs more than {_MAX_GRID_STEPS:.3g} "
                     "samples at full resolution"
                 )
-            traces.append((i_sat, i, s, dt, t_end))
+            traces.append((s, dt, t_end))
     t_is = []
-    for i_sat, i, s, dt, t_end in traces:
+    for s, dt, t_end in traces:
         n_total = _check_grid(params, s, t_end, dt) + 1
         stride = max(1, int(math.ceil(n_total / _MAX_KEPT_SAMPLES)))
         times, contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride)
-        curve = ContrastCurve(times=times, contrast=contrast, s=s, intensity=i, i_sat=i_sat)
-        t_is.append(initialization_time(curve))
+        t_is.append(initialization_time(ContrastCurve(times, contrast)))
     lower, upper = np.reshape(t_is, (2, grid.size))
     return TiBand(intensities=grid, lower=lower, upper=upper)

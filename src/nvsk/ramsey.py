@@ -4,7 +4,7 @@ Signal model: a stretched-exponential decay envelope multiplying a sum of
 equally weighted hyperfine-split cosine lines,
 
     S(tau) = baseline + amplitude * exp(-(tau/T2*)^p)
-             * (1/n) * sum_j cos(2*pi*(detuning + j*a_hf)*tau + phi_j)
+             * (1/n) * sum_j cos(2*pi*(detuning + j*a_hf)*tau)
 
 with the line index j centered on zero. Fitting is one core.least_squares
 solve of the full model with its closed-form Jacobian, from T2* by
@@ -46,7 +46,6 @@ class RamseyModel:
     p: float = 1.0
     hyperfine_splitting: float = DEFAULT_HYPERFINE_MHZ
     n_hyperfine: int = 3
-    phases: Optional[tuple] = None  # per-line, radians; None = all zero
 
     def __post_init__(self):
         if not self.t2_star > 0:
@@ -62,12 +61,6 @@ class RamseyModel:
             raise ValidationError(
                 f"hyperfine_splitting must be >= 0, got {self.hyperfine_splitting}"
             )
-        if self.phases is not None:
-            if len(self.phases) != self.n_hyperfine:
-                raise ValidationError(
-                    f"expected {self.n_hyperfine} phases, got {len(self.phases)}"
-                )
-            object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
 
     def line_frequencies(self) -> np.ndarray:
         j = np.arange(self.n_hyperfine) - (self.n_hyperfine - 1) / 2.0
@@ -80,8 +73,7 @@ class RamseyModel:
     def evaluate(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
         freqs = self.line_frequencies()
-        phases = np.zeros(self.n_hyperfine) if self.phases is None else np.asarray(self.phases)
-        osc = np.cos(2.0 * np.pi * np.outer(tau, freqs) + phases).mean(axis=1)
+        osc = np.cos(2.0 * np.pi * np.outer(tau, freqs)).mean(axis=1)
         return self.baseline + self.amplitude * self.envelope(tau) * osc
 
 
@@ -263,11 +255,11 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     Deterministic initialization (the best-scoring reading of the two
     strongest spectral peaks for the frequencies, log-envelope regression
     for T2*), then one trust-region least-squares solve over (baseline,
-    amplitude, T2*, p, detuning, splitting) with phases fixed at zero and
-    the model's closed-form Jacobian; one line does not depend on the
-    splitting, which then keeps its seed. Uncertainties come from the local
-    curvature at the optimum. `n_evaluations` counts the residual
-    evaluations of that one solve; Jacobian evaluations are not counted.
+    amplitude, T2*, p, detuning, splitting) with the model's closed-form
+    Jacobian; one line does not depend on the splitting, which then keeps
+    its seed. Uncertainties come from the local curvature at the optimum.
+    `n_evaluations` counts the residual evaluations of that one solve;
+    Jacobian evaluations are not counted.
 
     tau must be finite, >= 0 and non-decreasing with a positive median
     step (a first delay of 0 and some repeated delays are accepted); the

@@ -99,58 +99,50 @@ def ramsey_sensitivity(params: SensingParams, tau: float) -> float:
 
 @dataclass(frozen=True)
 class TauOptimum:
-    """Result of the 1-D precession-time optimization."""
+    """Result of the 1-D precession-time optimization: the stationary tau,
+    always interior (at most T2*), and eta there."""
 
     tau: float
     eta: float
-    boundary: bool  # eta still falling at tau_max, which is returned
 
 
 _NITROGEN_RANGE_PPM = (0.01, 100.0)
 
 
-def optimal_tau(params: SensingParams, tau_max: Optional[float] = None) -> TauOptimum:
-    """Minimize the sensitivity over tau in (0, tau_max].
+def optimal_tau(params: SensingParams) -> TauOptimum:
+    """Minimize the sensitivity over tau > 0.
 
-    tau_max defaults to 5 * T2*. Setting d ln(eta)/d tau to zero gives the
-    stationarity condition
+    Setting d ln(eta)/d tau to zero gives the stationarity condition
 
         2p (tau/T2*)^p = (tau + 2 t_O) / (tau + t_O),
 
     whose left side rises in tau while the right side falls from 2 to 1, so
-    its root is unique and lies in [T2* (2p)^(-1/p), T2* p^(-1/p)]. Plain
-    bisection on that bracket runs until the midpoint equals an endpoint,
-    i.e. to the last float. When T2* is infinite or the root exceeds
-    tau_max, eta still falls at tau_max, which is returned with
-    boundary=True.
+    its root is unique and lies in [T2* (2p)^(-1/p), T2* p^(-1/p)], at most
+    T2* since p >= 1. Plain bisection on that bracket runs until the
+    midpoint equals an endpoint, i.e. to the last float. Without dephasing
+    (T2* infinite) eta falls for ever and there is no optimum, so that case
+    is refused; so is an eta that overflows or underflows at the optimum.
     """
     t2 = params.t2_star
-    if tau_max is None:
-        if math.isinf(t2):
-            raise ValidationError(
-                "tau_max is required when t2_star is unbounded"
-            )
-        tau_max = 5.0 * t2
-    if not tau_max > 0 or math.isinf(tau_max):
-        raise ValidationError(f"tau_max must be finite > 0, got {tau_max}")
-
+    if math.isinf(t2):
+        raise ValidationError("tau has no optimum when t2_star is unbounded")
     p, t_o = params.p, params.t_overhead
-    root = math.inf
-    if not math.isinf(t2):
-        lo, hi = t2 * (2.0 * p) ** (-1.0 / p), t2 * p ** (-1.0 / p)
-        root = 0.5 * (lo + hi)
-        while root not in (lo, hi):
-            # right side written as 1 + t_O/(tau + t_O): no overflow at huge t_O
-            if 2.0 * p * (root / t2) ** p < 1.0 + t_o / (root + t_o):
-                lo = root
-            else:
-                hi = root
-            root = 0.5 * (lo + hi)
-    tau = min(root, tau_max)
+    lo, hi = t2 * (2.0 * p) ** (-1.0 / p), t2 * p ** (-1.0 / p)
+    # halves added, not halved sum: no overflow at huge T2*, same bits below
+    tau = 0.5 * lo + 0.5 * hi
+    while tau not in (lo, hi):
+        # right side written as 1 + t_O/(tau + t_O): no overflow at huge t_O
+        if 2.0 * p * (tau / t2) ** p < 1.0 + t_o / (tau + t_o):
+            lo = tau
+        else:
+            hi = tau
+        tau = 0.5 * lo + 0.5 * hi
     eta = ramsey_sensitivity(params, tau)
     if not math.isfinite(eta):
         raise ComputationError(f"sensitivity is not finite at tau={tau:g} us")
-    return TauOptimum(tau=tau, eta=eta, boundary=root > tau_max)
+    if eta == 0.0:
+        raise ComputationError(f"sensitivity underflows to 0 at tau={tau:g} us")
+    return TauOptimum(tau=tau, eta=eta)
 
 
 @dataclass(frozen=True)

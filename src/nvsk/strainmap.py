@@ -41,12 +41,16 @@ _FIT_CELLS = 1 << 15
 
 @dataclass
 class StrainMap:
-    """2-D grid of strain-induced frequency shifts, kHz."""
+    """2-D grid of strain-induced frequency shifts, kHz.
+
+    A NaN or infinite cell marks a pixel without data; mask is True on the
+    finite cells, the only valid pixels.
+    """
 
     values: np.ndarray
     pixel_pitch_um: float
-    mask: Optional[np.ndarray] = None  # True = valid pixel
     orientation: str = "nv1"
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -58,13 +62,7 @@ class StrainMap:
             raise ValidationError(
                 f"orientation must be one of {ORIENTATIONS}, got {self.orientation!r}"
             )
-        if self.mask is None:
-            self.mask = np.isfinite(self.values)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.values.shape:
-                raise ValidationError("mask shape differs from map shape")
-            self.mask = self.mask & np.isfinite(self.values)
+        self.mask = np.isfinite(self.values)
         if not self.mask.any():
             raise ValidationError("strain map has no valid pixels")
 

@@ -551,6 +551,23 @@ def test_table_outside_range_is_computation_boundary(tmp_path, sample_cfg, capsy
     assert "outside table range" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_sensitivity_that_underflows(tmp_path, capsys):
+    # a vanishing bath puts T2* near 1e300 us, so N * tau overflows and eta
+    # would print as 0 on every row
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(SAMPLE_CFG + "[bath]\na_ns0_per_us_ppm = 1e-300\na_c13_per_ms_ppm = 0\n"
+                   "a_nv_par_per_us_ppm = 0\na_nv_nonpar_per_us_ppm = 0\n")
+    table = tmp_path / "low.csv"
+    table.write_text(table_rows_to_csv_text(LOW_N_ROWS))
+    out = tmp_path / "x.csv"
+    code = main(["sensitivity", "sweep", "--sample", str(cfg), "--table", str(table),
+                 "--grid", "0.01:1:log:3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nvsk: sensitivity underflows to 0") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["sensitivity", "sweep"]) == 1
 

@@ -37,7 +37,7 @@ def test_default_config_is_pinned():
     # manifests record this block, so its keys, order and values are fixed
     expected = {
         "sample": {"n_orientations_sensing": 1},
-        "constants": {"gamma_e_mhz_per_g": 2.8024, "gamma_convention": "gamma_over_2pi"},
+        "constants": {"gamma_e_mhz_per_g": 2.8024},
         "bath": {
             "a_ns0_per_us_ppm": 0.101,
             "a_c13_per_ms_ppm": 0.1,
@@ -109,14 +109,6 @@ def test_missing_sample_keys_reported(tmp_path):
     cfg = parse_config(write(tmp_path, "[sample]\nns0_as_grown_ppm = 0.8\n"))
     with pytest.raises(ValidationError, match="lacks required"):
         cfg.sample()
-
-
-def test_gamma_convention_enum(tmp_path):
-    text = MINIMAL + "\n[constants]\ngamma_convention = angular\n"
-    assert parse_config(write(tmp_path, text)).constants().gamma_convention == "angular"
-    bad = MINIMAL + "\n[constants]\ngamma_convention = radians\n"
-    with pytest.raises(ValidationError, match="must be one of"):
-        parse_config(write(tmp_path, bad))
 
 
 def test_missing_file():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nvsk import core
 from nvsk.core import (
-    PPM_TO_PER_CM3,
     Concentration,
     DiamondSample,
     Intensity,
@@ -29,26 +28,14 @@ def test_concentration_validation():
         Concentration(float("inf"))
 
 
-def test_ppm_cm3_roundtrip():
-    for ppm in (1e-6, 0.39, 0.8, 14.0, 108.0, 5000.0):
-        c = Concentration(ppm)
-        back = Concentration.from_per_cm3(c.per_cm3)
-        assert back.ppm == pytest.approx(ppm, rel=1e-12)
-    assert Concentration(1.0).per_cm3 == PPM_TO_PER_CM3
-
-
 def test_intensity_validation():
     assert Intensity(0.24).mw_per_um2 == 0.24
     with pytest.raises(ValidationError):
         Intensity(-1.0)
 
 
-def test_constants_convention_flag():
-    c = PhysicalConstants()
-    assert c.gamma_e == pytest.approx(2.8024)
-    assert c.gamma_convention == "gamma_over_2pi"
-    with pytest.raises(ValidationError):
-        PhysicalConstants(gamma_convention="radians")
+def test_constants_gamma_e():
+    assert PhysicalConstants().gamma_e == pytest.approx(2.8024)
     with pytest.raises(ValidationError):
         PhysicalConstants(gamma_e=0.0)
 

@@ -342,9 +342,9 @@ def test_ingest_table_unsorted_input_sorted(tmp_path):
 def test_strain_map_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.normal(0.0, 10.0, size=(24, 30))
-    mask = np.ones_like(values, dtype=bool)
-    mask[3, 7] = False
-    m = StrainMap(values=values, pixel_pitch_um=6.0, mask=mask, orientation="nv2")
+    masked = values.copy()
+    masked[3, 7] = np.nan
+    m = StrainMap(values=masked, pixel_pitch_um=6.0, orientation="nv2")
     path = tmp_path / "map.csv"
     save_strain_map(m, path)
     assert (tmp_path / "map.json").is_file()
@@ -362,7 +362,8 @@ def test_save_strain_map_writes_what_savetxt_wrote(tmp_path, shape):
     rng = np.random.default_rng(9)
     values = 10.0 * rng.standard_cauchy(shape) ** 3
     mask = rng.random(shape) > 0.05
-    save_strain_map(StrainMap(values=values, pixel_pitch_um=3.0, mask=mask), tmp_path / "m.csv")
+    masked = np.where(mask, values, np.nan)
+    save_strain_map(StrainMap(values=masked, pixel_pitch_um=3.0), tmp_path / "m.csv")
     oracle = tmp_path / "oracle.csv"
     np.savetxt(oracle, np.where(mask, values, np.nan), delimiter=",", fmt=FLOAT_FORMAT,
                newline="\n")

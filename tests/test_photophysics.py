@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, null_space
 from scipy.signal import sosfilt
 
+from nvsk.core import MAX_TRACE_SAMPLES
 from nvsk.errors import ValidationError
 from nvsk.photophysics import (
     DEFAULT_FILTER_CUTOFF_MHZ,
@@ -137,7 +138,6 @@ def _sine_trace(freq_mhz, dt, n, amplitude=1.0, offset=2.0):
     return PLTrace(
         times=t,
         values=offset + amplitude * np.sin(2 * np.pi * freq_mhz * t),
-        s=0.0,
     )
 
 
@@ -151,7 +151,7 @@ def test_filter_dc_gain():
         assert dc == pytest.approx(1.0, abs=1e-12)
 
     dt = 0.02
-    trace = PLTrace(times=np.arange(8000) * dt, values=np.full(8000, 3.7), s=0.0)
+    trace = PLTrace(times=np.arange(8000) * dt, values=np.full(8000, 3.7))
     filtered = lowpass(trace)
     assert filtered.filtered
     # after the startup transient the output settles at the input level
@@ -199,7 +199,7 @@ def test_filter_undersampled_rejected():
 def test_filter_refuses_non_finite_values(bad):
     values = np.ones(200)
     values[100] = bad
-    trace = PLTrace(times=np.arange(200) * 0.01, values=values, s=0.0, filtered=True)
+    trace = PLTrace(times=np.arange(200) * 0.01, values=values, filtered=True)
     with pytest.raises(ValidationError, match="must be finite"):
         lowpass(trace)
 
@@ -246,13 +246,6 @@ def test_three_sample_mean_matches_scipy_uniform_filter():
             assert np.abs(_mean3(x) - oracle).max() <= 2 * eps * np.abs(x).max()
 
 
-def test_contrast_identical_initial_states_is_unity():
-    curve = contrast_trace(
-        PARAMS, 0.3, 3.0, t_end=50.0, sig_initial=GROUND_MS0, ref_initial=GROUND_MS0
-    )
-    assert np.abs(curve.contrast - 1.0).max() < 1e-12
-
-
 def test_contrast_trace_shape_and_long_time_limit():
     curve = contrast_trace(PARAMS, 0.24, 3.0)
     dev = 1.0 - curve.contrast
@@ -287,14 +280,14 @@ def test_initialization_time_exact_exponential():
         d0 * (t / t_peak),  # slow linear rise to the peak
         d0 * np.exp(-(t - t_peak) / tau_fit),
     )
-    curve = ContrastCurve(times=t, contrast=1.0 - dev, s=0.1, intensity=0.3, i_sat=3.0)
+    curve = ContrastCurve(times=t, contrast=1.0 - dev)
     t_i = initialization_time(curve)
     assert t_i == pytest.approx(t_peak + 3.0 * tau_fit, rel=1e-3)
 
 
 def test_initialization_time_requires_dynamics():
     t = np.arange(2000) * 0.05
-    curve = ContrastCurve(times=t, contrast=np.ones_like(t), s=0.0, intensity=0.0, i_sat=3.0)
+    curve = ContrastCurve(times=t, contrast=np.ones_like(t))
     with pytest.raises(ValidationError, match="no polarization dynamics"):
         initialization_time(curve)
 
@@ -343,6 +336,25 @@ def test_contrast_trace_refuses_unbounded_grids():
     # samples; the full-resolution API refuses and points at ti_band
     with pytest.raises(ValidationError, match="ti_band"):
         contrast_trace(PARAMS, 1e-4, 3.0)
+
+
+def test_grids_refuse_a_step_count_beyond_the_float_range():
+    # t_end / dt overflows to inf: refused before the count is rounded
+    with pytest.raises(ValidationError, match="sample limit"):
+        evolve(FiveLevelParams(), 1.0, GROUND_MS0, 5.0, 1e-320)
+    with pytest.raises(ValidationError, match="sample limit"):
+        contrast_trace(FiveLevelParams(), 1.0, 2.0, t_end=5.0, dt=1e-320)
+
+
+def test_full_resolution_grids_are_capped_at_the_trace_limit():
+    # dt = 2^-10 keeps t_end = k dt exact; at s = 1 it resolves the dynamics
+    dt = 2.0**-10
+    with pytest.raises(ValidationError, match=f"{MAX_TRACE_SAMPLES:,}-sample limit"):
+        evolve(PARAMS, 1.0, GROUND_MS0, MAX_TRACE_SAMPLES * dt, dt)
+    with pytest.raises(ValidationError, match=f"{MAX_TRACE_SAMPLES:,}-sample limit"):
+        contrast_trace(PARAMS, 3.0, 3.0, t_end=MAX_TRACE_SAMPLES * dt, dt=dt)
+    curve = contrast_trace(PARAMS, 3.0, 3.0, t_end=(MAX_TRACE_SAMPLES - 1) * dt, dt=dt)
+    assert len(curve.contrast) == MAX_TRACE_SAMPLES
 
 
 @pytest.mark.parametrize("intensity", [1e16, 1e200, 1e308])
@@ -399,8 +411,8 @@ def test_filter_insensitive_to_input_rounding():
     t = np.arange(n) * dt
     values = 2.0 + np.sin(2 * np.pi * 0.5 * t)
     perturbed = values * (1.0 + 1e-13 * np.random.default_rng(0).standard_normal(n))
-    out = lowpass(PLTrace(times=t, values=values, s=s)).values
-    moved = lowpass(PLTrace(times=t, values=perturbed, s=s)).values
+    out = lowpass(PLTrace(times=t, values=values)).values
+    moved = lowpass(PLTrace(times=t, values=perturbed)).values
     assert np.abs(moved - out).max() < 1e-9 * np.abs(out).max()
 
 
@@ -431,7 +443,7 @@ def test_lowpass_equals_the_sample_by_sample_state_recursion(n, dt):
     for i, u in enumerate(x):
         oracle[i] = h @ state + d * u
         state = f @ state + g * u
-    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x, s=0.0)).values
+    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x)).values
     assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -491,7 +503,7 @@ def test_property_steady_state_is_the_kernel(params, s):
 @given(dt=st.floats(1e-4, 0.05), level=st.floats(1e-3, 1e3))
 def test_property_lowpass_unity_dc_gain(dt, level):
     n = int(math.ceil(20.0 / dt))  # 34 cutoff periods: well settled
-    trace = PLTrace(times=np.arange(n) * dt, values=np.full(n, level), s=0.0)
+    trace = PLTrace(times=np.arange(n) * dt, values=np.full(n, level))
     out = lowpass(trace).values
     assert np.abs(out[n // 2 :] - level).max() < 1e-9 * level
 
@@ -516,7 +528,7 @@ def test_property_lowpass_matches_sosfilt(dt, n, seed, log_level, step):
     if step:
         x[: n // 3] = 0.0
         x[n // 3 :] = x[-1]
-    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x, s=0.0)).values
+    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x)).values
     oracle = sosfilt(_sections(*_lowpass_poles(dt)), x)
     warped = math.tan(math.pi * DEFAULT_FILTER_CUTOFF_MHZ * dt)
     tol = max(1e-11, 4.0 * np.finfo(float).eps / warped**2)

@@ -151,8 +151,6 @@ def test_model_validation():
         RamseyModel(t2_star=10.0, detuning=0.4, amplitude=0.02, p=0.2)
     with pytest.raises(ValidationError):
         RamseyModel(t2_star=10.0, detuning=0.4, amplitude=0.02, n_hyperfine=0)
-    with pytest.raises(ValidationError):
-        RamseyModel(t2_star=10.0, detuning=0.4, amplitude=0.02, phases=(0.0,))
     for field in ("detuning", "amplitude", "baseline", "hyperfine_splitting"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match=f"{field} must be finite"):

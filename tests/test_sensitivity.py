@@ -153,7 +153,7 @@ def test_optimal_tau_analytic_half_t2():
     for t2 in (1.0, 8.6, 17.5, 240.0):
         params = unit_params(t2_star=t2, n_avg=50.0, contrast_c=0.02)
         best = optimal_tau(params)
-        assert not best.boundary
+        assert best.tau <= params.t2_star
         assert best.tau == pytest.approx(t2 / 2.0, rel=1e-3)
 
 
@@ -201,7 +201,7 @@ def stationary_tau_oracle(t2, p, t_o):
 )
 def test_property_optimal_tau_is_the_closed_form_root(t2, t_o):
     best = optimal_tau(unit_params(t2_star=t2, t_overhead=t_o))
-    assert not best.boundary
+    assert best.tau <= t2
     assert best.tau == pytest.approx(quadratic_root(t2, t_o), rel=1e-13)
 
 
@@ -214,7 +214,7 @@ def test_property_optimal_tau_is_the_closed_form_root(t2, t_o):
 def test_property_optimal_tau_is_the_stationary_point_for_any_p(p, t2, t_o):
     params = unit_params(t2_star=t2, p=p, t_overhead=t_o)
     best = optimal_tau(params)
-    assert not best.boundary
+    assert best.tau <= params.t2_star
     assert best.tau == pytest.approx(stationary_tau_oracle(t2, p, t_o), rel=1e-13)
     assert best.eta == ramsey_sensitivity(params, best.tau)
 
@@ -230,27 +230,32 @@ def test_optimal_tau_survives_envelope_overflow():
 
 
 def test_optimal_tau_boundary_without_dephasing():
-    params = unit_params(t2_star=math.inf)
-    with pytest.raises(ValidationError, match="tau_max"):
-        optimal_tau(params)
-    best = optimal_tau(params, tau_max=100.0)
-    assert best.boundary
-    assert (best.tau, best.eta) == (100.0, 0.1)
-
-
-def test_optimal_tau_boundary_below_the_root():
-    # the root is T2*/2 = 5; eta still falls at tau_max = 3
-    params = unit_params(t2_star=10.0)
-    best = optimal_tau(params, tau_max=3.0)
-    assert best.boundary
-    assert (best.tau, best.eta) == (3.0, ramsey_sensitivity(params, 3.0))
-    assert not optimal_tau(params, tau_max=5.0).boundary
+    # eta falls for ever without dephasing: there is no optimum to return
+    with pytest.raises(ValidationError, match="t2_star is unbounded"):
+        optimal_tau(unit_params(t2_star=math.inf))
 
 
 def test_optimal_tau_refuses_a_non_finite_eta():
     # the prefactor 1/(dm gamma_e) overflows
     with pytest.raises(ComputationError, match="sensitivity is not finite at tau=5 us"):
         optimal_tau(unit_params(t2_star=10.0, gamma_e=1e-320))
+
+
+@pytest.mark.parametrize("t2", [1e292, 1e300])
+def test_optimal_tau_refuses_an_eta_that_underflows_to_zero(t2):
+    # N tau overflows, so 1/sqrt(N tau) is 0
+    params = SensingParams(delta_ms=1, gamma_e=2.8024, n_sensors=1e17, t2_star=t2,
+                           contrast_c=0.02, n_avg=0.1)
+    with pytest.raises(ComputationError, match="sensitivity underflows to 0 at tau="):
+        optimal_tau(params)
+
+
+@pytest.mark.parametrize("t2", [5e307, 1.5e308])
+def test_optimal_tau_at_the_top_of_the_float_range(t2):
+    # the bracket [T2*/2, T2*] sums past the largest float above 1.2e308
+    best = optimal_tau(unit_params(t2_star=t2))
+    assert best.tau == pytest.approx(t2 / 2.0, rel=1e-15)
+    assert 0.0 < best.eta < math.inf
 
 
 def test_optimal_tau_argmin_invariant_under_sensor_scaling():
@@ -265,18 +270,16 @@ def test_optimal_tau_argmin_invariant_under_sensor_scaling():
 # stationarity condition and each nitrogen content with the closed form N*
 # evaluated in mpmath (test_golden_values_are_the_exact_optima). Against the
 # values the earlier scan and golden-section search recorded, every eta and
-# metric is lower or equal, except eta at tau_max = 100 with no dephasing,
-# which is now 0.1 exactly instead of 0.09999999999999998.
+# metric is lower or equal.
 GOLDEN_TAU = [
-    pytest.param(dict(t2_star=10.0), None, 5.0, 0.7373305674470637, False, id="half-t2"),
+    pytest.param(dict(t2_star=10.0), 5.0, 0.7373305674470637, id="half-t2"),
     pytest.param(
         dict(delta_ms=2, gamma_e=2.8024, n_sensors=3.7e14, t2_star=4.3, contrast_c=0.03,
              n_avg=0.05, p=2.0, t_overhead=5.0),
-        None, 2.7571725661234225, 2.107107337382297e-06, False, id="dq-p2-overhead",
+        2.7571725661234225, 2.107107337382297e-06, id="dq-p2-overhead",
     ),
-    pytest.param(dict(t2_star=10.0, p=6.0, n_avg=10.0, contrast_c=0.5), None,
-                 6.609010760833648, 0.500249882348323, False, id="p6"),
-    pytest.param(dict(), 100.0, 100.0, 0.1, True, id="no-dephasing-tau-max"),
+    pytest.param(dict(t2_star=10.0, p=6.0, n_avg=10.0, contrast_c=0.5),
+                 6.609010760833648, 0.500249882348323, id="p6"),
 ]
 GOLDEN_NITROGEN = [
     pytest.param(10.0, MetricConfig(), 0.22686018291860596, 0.3967165417764351, True,
@@ -287,10 +290,10 @@ GOLDEN_NITROGEN = [
 ]
 
 
-@pytest.mark.parametrize("overrides, tau_max, tau, eta, boundary", GOLDEN_TAU)
-def test_optimal_tau_golden_values(overrides, tau_max, tau, eta, boundary):
-    best = optimal_tau(unit_params(**overrides), tau_max)
-    assert (best.tau, best.eta, best.boundary) == (tau, eta, boundary)
+@pytest.mark.parametrize("overrides, tau, eta", GOLDEN_TAU)
+def test_optimal_tau_golden_values(overrides, tau, eta):
+    best = optimal_tau(unit_params(**overrides))
+    assert (best.tau, best.eta) == (tau, eta)
 
 
 @pytest.mark.parametrize("t_overhead, cfg, ppm, metric, interior", GOLDEN_NITROGEN)
@@ -310,11 +313,10 @@ def nitrogen_oracle(t_o, a, b):
 
 def test_golden_values_are_the_exact_optima():
     for case in GOLDEN_TAU:
-        overrides, tau_max, tau, _, boundary = case.values
+        overrides, tau, _ = case.values
         params = unit_params(**overrides)
-        if not boundary:
-            oracle = stationary_tau_oracle(params.t2_star, params.p, params.t_overhead)
-            assert tau == pytest.approx(oracle, rel=1e-13)
+        oracle = stationary_tau_oracle(params.t2_star, params.p, params.t_overhead)
+        assert tau == pytest.approx(oracle, rel=1e-13)
     for case in GOLDEN_NITROGEN:
         t_o, cfg, ppm, _, interior = case.values
         oracle = nitrogen_oracle(t_o, cfg.bath_coeffs.a_ns0,
