@@ -3,13 +3,7 @@ DC magnetometry."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    Concentration,
-    DiamondSample,
-    Intensity,
-    PhysicalConstants,
-    validate_sample,
-)
+from .core import DiamondSample, PhysicalConstants
 from .dephasing import (
     BathCoefficients,
     DephasingBudget,
@@ -35,11 +29,8 @@ from .sensitivity import (
 
 __all__ = [
     "__version__",
-    "Concentration",
     "DiamondSample",
-    "Intensity",
     "PhysicalConstants",
-    "validate_sample",
     "BathCoefficients",
     "DephasingBudget",
     "dq_t2star",

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_mw_per_um2
+from .core import non_negative, positive
 from .errors import ValidationError
 
 DEFAULT_BRIGHTNESS_RATIO = 2.5
@@ -100,14 +100,11 @@ def charge_fraction(
     Dividing each PL weight by its species brightness (NV- normalized to 1,
     NV0 to 1/ratio) recovers relative concentrations.
     """
-    if w_minus < 0 or w_zero < 0:
-        raise ValidationError("PL weights must be >= 0")
+    w_minus = non_negative("w_minus", w_minus)
+    w_zero = non_negative("w_zero", w_zero)
     if w_minus == 0 and w_zero == 0:
         raise ValidationError("both PL weights are zero; charge fraction undefined")
-    if not (math.isfinite(brightness_ratio) and brightness_ratio > 0):
-        raise ValidationError(
-            f"brightness_ratio must be finite and > 0, got {brightness_ratio}"
-        )
+    brightness_ratio = positive("brightness_ratio", brightness_ratio)
     return w_minus / (w_minus + brightness_ratio * w_zero)
 
 
@@ -145,7 +142,7 @@ def decompose_to_psi(
     must be finite and >= 0.
     """
     if intensity_mw_um2 is not None:
-        intensity_mw_um2 = as_mw_per_um2(intensity_mw_um2)
+        intensity_mw_um2 = non_negative("intensity", intensity_mw_um2, "mW/um^2")
     w_minus, w_zero, residual_rms = decompose(measured, basis_minus, basis_zero)
     psi = charge_fraction(w_minus, w_zero, brightness_ratio)
     flagged = (

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, charge, dataio, photophysics, ramsey, strainmap
 from .config import ResolvedConfig, default_config, parse_config
-from .core import MAX_TRACE_SAMPLES
+from .core import MAX_TRACE_SAMPLES, capped_count, finite, positive
 from .dephasing import dq_t2star, spin_bath_budget, strain_rate_from_fwhm
 from .errors import NvskError, ValidationError
 from .sensitivity import optimal_nitrogen, volume_normalized_sensitivity
@@ -49,8 +49,7 @@ def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
         start, stop = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValidationError(f"bad grid endpoints in {spec!r}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValidationError(f"grid endpoints must be finite, got {spec!r}")
+    start, stop = finite("grid start", start), finite("grid stop", stop)
     scale = parts[2]
     count = default_count
     if len(parts) == 4:
@@ -60,10 +59,7 @@ def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
             raise ValidationError(f"bad grid count in {spec!r}") from None
     if count < 2:
         raise ValidationError(f"grid needs >= 2 points, got {count}")
-    if count > MAX_TRACE_SAMPLES:
-        raise ValidationError(
-            f"grid of {count:,} points exceeds the {MAX_TRACE_SAMPLES:,}-point limit"
-        )
+    capped_count("grid", count, MAX_TRACE_SAMPLES, "points")
     if scale == "log":
         if start <= 0 or stop <= start:
             raise ValidationError(f"log grid needs 0 < start < stop, got {spec!r}")
@@ -86,20 +82,6 @@ def parenthesis_format(value: float, sigma: float, unit: str = "") -> str:
         exponent += 1
     decimals = max(0, -exponent)
     return f"{value:.{decimals}f}({digit}){unit}"
-
-
-def _check_trace_grid(span_flag, span, step_flag, step, hint: str) -> None:
-    """Refuse a time grid whose span or step is not finite and positive, or
-    that has more than MAX_TRACE_SAMPLES points."""
-    for flag, value in ((step_flag, step), (span_flag, span)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{flag} must be finite and > 0, got {value:g}")
-    n_points = span / step + 1  # a float, so a huge ratio cannot overflow
-    if n_points > MAX_TRACE_SAMPLES:
-        raise ValidationError(
-            f"grid of {n_points:,.0f} points exceeds the {MAX_TRACE_SAMPLES:,}-point "
-            f"limit; {hint}"
-        )
 
 
 def _load_config(path) -> ResolvedConfig:
@@ -197,7 +179,7 @@ def cmd_sensitivity_optimal_n(args):
     cfg = _load_config(args.config)
     grid = parse_grid(args.to_grid)
     n_opt = [
-        optimal_nitrogen(t_o, cfg.metric_config()).concentration.ppm for t_o in grid
+        optimal_nitrogen(t_o, cfg.metric_config()).concentration for t_o in grid
     ]
     return [("t_overhead_us", grid), ("n_opt_ppm", n_opt)], cfg.as_dict()
 
@@ -275,12 +257,13 @@ def cmd_ramsey_synth(args):
         amplitude=args.amplitude,
         baseline=args.baseline,
     )
-    tau_end = 3.0 * args.t2 if args.tau_end is None else args.tau_end
-    _check_trace_grid(
-        "--tau-end", tau_end, "--dtau", args.dtau,
+    dtau = positive("--dtau", args.dtau, "us")
+    tau_end = positive("--tau-end", 3.0 * args.t2 if args.tau_end is None else args.tau_end, "us")
+    capped_count(
+        "grid", tau_end / dtau + 1, MAX_TRACE_SAMPLES, "points",
         "pass a larger --dtau or a shorter --tau-end",
     )
-    tau = np.arange(args.dtau, tau_end + 0.5 * args.dtau, args.dtau)
+    tau = np.arange(dtau, tau_end + 0.5 * dtau, dtau)
     signal = ramsey.synthesize(model, tau, noise_sigma=args.noise_sigma, seed=args.seed)
     return [("tau_us", tau), ("contrast", signal)], cfg.as_dict()
 

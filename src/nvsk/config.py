@@ -17,89 +17,61 @@ Example::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .core import DiamondSample, PhysicalConstants
+from .core import DiamondSample, PhysicalConstants, in_range, non_negative, positive
 from .dephasing import BathCoefficients
 from .errors import ValidationError
 from .photophysics import FiveLevelParams
 from .sensitivity import MetricConfig, PhotonModel
-from .core import Concentration
-
-
-def _float_type(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("not finite")
-    return value
-
-
-def _int_type(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _in_range(lo, hi):
-    def check(value):
-        return lo <= value <= hi
-
-    return check
-
-
-def _positive(value):
-    return value > 0
-
-
-def _non_negative(value):
-    return value >= 0
-
 
 _CONSTANTS = PhysicalConstants()
 _BATH = BathCoefficients()
 _FIVE_LEVEL = FiveLevelParams()
 _PHOTONS = PhotonModel()
+_FRACTION = in_range(0.0, 1.0)
 
-# section -> key -> (parser, constraint, constraint description, default);
-# a default of None means the key has none. [sample] keys without a default
-# are required by ResolvedConfig.sample().
+# section -> key -> (parser, check, default); check(key, value) is a core
+# validator, and a default of None means the key has none. [sample] keys
+# without a default are required by ResolvedConfig.sample().
 _SCHEMA = {
     "sample": {
-        "ns0_as_grown_ppm": (_float_type, _non_negative, ">= 0", None),
-        "c13_ppm": (_float_type, _non_negative, ">= 0", None),
-        "nv_total_ppm": (_float_type, _non_negative, ">= 0", None),
-        "psi": (_float_type, _in_range(0.0, 1.0), "out of [0,1]", None),
-        "n_orientations_sensing": (_int_type, _in_range(1, 4), "out of [1,4]", 1),
+        "ns0_as_grown_ppm": (float, non_negative, None),
+        "c13_ppm": (float, non_negative, None),
+        "nv_total_ppm": (float, non_negative, None),
+        "psi": (float, _FRACTION, None),
+        "n_orientations_sensing": (int, in_range(1, 4), 1),
     },
     "constants": {
-        "gamma_e_mhz_per_g": (_float_type, _positive, "> 0", _CONSTANTS.gamma_e),
+        "gamma_e_mhz_per_g": (float, positive, _CONSTANTS.gamma_e),
     },
     "bath": {
-        "a_ns0_per_us_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_ns0),
-        "a_c13_per_ms_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_c13 * 1e3),
-        "a_nv_par_per_us_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_nv_par),
-        "a_nv_nonpar_per_us_ppm": (_float_type, _non_negative, ">= 0", _BATH.a_nv_nonpar),
-        "zeta_par": (_float_type, _in_range(0.0, 1.0), "out of [0,1]", _BATH.zeta_par),
-        "zeta_nonpar": (_float_type, _in_range(0.0, 1.0), "out of [0,1]", _BATH.zeta_nonpar),
-        "bias_rate_per_us": (_float_type, _non_negative, ">= 0", 0.0),
+        "a_ns0_per_us_ppm": (float, non_negative, _BATH.a_ns0),
+        "a_c13_per_ms_ppm": (float, non_negative, _BATH.a_c13 * 1e3),
+        "a_nv_par_per_us_ppm": (float, non_negative, _BATH.a_nv_par),
+        "a_nv_nonpar_per_us_ppm": (float, non_negative, _BATH.a_nv_nonpar),
+        "zeta_par": (float, _FRACTION, _BATH.zeta_par),
+        "zeta_nonpar": (float, _FRACTION, _BATH.zeta_nonpar),
+        "bias_rate_per_us": (float, non_negative, 0.0),
     },
     "photophysics": {
-        "gamma_rad_per_us": (_float_type, _positive, "> 0", _FIVE_LEVEL.gamma_rad),
-        "kappa_45": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_45),
-        "kappa_35": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_35),
-        "kappa_52": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_52),
-        "kappa_51": (_float_type, _non_negative, ">= 0", _FIVE_LEVEL.kappa_51),
-        "i_sat_lower_mw_um2": (_float_type, _positive, "> 0", _FIVE_LEVEL.i_sat_band[0]),
-        "i_sat_upper_mw_um2": (_float_type, _positive, "> 0", _FIVE_LEVEL.i_sat_band[1]),
+        "gamma_rad_per_us": (float, positive, _FIVE_LEVEL.gamma_rad),
+        "kappa_45": (float, non_negative, _FIVE_LEVEL.kappa_45),
+        "kappa_35": (float, non_negative, _FIVE_LEVEL.kappa_35),
+        "kappa_52": (float, non_negative, _FIVE_LEVEL.kappa_52),
+        "kappa_51": (float, non_negative, _FIVE_LEVEL.kappa_51),
+        "i_sat_lower_mw_um2": (float, positive, _FIVE_LEVEL.i_sat_band[0]),
+        "i_sat_upper_mw_um2": (float, positive, _FIVE_LEVEL.i_sat_band[1]),
     },
     "photon_model": {
-        "rate_at_1mw_kcps": (_float_type, _positive, "> 0", _PHOTONS.rate_at_1mw_kcps),
-        "i_sat_mw_um2": (_float_type, _positive, "> 0", _PHOTONS.i_sat),
-        "readout_window_us": (_float_type, _non_negative, ">= 0", None),
+        "rate_at_1mw_kcps": (float, positive, _PHOTONS.rate_at_1mw_kcps),
+        "i_sat_mw_um2": (float, positive, _PHOTONS.i_sat),
+        "readout_window_us": (float, non_negative, None),
     },
     "metric": {
-        "c13_ppm": (_float_type, _non_negative, ">= 0", MetricConfig().c13.ppm),
+        "c13_ppm": (float, non_negative, MetricConfig().c13),
     },
 }
 
@@ -122,19 +94,19 @@ class ResolvedConfig:
     def sample(self) -> DiamondSample:
         sec = self.values["sample"]
         missing = [
-            k for k, spec in _SCHEMA["sample"].items() if spec[3] is None and k not in sec
+            k for k, spec in _SCHEMA["sample"].items() if spec[2] is None and k not in sec
         ]
         if missing:
             raise ValidationError(
                 f"config {self.source or ''} lacks required [sample] keys: "
                 + ", ".join(missing)
             )
-        return DiamondSample.from_ppm(
-            ns0_as_grown=sec["ns0_as_grown_ppm"],
-            c13=sec["c13_ppm"],
-            nv_total=sec["nv_total_ppm"],
-            psi=sec["psi"],
-            n_orientations_sensing=sec["n_orientations_sensing"],
+        return DiamondSample(
+            sec["ns0_as_grown_ppm"],
+            sec["c13_ppm"],
+            sec["nv_total_ppm"],
+            sec["psi"],
+            sec["n_orientations_sensing"],
         )
 
     def constants(self) -> PhysicalConstants:
@@ -181,14 +153,14 @@ class ResolvedConfig:
     def metric_config(self) -> MetricConfig:
         sec = self.values["metric"]
         return MetricConfig(
-            c13=Concentration(sec["c13_ppm"]),
+            c13=sec["c13_ppm"],
             bath_coeffs=self.bath_coefficients(),
         )
 
 
 def default_config() -> ResolvedConfig:
     values = {
-        section: {key: spec[3] for key, spec in keys.items() if spec[3] is not None}
+        section: {key: spec[2] for key, spec in keys.items() if spec[2] is not None}
         for section, keys in _SCHEMA.items()
     }
     return ResolvedConfig(values=values)
@@ -223,15 +195,17 @@ def _parse_lines(lines, source: str) -> ResolvedConfig:
             raise ValidationError(
                 f"{source}:{lineno}: unknown key {key!r} in section [{section}]"
             )
-        parser, constraint, description, _ = schema[key]
+        parser, check, _ = schema[key]
         try:
             value = parser(raw_value)
         except ValueError as exc:
             raise ValidationError(
                 f"{source}:{lineno}: bad value for {key}: {raw_value!r} ({exc})"
             ) from None
-        if not constraint(value):
-            raise ValidationError(f"{source}:{lineno}: {key} {description}: {value}")
+        try:
+            check(key, value)
+        except ValidationError as exc:
+            raise ValidationError(f"{source}:{lineno}: {exc}") from None
         cfg.values[section][key] = value
     return cfg
 

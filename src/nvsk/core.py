@@ -28,56 +28,72 @@ GAMMA_E_MHZ_PER_G = 2.8024
 MAX_TRACE_SAMPLES = 5_000_000
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+# --- validators ---
+#
+# Each checks one scalar at a boundary, returns it as a float, and refuses
+# it with one message form, "<name> must be <rule>, got <value>", whose
+# rule carries the unit.
 
 
-@dataclass(frozen=True)
-class Concentration:
-    """Defect or isotope concentration, ppm of carbon lattice sites."""
-
-    ppm: float
-
-    def __post_init__(self):
-        ppm = _require_finite("concentration", self.ppm)
-        if ppm < 0:
-            raise ValidationError(f"concentration must be >= 0 ppm, got {ppm}")
-        object.__setattr__(self, "ppm", ppm)
-
-    def __float__(self) -> float:
-        return self.ppm
+def _number(value) -> float:
+    """value as a float; an int past the float range becomes +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
-def as_ppm(value) -> float:
-    """Accept a Concentration or a bare ppm float."""
-    if isinstance(value, Concentration):
-        return value.ppm
-    return Concentration(float(value)).ppm
+def _refusal(name: str, rule: str, value) -> ValidationError:
+    shown = value if type(value) is int else _number(value)
+    return ValidationError(f"{name} must be {rule}, got {shown!r}")
 
 
-@dataclass(frozen=True)
-class Intensity:
-    """Optical excitation intensity at the sample, mW/um^2."""
-
-    mw_per_um2: float
-
-    def __post_init__(self):
-        v = _require_finite("intensity", self.mw_per_um2)
-        if v < 0:
-            raise ValidationError(f"intensity must be >= 0 mW/um^2, got {v}")
-        object.__setattr__(self, "mw_per_um2", v)
-
-    def __float__(self) -> float:
-        return self.mw_per_um2
+def _with_unit(rule: str, unit: str) -> str:
+    return f"{rule} {unit}" if unit else rule
 
 
-def as_mw_per_um2(value) -> float:
-    if isinstance(value, Intensity):
-        return value.mw_per_um2
-    return Intensity(float(value)).mw_per_um2
+def finite(name: str, value) -> float:
+    v = _number(value)
+    if not math.isfinite(v):
+        raise _refusal(name, "finite", value)
+    return v
+
+
+def positive(name: str, value, unit: str = "") -> float:
+    v = _number(value)
+    if not 0.0 < v < math.inf:
+        raise _refusal(name, _with_unit("finite and > 0", unit), value)
+    return v
+
+
+def non_negative(name: str, value, unit: str = "") -> float:
+    v = _number(value)
+    if not 0.0 <= v < math.inf:
+        raise _refusal(name, _with_unit("finite and >= 0", unit), value)
+    return v
+
+
+def in_range(lo: float, hi: float):
+    """Validator of the closed interval [lo, hi]."""
+
+    def check(name: str, value, unit: str = "") -> float:
+        v = _number(value)
+        if not lo <= v <= hi:
+            raise _refusal(name, _with_unit(f"in [{lo:g}, {hi:g}]", unit), value)
+        return v
+
+    return check
+
+
+def capped_count(name: str, count, limit: int, unit: str, hint: str = "") -> float:
+    """A count of at most limit. It is taken as a float, so a caller can
+    pass a ratio such as span / step + 1 unrounded, and no ratio or
+    product overflows before it is compared."""
+    n = _number(count)
+    if not n <= limit:
+        message = f"{name} must be at most {limit:,} {unit}, got {n:,.0f}"
+        raise ValidationError(f"{message}; {hint}" if hint else message)
+    return n
 
 
 @dataclass(frozen=True)
@@ -92,64 +108,37 @@ class PhysicalConstants:
     gamma_e: float = GAMMA_E_MHZ_PER_G
 
     def __post_init__(self):
-        g = _require_finite("gamma_e", self.gamma_e)
-        if g <= 0:
-            raise ValidationError(f"gamma_e must be > 0, got {g}")
-        object.__setattr__(self, "gamma_e", g)
+        object.__setattr__(self, "gamma_e", positive("gamma_e", self.gamma_e, "MHz/G"))
 
 
 @dataclass(frozen=True)
 class DiamondSample:
-    """Material description of one NV-diamond sensor.
+    """Material description of one NV-diamond sensor, concentrations in ppm.
 
     ns0_as_grown is the substitutional nitrogen content before irradiation
-    and annealing; nv_total the total NV content after treatment;
-    charge_fraction_psi the NV- share of all NVs. n_orientations_sensing
-    counts how many of the four NV axes contribute signal (usually 1).
+    and annealing; nv_total the total NV content after treatment, at most
+    ns0_as_grown; charge_fraction_psi the NV- share of all NVs, in [0, 1].
+    n_orientations_sensing counts how many of the four NV axes contribute
+    signal (usually 1).
     """
 
-    ns0_as_grown: Concentration
-    c13: Concentration
-    nv_total: Concentration
+    ns0_as_grown: float
+    c13: float
+    nv_total: float
     charge_fraction_psi: float
     n_orientations_sensing: int = 1
 
-    @classmethod
-    def from_ppm(
-        cls,
-        ns0_as_grown: float,
-        c13: float,
-        nv_total: float,
-        psi: float,
-        n_orientations_sensing: int = 1,
-    ) -> "DiamondSample":
-        return cls(
-            ns0_as_grown=Concentration(ns0_as_grown),
-            c13=Concentration(c13),
-            nv_total=Concentration(nv_total),
-            charge_fraction_psi=float(psi),
-            n_orientations_sensing=int(n_orientations_sensing),
-        )
-
-
-def validate_sample(sample: DiamondSample) -> DiamondSample:
-    """Check the cross-field invariants; return the sample unchanged.
-
-    The first violated invariant is reported by name. Idempotent.
-    """
-    psi = _require_finite("psi", sample.charge_fraction_psi)
-    if not 0.0 <= psi <= 1.0:
-        raise ValidationError(f"psi out of [0,1]: {psi}")
-    if sample.nv_total.ppm > sample.ns0_as_grown.ppm:
-        raise ValidationError(
-            "NV exceeds nitrogen: nv_total "
-            f"{sample.nv_total.ppm} ppm > ns0_as_grown {sample.ns0_as_grown.ppm} ppm"
-        )
-    if not 1 <= sample.n_orientations_sensing <= 4:
-        raise ValidationError(
-            f"n_orientations_sensing out of [1,4]: {sample.n_orientations_sensing}"
-        )
-    return sample
+    def __post_init__(self):
+        for name in ("ns0_as_grown", "c13", "nv_total"):
+            object.__setattr__(self, name, non_negative(name, getattr(self, name), "ppm"))
+        psi = in_range(0.0, 1.0)("psi", self.charge_fraction_psi)
+        object.__setattr__(self, "charge_fraction_psi", psi)
+        in_range(1, 4)("n_orientations_sensing", self.n_orientations_sensing)
+        if self.nv_total > self.ns0_as_grown:
+            raise ValidationError(
+                "NV exceeds nitrogen: nv_total "
+                f"{self.nv_total} ppm > ns0_as_grown {self.ns0_as_grown} ppm"
+            )
 
 
 # --- stacked trust-region least squares ---

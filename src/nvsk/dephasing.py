@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Concentration, DiamondSample, as_ppm, validate_sample
+from .core import DiamondSample, in_range, non_negative
 from .errors import ValidationError
 
 # Fraction of NV- aligned with the sensing axis when the bias field picks out
@@ -45,15 +45,9 @@ class BathCoefficients:
 
     def __post_init__(self):
         for name in ("a_ns0", "a_c13", "a_nv_par", "a_nv_nonpar"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be a finite rate >= 0, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, non_negative(name, getattr(self, name), "1/us/ppm"))
         for name in ("zeta_par", "zeta_nonpar"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} out of [0,1]: {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, in_range(0.0, 1.0)(name, getattr(self, name)))
 
 
 def _rate_or_none(rate: float):
@@ -72,10 +66,7 @@ class DephasingBudget:
 
     def __post_init__(self):
         for name in ("rate_ns0", "rate_c13", "rate_nv_nv", "rate_strain", "rate_bias"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be a finite rate >= 0, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, non_negative(name, getattr(self, name), "1/us"))
 
     @property
     def bath_rate(self) -> float:
@@ -107,31 +98,30 @@ class DephasingBudget:
         return d
 
 
-def nitrogen_bookkeeping(ns0_as_grown, nv_total, psi: float) -> Concentration:
-    """Post-treatment substitutional nitrogen after NV formation.
+def nitrogen_bookkeeping(ns0_as_grown: float, nv_total: float, psi: float) -> float:
+    """Post-treatment substitutional nitrogen after NV formation, in ppm.
 
     Each NV0 consumes one nitrogen atom (the one in the defect); each NV-
     consumes two (one more donates the extra electron):
 
         ns0_post = ns0_as_grown - nv_total * (1 + psi)
     """
-    ns0 = as_ppm(ns0_as_grown)
-    nv = as_ppm(nv_total)
-    if not 0.0 <= psi <= 1.0:
-        raise ValidationError(f"psi out of [0,1]: {psi}")
+    ns0 = non_negative("ns0_as_grown", ns0_as_grown, "ppm")
+    nv = non_negative("nv_total", nv_total, "ppm")
+    psi = in_range(0.0, 1.0)("psi", psi)
     remaining = ns0 - nv * (1.0 + psi)
     if remaining < 0.0:
         raise ValidationError(
             f"nitrogen over-consumed: {ns0} ppm as-grown cannot supply "
             f"{nv} ppm NV at psi={psi}"
         )
-    return Concentration(remaining)
+    return remaining
 
 
 def spin_bath_rates(
-    ns0_post,
-    c13,
-    nv_minus,
+    ns0_post: float,
+    c13: float,
+    nv_minus: float,
     coeffs: BathCoefficients = BathCoefficients(),
 ) -> DephasingBudget:
     """Bath-term budget from post-treatment concentrations (all ppm).
@@ -139,9 +129,9 @@ def spin_bath_rates(
     nv_minus is the total NV- concentration; it is split 1/4 on-axis and
     3/4 off-axis before applying the zeta-weighted NV-NV coefficients.
     """
-    ns0 = as_ppm(ns0_post)
-    c13_ppm = as_ppm(c13)
-    nvm = as_ppm(nv_minus)
+    ns0 = non_negative("ns0_post", ns0_post, "ppm")
+    c13_ppm = non_negative("c13", c13, "ppm")
+    nvm = non_negative("nv_minus", nv_minus, "ppm")
     nv_par = PARALLEL_FRACTION * nvm
     nv_nonpar = (1.0 - PARALLEL_FRACTION) * nvm
     return DephasingBudget(
@@ -163,10 +153,9 @@ def spin_bath_budget(
     The nitrogen actually left in the lattice is derived from the as-grown
     value via nitrogen_bookkeeping before the linear model is applied.
     """
-    validate_sample(sample)
     psi = sample.charge_fraction_psi
     ns0_post = nitrogen_bookkeeping(sample.ns0_as_grown, sample.nv_total, psi)
-    nv_minus = sample.nv_total.ppm * psi
+    nv_minus = sample.nv_total * psi
     return spin_bath_rates(ns0_post, sample.c13, nv_minus, coeffs)
 
 
@@ -175,10 +164,7 @@ def strain_rate_from_fwhm(delta_khz: float) -> float:
 
     T2*_strain = 1 / (pi * Delta); Delta = 0 contributes no dephasing.
     """
-    delta = float(delta_khz)
-    if not math.isfinite(delta) or delta < 0:
-        raise ValidationError(f"FWHM must be a finite value >= 0 kHz, got {delta}")
-    return math.pi * delta * 1e-3
+    return math.pi * non_negative("strain FWHM", delta_khz, "kHz") * 1e-3
 
 
 def t2_strain_from_fwhm(delta_khz: float):

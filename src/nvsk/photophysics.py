@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MAX_TRACE_SAMPLES, as_mw_per_um2
+from .core import MAX_TRACE_SAMPLES, capped_count, non_negative, positive
 from .errors import ComputationError, ValidationError
 
 DEFAULT_FILTER_ORDER = 4
@@ -65,24 +65,18 @@ class FiveLevelParams:
     i_sat_band: tuple = (1.0, 3.0)
 
     def __post_init__(self):
-        for name in ("gamma_rad", "kappa_45", "kappa_35", "kappa_52", "kappa_51"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be a finite rate >= 0, got {v}")
-            object.__setattr__(self, name, v)
-        if self.gamma_rad == 0:
-            raise ValidationError("gamma_rad must be > 0")
-        band = tuple(float(x) for x in self.i_sat_band)
-        if len(band) != 2 or not (0 < band[0] <= band[1]):
-            raise ValidationError(f"i_sat_band must be 0 < lower <= upper, got {band}")
+        object.__setattr__(self, "gamma_rad", positive("gamma_rad", self.gamma_rad, "1/us"))
+        for name in ("kappa_45", "kappa_35", "kappa_52", "kappa_51"):
+            object.__setattr__(self, name, non_negative(name, getattr(self, name)))
+        band = tuple(positive("i_sat_band", x, "mW/um^2") for x in self.i_sat_band)
+        if len(band) != 2 or not band[0] <= band[1]:
+            raise ValidationError(f"i_sat_band must be (lower, upper), lower <= upper, got {band}")
         object.__setattr__(self, "i_sat_band", band)
 
 
 def saturation_parameter(intensity, i_sat: float) -> float:
-    i = as_mw_per_um2(intensity)
-    if not i_sat > 0:
-        raise ValidationError(f"i_sat must be > 0, got {i_sat}")
-    s = i / float(i_sat)
+    i = non_negative("intensity", intensity, "mW/um^2")
+    s = i / positive("i_sat", i_sat, "mW/um^2")
     if not math.isfinite(s):
         raise ValidationError(
             f"saturation parameter I/I_sat = {i:g}/{i_sat:g} overflows: i_sat is too small"
@@ -91,9 +85,13 @@ def saturation_parameter(intensity, i_sat: float) -> float:
 
 
 def rate_matrix(params: FiveLevelParams, s: float) -> np.ndarray:
-    """Rate matrix A (1/us) of dn/dt = A n. Columns sum to zero."""
-    if not s >= 0:
-        raise ValidationError(f"saturation parameter must be >= 0, got {s}")
+    """Rate matrix A (1/us) of dn/dt = A n. Columns sum to zero.
+
+    Rates gamma_rad x (s, 1 + kappa, kappa) that leave the float range are
+    refused: one that overflows makes A non-finite, and one that underflows
+    to 0 can leave A singular, without its steady state.
+    """
+    s = non_negative("saturation parameter", s)
     k35, k45 = params.kappa_35, params.kappa_45
     k51, k52 = params.kappa_51, params.kappa_52
     a = np.array(
@@ -105,7 +103,14 @@ def rate_matrix(params: FiveLevelParams, s: float) -> np.ndarray:
             [0.0, 0.0, k35, k45, -(k51 + k52)],
         ]
     )
-    return params.gamma_rad * a
+    with np.errstate(over="ignore"):
+        rates = params.gamma_rad * a
+    if not np.isfinite(rates).all() or np.count_nonzero(rates) < np.count_nonzero(a):
+        raise ValidationError(
+            "rates gamma_rad x (s, 1 + kappa, kappa) must be finite and nonzero, got "
+            f"gamma_rad {params.gamma_rad!r} 1/us at saturation parameter {s:g}"
+        )
+    return rates
 
 
 @dataclass(frozen=True)
@@ -158,11 +163,9 @@ _MAX_GRID_STEPS = 2**61
 
 def _check_grid(params, s, t_end, dt, max_samples=_MAX_GRID_STEPS):
     """Steps of the grid k * dt up to t_end. A grid of more than max_samples
-    samples is refused, counted in float first so that no ratio overflows."""
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise ValidationError(f"t_end must be finite and > 0, got {t_end}")
-    if not dt > 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    samples is refused."""
+    t_end = positive("t_end", t_end, "us")
+    dt = positive("dt", dt, "us")
     limit = max_stable_dt(params, s)
     if dt > limit * (1.0 + 1e-12):
         raise ValidationError(
@@ -170,12 +173,10 @@ def _check_grid(params, s, t_end, dt, max_samples=_MAX_GRID_STEPS):
             f"required dt <= {limit:.6g} us"
         )
     steps = t_end / dt - 1e-9
-    if steps > max_samples - 1:
-        raise ValidationError(
-            f"time grid of {steps + 1:,.0f} samples (t_end {t_end:g} us at dt "
-            f"{dt:g} us) exceeds the {max_samples:,}-sample limit; pass a shorter "
-            "t_end, or use ti_band for this regime"
-        )
+    capped_count(
+        f"time grid (t_end {t_end:g} us at dt {dt:g} us)", steps + 1, max_samples, "samples",
+        "pass a shorter t_end, or use ti_band for this regime",
+    )
     n_steps = int(math.ceil(steps))
     if n_steps < 1:
         raise ValidationError(
@@ -686,7 +687,7 @@ def ti_band(params: FiveLevelParams, intensities) -> TiBand:
     _MAX_KEPT_SAMPLES are kept; only the kept samples are evaluated, so time
     and memory stay bounded however weak the pumping.
     """
-    grid = np.asarray([as_mw_per_um2(i) for i in intensities], dtype=float)
+    grid = np.asarray([non_negative("intensity", i, "mW/um^2") for i in intensities])
     if grid.size == 0:
         raise ValidationError("empty intensity grid")
     traces = []  # every intensity is refused or accepted before any trace runs

@@ -16,13 +16,12 @@ alone: scipy's least_squares is only the tests' oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import MAX_TRACE_SAMPLES, least_squares
+from .core import MAX_TRACE_SAMPLES, capped_count, finite, in_range, least_squares, non_negative
 from .errors import ValidationError
 
 DEFAULT_HYPERFINE_MHZ = 2.16  # 14N triplet splitting, configurable
@@ -48,19 +47,14 @@ class RamseyModel:
     n_hyperfine: int = 3
 
     def __post_init__(self):
-        if not self.t2_star > 0:
-            raise ValidationError(f"t2_star must be > 0, got {self.t2_star}")
-        if not 0.5 <= self.p <= 3.0:
-            raise ValidationError(f"p out of [0.5, 3]: {self.p}")
+        if not self.t2_star > 0:  # inf: no decay
+            raise ValidationError(f"t2_star must be > 0 us, got {self.t2_star!r}")
+        in_range(0.5, 3.0)("p", self.p)
         if self.n_hyperfine < 1:
             raise ValidationError(f"n_hyperfine must be >= 1, got {self.n_hyperfine}")
-        for name in ("detuning", "amplitude", "baseline", "hyperfine_splitting"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.hyperfine_splitting < 0:
-            raise ValidationError(
-                f"hyperfine_splitting must be >= 0, got {self.hyperfine_splitting}"
-            )
+        for name in ("detuning", "amplitude", "baseline"):
+            finite(name, getattr(self, name))
+        non_negative("hyperfine_splitting", self.hyperfine_splitting, "MHz")
 
     def line_frequencies(self) -> np.ndarray:
         j = np.arange(self.n_hyperfine) - (self.n_hyperfine - 1) / 2.0
@@ -93,13 +87,11 @@ def synthesize(
         raise ValidationError("tau grid must be a 1-D array with >= 2 points")
     if np.any(tau <= 0) or np.any(np.diff(tau) <= 0):
         raise ValidationError("tau grid must be positive and increasing")
-    if not 0 <= noise_sigma < math.inf:
-        raise ValidationError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-    if len(tau) * model.n_hyperfine > MAX_TRACE_SAMPLES:
-        raise ValidationError(
-            f"{len(tau):,} samples of {model.n_hyperfine:,} lines exceed the "
-            f"{MAX_TRACE_SAMPLES:,}-value limit of one synthetic signal"
-        )
+    non_negative("noise_sigma", noise_sigma)
+    capped_count(
+        f"synthetic signal ({len(tau):,} samples x {model.n_hyperfine:,} lines)",
+        len(tau) * model.n_hyperfine, MAX_TRACE_SAMPLES, "values",
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         signal = model.evaluate(tau)
         if noise_sigma > 0:
@@ -266,10 +258,7 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
     signal must be finite; n_hyperfine must lie in [1, 8]. The T2* seed
     must lie within the fit's bounds, [1e-3, 1e7] us.
     """
-    if n_hyperfine < 1:
-        raise ValidationError(f"n_hyperfine must be >= 1, got {n_hyperfine}")
-    if n_hyperfine > _MAX_LINES:
-        raise ValidationError(f"n_hyperfine must be <= {_MAX_LINES}, got {n_hyperfine}")
+    in_range(1, _MAX_LINES)("n_hyperfine", n_hyperfine)
     tau = np.asarray(tau, dtype=float)
     signal = np.asarray(signal, dtype=float)
     if tau.shape != signal.shape or tau.ndim != 1:

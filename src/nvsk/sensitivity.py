@@ -24,10 +24,11 @@ import numpy as np
 
 from .core import (
     PPM_TO_PER_CM3,
-    Concentration,
     DiamondSample,
     PhysicalConstants,
-    as_mw_per_um2,
+    in_range,
+    non_negative,
+    positive,
 )
 from .dephasing import BathCoefficients, dq_t2star, spin_bath_budget
 from .errors import ComputationError, ValidationError
@@ -57,22 +58,16 @@ class SensingParams:
     def __post_init__(self):
         if self.delta_ms not in (1, 2):
             raise ValidationError(f"delta_ms must be 1 or 2, got {self.delta_ms}")
-        if not self.gamma_e > 0:
-            raise ValidationError(f"gamma_e must be > 0, got {self.gamma_e}")
-        if not self.n_sensors > 0:
-            raise ValidationError(f"n_sensors must be > 0, got {self.n_sensors}")
-        if not self.t2_star > 0:
-            raise ValidationError(f"t2_star must be > 0, got {self.t2_star}")
+        positive("gamma_e", self.gamma_e, "MHz/G")
+        positive("n_sensors", self.n_sensors)
+        if not self.t2_star > 0:  # inf: no dephasing
+            raise ValidationError(f"t2_star must be > 0 us, got {self.t2_star!r}")
         if not 1.0 <= self.p < math.inf:
-            raise ValidationError(f"stretch exponent p must be finite >= 1, got {self.p}")
-        if not 0.0 < self.contrast_c <= 1.0:
-            raise ValidationError(f"contrast out of (0,1]: {self.contrast_c}")
-        if not self.n_avg >= 0.0:
-            raise ValidationError(f"n_avg must be >= 0, got {self.n_avg}")
-        if self.n_avg == 0.0:
-            raise ValidationError("readout noise term undefined: n_avg = 0")
-        if not self.t_overhead >= 0.0 or math.isinf(self.t_overhead):
-            raise ValidationError(f"t_overhead must be finite >= 0, got {self.t_overhead}")
+            raise ValidationError(f"p must be finite and >= 1, got {self.p!r}")
+        in_range(0.0, 1.0)("contrast_c", positive("contrast_c", self.contrast_c))
+        if not self.n_avg > 0.0:  # inf: ideal readout; 0 leaves the readout noise undefined
+            raise ValidationError(f"n_avg must be > 0, got {self.n_avg!r}")
+        non_negative("t_overhead", self.t_overhead, "us")
 
 
 def ramsey_sensitivity(params: SensingParams, tau: float) -> float:
@@ -83,10 +78,7 @@ def ramsey_sensitivity(params: SensingParams, tau: float) -> float:
     the float range (tau far beyond T2* combined with a large stretch
     exponent).
     """
-    if not 0 < tau < math.inf:
-        if tau > 0:
-            raise ValidationError(f"tau must be finite, got {tau}")
-        raise ValidationError(f"tau must be > 0, got {tau}")
+    tau = positive("tau", tau, "us")
     try:
         envelope = math.exp((tau / params.t2_star) ** params.p)
     except OverflowError:
@@ -151,41 +143,45 @@ class MetricConfig:
     what optimal_nitrogen sweeps, so it is an argument of simplified_metric
     rather than a field here."""
 
-    c13: Concentration = Concentration(50.0)  # 99.995% 12C enrichment
+    c13: float = 50.0  # ppm; 99.995% 12C enrichment
     bath_coeffs: BathCoefficients = BathCoefficients()
+
+    def __post_init__(self):
+        object.__setattr__(self, "c13", non_negative("c13", self.c13, "ppm"))
 
 
 def _bath_t2_n_c13(ns0_ppm: float, cfg: MetricConfig) -> float:
-    rate = cfg.bath_coeffs.a_ns0 * ns0_ppm + cfg.bath_coeffs.a_c13 * cfg.c13.ppm
+    rate = cfg.bath_coeffs.a_ns0 * ns0_ppm + cfg.bath_coeffs.a_c13 * cfg.c13
     if rate <= 0:
         raise ValidationError("metric undefined for an empty spin bath")
     return 1.0 / rate
 
 
-def _check_overhead(t_overhead: float) -> None:
-    if not t_overhead >= 0 or math.isinf(t_overhead):
-        raise ValidationError(f"t_overhead must be finite >= 0, got {t_overhead}")
-
-
-def simplified_metric(ns0, t_overhead: float, cfg: MetricConfig) -> float:
-    """Relative sensitivity vs nitrogen content, overhead-corrected.
+def simplified_metric(ns0: float, t_overhead: float, cfg: MetricConfig) -> float:
+    """Relative sensitivity vs nitrogen content (ppm), overhead-corrected.
 
     eta_tilde(N) = sqrt((T2* + t_O) / (N * T2*^2)) with T2*(N) taken from
     the nitrogen and carbon-13 bath terms only and t_O = t_overhead (us).
     The absolute scale is arbitrary; only ratios between nitrogen
-    concentrations are meaningful.
+    concentrations are meaningful. A metric that overflows, or underflows
+    to 0, is refused.
     """
-    n = ns0.ppm if isinstance(ns0, Concentration) else float(ns0)
-    if not n > 0 or math.isinf(n):
-        raise ValidationError(f"ns0 must be finite > 0 ppm, got {n}")
-    _check_overhead(t_overhead)
+    n = positive("ns0", ns0, "ppm")
+    t_overhead = non_negative("t_overhead", t_overhead, "us")
     t2 = _bath_t2_n_c13(n, cfg)
-    return math.sqrt((t2 + t_overhead) / (n * t2 * t2))
+    denominator = n * t2 * t2
+    metric = math.sqrt((t2 + t_overhead) / denominator) if denominator > 0 else math.inf
+    if not 0.0 < metric < math.inf:
+        raise ComputationError(
+            f"simplified metric leaves the float range at ns0 = {n:g} ppm, "
+            f"t_overhead = {t_overhead:g} us"
+        )
+    return metric
 
 
 @dataclass(frozen=True)
 class NitrogenOptimum:
-    concentration: Concentration
+    concentration: float  # ppm
     metric: float
     interior: bool  # False: no interior optimum, boundary value returned
 
@@ -203,17 +199,15 @@ def optimal_nitrogen(t_overhead: float, cfg: MetricConfig = MetricConfig()) -> N
     t_O = 0 (the metric falls over the whole range); interior=False flags
     any N* outside the open range, whose nearer end is returned.
     """
-    _check_overhead(t_overhead)
+    t_overhead = non_negative("t_overhead", t_overhead, "us")
     a = cfg.bath_coeffs.a_ns0
-    b = cfg.bath_coeffs.a_c13 * cfg.c13.ppm
+    b = cfg.bath_coeffs.a_c13 * cfg.c13
     n = math.inf
     if a > 0 and t_overhead > 0:
         n = math.sqrt(b * (1.0 + b * t_overhead) / t_overhead) / a
     lo, hi = _NITROGEN_RANGE_PPM
     best = min(max(n, lo), hi)
-    return NitrogenOptimum(
-        Concentration(best), simplified_metric(best, t_overhead, cfg), interior=lo < n < hi
-    )
+    return NitrogenOptimum(best, simplified_metric(best, t_overhead, cfg), interior=lo < n < hi)
 
 
 @dataclass(frozen=True)
@@ -229,15 +223,11 @@ class PhotonModel:
     i_sat: float = 2.0
 
     def __post_init__(self):
-        if not self.rate_at_1mw_kcps > 0:
-            raise ValidationError(
-                f"rate_at_1mw_kcps must be > 0, got {self.rate_at_1mw_kcps}"
-            )
-        if not self.i_sat > 0:
-            raise ValidationError(f"i_sat must be > 0, got {self.i_sat}")
+        positive("rate_at_1mw_kcps", self.rate_at_1mw_kcps, "kcps")
+        positive("i_sat", self.i_sat, "mW/um^2")
 
     def rate_kcps(self, intensity) -> float:
-        i = as_mw_per_um2(intensity)
+        i = non_negative("intensity", intensity, "mW/um^2")
         s = i / self.i_sat
         s_anchor = 1.0 / self.i_sat
         shape_anchor = s_anchor / (1.0 + s_anchor)
@@ -255,22 +245,13 @@ class IntensityRow:
     photon_rate_kcps: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("intensity", "contrast_c", "psi", "t_overhead"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-        if self.intensity <= 0:
-            raise ValidationError(f"intensity must be > 0, got {self.intensity}")
-        if not 0.0 < self.contrast_c <= 1.0:
-            raise ValidationError(f"contrast out of (0,1]: {self.contrast_c}")
-        if not 0.0 <= self.psi <= 1.0:
-            raise ValidationError(f"psi out of [0,1]: {self.psi}")
-        if self.t_overhead < 0:
-            raise ValidationError(f"overhead must be >= 0, got {self.t_overhead}")
-        rate = self.photon_rate_kcps
-        if rate is not None and not 0 <= rate < math.inf:
-            raise ValidationError(f"photon_rate_kcps must be finite and >= 0, got {rate}")
+        object.__setattr__(self, "intensity", positive("intensity", self.intensity, "mW/um^2"))
+        contrast = in_range(0.0, 1.0)("contrast_c", positive("contrast_c", self.contrast_c))
+        object.__setattr__(self, "contrast_c", contrast)
+        object.__setattr__(self, "psi", in_range(0.0, 1.0)("psi", self.psi))
+        object.__setattr__(self, "t_overhead", non_negative("t_overhead", self.t_overhead, "us"))
+        if self.photon_rate_kcps is not None:
+            non_negative("photon_rate_kcps", self.photon_rate_kcps, "kcps")
 
 
 @dataclass(frozen=True)
@@ -316,7 +297,7 @@ class IntensityTable:
         return len(self.rows)
 
     def interpolate(self, intensity) -> InterpolatedRow:
-        i = as_mw_per_um2(intensity)
+        i = non_negative("intensity", intensity, "mW/um^2")
         lo, hi = self.intensity_range
         if not lo <= i <= hi:
             raise ValidationError(
@@ -383,7 +364,7 @@ def volume_normalized_sensitivity(
     row = table.interpolate(intensity)
     budget = spin_bath_budget(sample, coeffs)
     if protocol == "sq":
-        rate = budget.bath_rate + float(bias_rate_per_us)
+        rate = budget.bath_rate + non_negative("bias_rate_per_us", bias_rate_per_us, "1/us")
         t2 = 1.0 / rate if rate > 0 else math.inf
         delta_ms = 1
     else:
@@ -393,7 +374,7 @@ def volume_normalized_sensitivity(
         raise ValidationError("sample has no dephasing mechanism; T2* unbounded")
 
     n_eff = (
-        sample.nv_total.ppm
+        sample.nv_total
         * row.psi
         * (sample.n_orientations_sensing / 4.0)
         * PPM_TO_PER_CM3
@@ -405,7 +386,11 @@ def volume_normalized_sensitivity(
         if row.photon_rate_kcps is not None
         else photon_model.rate_kcps(row.intensity)
     )
-    window = row.t_overhead if readout_window_us is None else float(readout_window_us)
+    window = (
+        row.t_overhead
+        if readout_window_us is None
+        else non_negative("readout_window_us", readout_window_us, "us")
+    )
     n_avg = rate_kcps * 1e-3 * window  # kcps -> counts/us
 
     params = SensingParams(

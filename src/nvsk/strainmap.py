@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import least_squares, scalar_pow
+from .core import capped_count, least_squares, non_negative, positive, scalar_pow
 from .dephasing import strain_rate_from_fwhm
 from .errors import ComputationError, ValidationError
 
@@ -56,8 +56,7 @@ class StrainMap:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValidationError("strain map must be 2-D")
-        if not self.pixel_pitch_um > 0:
-            raise ValidationError(f"pixel pitch must be > 0, got {self.pixel_pitch_um}")
+        positive("pixel pitch", self.pixel_pitch_um, "um")
         if self.orientation not in ORIENTATIONS:
             raise ValidationError(
                 f"orientation must be one of {ORIENTATIONS}, got {self.orientation!r}"
@@ -87,11 +86,6 @@ class LorentzianFit:
             "offset": self.offset,
             "residual_rms": self.residual_rms,
         }
-
-
-def _check_bin_width(bin_width: Optional[float]) -> None:
-    if bin_width is not None and not 0 < bin_width < math.inf:
-        raise ValidationError(f"bin width must be finite and > 0, got {bin_width}")
 
 
 def _out_of_range(bin_width) -> ValidationError:
@@ -328,7 +322,8 @@ def histogram_fwhm(
     deterministic. The fit is core.least_squares on one problem: scipy's
     trust-region reflective least squares, run in numpy.
     """
-    _check_bin_width(bin_width_khz)
+    if bin_width_khz is not None:
+        positive("bin width", bin_width_khz, "kHz")
     stacks, errors = _finite_histogram(np.asarray(values, dtype=float), bin_width_khz)
     if errors:
         raise errors[0]
@@ -408,12 +403,13 @@ def partition_sweep(
     histogram fit. Tiles with too few valid pixels or unresolvable widths
     are skipped and counted; a bad bin width is refused up front.
     """
-    _check_bin_width(bin_width_khz)
+    if bin_width_khz is not None:
+        positive("bin width", bin_width_khz, "kHz")
     h, w = strain_map.values.shape
     pitch = strain_map.pixel_pitch_um
     off_r, off_c = int(tile_offset[0]), int(tile_offset[1])
-    if off_r < 0 or off_c < 0:
-        raise ValidationError(f"tile offset must be >= 0 px, got {tile_offset}")
+    for offset in (off_r, off_c):
+        non_negative("tile offset", offset, "px")
     stats = []
     for size in sizes_um:
         n_px = int(round(size / pitch))
@@ -524,10 +520,7 @@ def scaling_metric(stats: Sequence[PartitionStats], other_rate_per_us: float) ->
     """
     if len(stats) < 3:
         raise ValidationError(f"need >= 3 sensor sizes, got {len(stats)}")
-    if not 0 <= other_rate_per_us < math.inf:
-        raise ValidationError(
-            f"other_rate_per_us must be finite and >= 0, got {other_rate_per_us}"
-        )
+    non_negative("other_rate_per_us", other_rate_per_us, "1/us")
     sizes = np.array([s.size_um for s in stats], dtype=float)
     medians = np.array([s.median for s in stats], dtype=float)
     rates = other_rate_per_us + np.array(
@@ -552,15 +545,6 @@ def scaling_metric(stats: Sequence[PartitionStats], other_rate_per_us: float) ->
 MAX_MAP_PIXELS = 4096 * 4096
 
 
-def _check_synth_shape(shape) -> None:
-    rows, cols = (int(n) for n in shape)
-    if rows * cols > MAX_MAP_PIXELS:
-        raise ValidationError(
-            f"map of {rows}x{cols} = {rows * cols:,} pixels exceeds the "
-            f"{MAX_MAP_PIXELS:,}-pixel limit"
-        )
-
-
 def _check_synth_shifts(values, scales: str) -> None:
     if not np.isfinite(values).all():
         raise ValidationError(f"synthetic shifts are not all finite at {scales}")
@@ -577,7 +561,7 @@ def synth_stationary(
     The shift distribution is Lorentzian with FWHM = 2 * scale_khz at every
     sensor size, so linewidth statistics should not depend on tiling.
     """
-    _check_synth_shape(shape)
+    capped_count(f"map of {shape[0]}x{shape[1]}", math.prod(shape), MAX_MAP_PIXELS, "pixels")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         values = scale_khz * rng.standard_cauchy(size=shape)
@@ -602,7 +586,7 @@ def synth_two_region(
     lower-right corner and carries both a broader shift distribution and a
     linear gradient, mimicking an isolated dislocation bundle.
     """
-    _check_synth_shape(shape)
+    capped_count(f"map of {shape[0]}x{shape[1]}", math.prod(shape), MAX_MAP_PIXELS, "pixels")
     rng = np.random.default_rng(seed)
     h, w = shape
     hot_h, hot_w = int(h * _HOT_FRACTION), int(w * _HOT_FRACTION)

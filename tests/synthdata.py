@@ -44,12 +44,12 @@ def high_n_table() -> IntensityTable:
 
 
 def low_n_sample() -> DiamondSample:
-    return DiamondSample.from_ppm(0.8, 108.0, 0.39, 0.2)
+    return DiamondSample(0.8, 108.0, 0.39, 0.2)
 
 
 def high_n_sample() -> DiamondSample:
     # nitrogen-rich sensor: as-grown chosen so ~14 ppm survives NV formation
-    return DiamondSample.from_ppm(20.8, 108.0, 3.8, 0.78)
+    return DiamondSample(20.8, 108.0, 3.8, 0.78)
 
 
 def table_rows_to_csv_text(rows) -> str:

@@ -48,7 +48,7 @@ def timed(func, *args, **kwargs):
 
 
 def test_criterion_01_spin_bath_limit():
-    sample = DiamondSample.from_ppm(0.8, 108.0, 0.39, 0.2)
+    sample = DiamondSample(0.8, 108.0, 0.39, 0.2)
     budget, elapsed = timed(spin_bath_budget, sample)
     t2 = budget.t2_star_bath
     ok = 19.0 <= t2 <= 21.0 and elapsed < 1e-3
@@ -57,9 +57,9 @@ def test_criterion_01_spin_bath_limit():
 
 def test_criterion_02_nitrogen_bookkeeping():
     result, elapsed = timed(nitrogen_bookkeeping, 0.8, 0.39, 0.2)
-    ok = abs(result.ppm - 0.332) < 1e-12 and abs(result.ppm - 0.35) <= 0.03
+    ok = abs(result - 0.332) < 1e-12 and abs(result - 0.35) <= 0.03
     ok = ok and elapsed < 1e-3
-    report(2, ok, f"ns0_post = {result.ppm:.4f} ppm (0.332, within 0.03 of 0.35), "
+    report(2, ok, f"ns0_post = {result:.4f} ppm (0.332, within 0.03 of 0.35), "
                   f"{elapsed*1e3:.3f} ms")
 
 
@@ -85,8 +85,8 @@ def test_criterion_03_metric_ratio_threefold():
 def test_criterion_04_optimal_nitrogen_asymptote():
     result, elapsed = timed(optimal_nitrogen, 1e6)
     target = 1e-4 * 50.0 / 0.101  # 0.0495 ppm
-    ok = abs(result.concentration.ppm - target) <= 0.02 * target and elapsed < 1.0
-    report(4, ok, f"N* = {result.concentration.ppm:.5f} ppm "
+    ok = abs(result.concentration - target) <= 0.02 * target and elapsed < 1.0
+    report(4, ok, f"N* = {result.concentration:.5f} ppm "
                   f"(target {target:.5f} within 2%), {elapsed*1e3:.1f} ms")
 
 

@@ -130,6 +130,13 @@ def test_charge_fraction_refuses_a_non_finite_brightness_ratio(ratio):
         charge_fraction(0.5, 0.5, brightness_ratio=ratio)
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.inf), (math.inf, 0.0)])
+def test_charge_fraction_refuses_non_finite_weights(weights):
+    # a NaN weight passed the old w < 0 check, and inf / inf gave psi = NaN
+    with pytest.raises(ValidationError, match="must be finite and >= 0, got"):
+        charge_fraction(*weights)
+
+
 def test_decompose_to_psi_validity_flag():
     bm, b0 = nv_minus_basis(), nv_zero_basis()
     measured = Spectrum(WL, 0.5 * bm.counts + 0.5 * b0.counts)

@@ -246,8 +246,9 @@ def test_charge_decompose_refuses_a_nan_wavelength(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "value, message",
-    [("nan", "intensity must be finite, got nan"),
-     ("-1", "intensity must be >= 0 mW/um^2, got -1.0")],
+    [("nan", "intensity must be finite and >= 0 mW/um^2, got nan"),
+     ("-1", "intensity must be finite and >= 0 mW/um^2, got -1.0")],
+    ids=["nan", "negative"],
 )
 def test_charge_decompose_refuses_a_bad_intensity(tmp_path, capsys, value, message):
     argv = charge_argv(tmp_path)
@@ -568,6 +569,43 @@ def test_sweep_refuses_a_sensitivity_that_underflows(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma_rad", ["1e308", "5e-324"])
+@pytest.mark.parametrize(
+    "argv",
+    [["photophysics", "ti-band", "--grid", "0.1:1:log:3"],
+     ["photophysics", "simulate", "--intensity", "1", "--isat", "2"]],
+    ids=["ti-band", "simulate"],
+)
+def test_photophysics_refuses_a_radiative_rate_out_of_the_float_range(
+    tmp_path, capsys, gamma_rad, argv
+):
+    # 1e308 overflowed the rate matrix into numpy's eigvals, 5e-324 left it
+    # singular for the steady-state solve: both ended in a LinAlgError
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"[photophysics]\ngamma_rad_per_us = {gamma_rad}\n")
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nvsk: rates gamma_rad x") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["[bath]\na_ns0_per_us_ppm = 1e308", "[metric]\nc13_ppm = 1e308"], ids=["a_ns0", "c13"]
+)
+def test_optimal_n_refuses_a_metric_out_of_the_float_range(tmp_path, capsys, line):
+    # n * T2*^2 underflows to 0: the command printed numpy warnings and exited 0
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    argv = ["sensitivity", "optimal-n", "--to-grid", "0.1:100:log:5", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nvsk: simplified metric leaves the float range")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["sensitivity", "sweep"]) == 1
 
@@ -643,7 +681,10 @@ def test_bad_arguments_exit_1_with_message(tmp_path, capsys, argv):
     if "1e-310" in argv or "--config" in argv:
         assert err.startswith("nvsk: saturation parameter I/I_sat = 1/1e-310 overflows")
     if "--lines" in argv:
-        assert err.startswith("nvsk: 50 samples of 100,000,000 lines exceed")
+        assert err.startswith(
+            "nvsk: synthetic signal (50 samples x 100,000,000 lines) must be at most "
+            "5,000,000 values, got 5,000,000,000"
+        )
     if "1e308" in argv and "ramsey" in argv:
         assert err.startswith("nvsk: synthetic signal is not all finite")
 
@@ -781,7 +822,7 @@ def test_ramsey_fit_refuses_fewer_than_one_line(tmp_path, capsys, lines):
     assert main(["ramsey", "synth", "--t2", "10", "--detuning", "0.4", "--out", str(sig)]) == 0
     assert main(["ramsey", "fit", str(sig), "--lines", lines]) == 1
     err = capsys.readouterr().err
-    assert err == f"nvsk: n_hyperfine must be >= 1, got {lines}\n"
+    assert err == f"nvsk: n_hyperfine must be in [1, 8], got {lines}\n"
 
 
 def test_ramsey_fit_refuses_many_lines_at_once(tmp_path, capsys):
@@ -792,7 +833,7 @@ def test_ramsey_fit_refuses_many_lines_at_once(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["ramsey", "fit", str(sig), "--lines", "50"]) == 1
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == "nvsk: n_hyperfine must be <= 8, got 50\n"
+    assert capsys.readouterr().err == "nvsk: n_hyperfine must be in [1, 8], got 50\n"
 
 
 def test_weak_radiative_rate_ti_band(tmp_path):

@@ -23,7 +23,7 @@ def write(tmp_path, text, name="sample.cfg"):
 def test_minimal_sample_config_fills_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL))
     sample = cfg.sample()
-    assert sample.ns0_as_grown.ppm == 0.8
+    assert sample.ns0_as_grown == 0.8
     assert sample.n_orientations_sensing == 1  # default
     assert cfg.constants().gamma_e == pytest.approx(2.8024)
     assert cfg.bath_coefficients().a_ns0 == 0.101
@@ -71,7 +71,15 @@ def test_coefficient_override_visible(tmp_path):
 
 def test_psi_range_error_has_line_number(tmp_path):
     bad = MINIMAL.replace("psi = 0.2", "psi = 1.3")
-    with pytest.raises(ValidationError, match=r":5: psi out of \[0,1\]"):
+    with pytest.raises(ValidationError, match=r":5: psi must be in \[0, 1\], got 1.3$"):
+        parse_config(write(tmp_path, bad))
+
+
+def test_orientation_count_past_the_float_range_is_refused(tmp_path):
+    # an int the validator cannot turn into a float is refused, not raised
+    bad = MINIMAL + "n_orientations_sensing = 1" + "0" * 400 + "\n"
+    message = r":6: n_orientations_sensing must be in \[1, 4\], got 10"
+    with pytest.raises(ValidationError, match=message):
         parse_config(write(tmp_path, bad))
 
 
@@ -120,4 +128,4 @@ def test_default_config_has_no_sample():
     cfg = default_config()
     with pytest.raises(ValidationError):
         cfg.sample()
-    assert cfg.metric_config().c13.ppm == 50.0
+    assert cfg.metric_config().c13 == 50.0

@@ -7,71 +7,106 @@ from hypothesis import strategies as st
 
 from nvsk import core
 from nvsk.core import (
-    Concentration,
     DiamondSample,
-    Intensity,
     PhysicalConstants,
+    capped_count,
+    finite,
+    in_range,
     least_squares,
-    validate_sample,
+    non_negative,
+    positive,
 )
 from nvsk.errors import ValidationError
+from nvsk.photophysics import saturation_parameter
+from nvsk.sensitivity import PhotonModel
 
 
 def test_concentration_validation():
-    assert Concentration(0.8).ppm == 0.8
-    assert Concentration(0.0).ppm == 0.0
-    with pytest.raises(ValidationError):
-        Concentration(-0.1)
-    with pytest.raises(ValidationError):
-        Concentration(float("nan"))
-    with pytest.raises(ValidationError):
-        Concentration(float("inf"))
+    sample = DiamondSample(0.8, 108.0, 0.39, 0.2)
+    assert (sample.ns0_as_grown, sample.c13, sample.nv_total) == (0.8, 108.0, 0.39)
+    assert DiamondSample(0.8, 0.0, 0.0, 0.2).c13 == 0.0
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="c13 must be finite and >= 0 ppm, got"):
+            DiamondSample(0.8, bad, 0.39, 0.2)
+    with pytest.raises(ValidationError, match="ns0_as_grown must be finite and >= 0 ppm"):
+        DiamondSample(-1.0, 108.0, 0.0, 0.2)
 
 
 def test_intensity_validation():
-    assert Intensity(0.24).mw_per_um2 == 0.24
-    with pytest.raises(ValidationError):
-        Intensity(-1.0)
+    # the intensity boundaries that took a core.Intensity
+    assert saturation_parameter(0.24, 2.0) == 0.12
+    message = r"^intensity must be finite and >= 0 mW/um\^2, got -1.0$"
+    for refuse in (lambda: saturation_parameter(-1.0, 2.0), lambda: PhotonModel().rate_kcps(-1.0)):
+        with pytest.raises(ValidationError, match=message):
+            refuse()
 
 
 def test_constants_gamma_e():
     assert PhysicalConstants().gamma_e == pytest.approx(2.8024)
-    with pytest.raises(ValidationError):
-        PhysicalConstants(gamma_e=0.0)
+    for bad in (0.0, float("inf")):
+        with pytest.raises(ValidationError, match="gamma_e must be finite and > 0 MHz/G"):
+            PhysicalConstants(gamma_e=bad)
 
 
 def test_validate_sample_accepts_paper_like_sample():
-    sample = DiamondSample.from_ppm(0.8, 108.0, 0.39, 0.2)
-    assert validate_sample(sample) is sample
+    sample = DiamondSample(0.8, 108.0, 0.39, 0.2)
+    assert (sample.charge_fraction_psi, sample.n_orientations_sensing) == (0.2, 1)
 
 
 def test_validate_sample_accepts_empty_lattice():
-    sample = DiamondSample.from_ppm(0.0, 0.0, 0.0, 0.0)
-    assert validate_sample(sample) is sample
+    assert DiamondSample(0.0, 0.0, 0.0, 0.0).nv_total == 0.0
 
 
 def test_validate_sample_rejects_nv_exceeding_nitrogen():
-    sample = DiamondSample.from_ppm(0.3, 108.0, 0.39, 0.2)
     with pytest.raises(ValidationError, match="NV exceeds nitrogen"):
-        validate_sample(sample)
+        DiamondSample(0.3, 108.0, 0.39, 0.2)
 
 
 def test_validate_sample_rejects_bad_psi():
-    sample = DiamondSample.from_ppm(0.8, 108.0, 0.39, 1.3)
-    with pytest.raises(ValidationError, match="psi out of"):
-        validate_sample(sample)
-
-
-def test_validate_sample_idempotent():
-    sample = DiamondSample.from_ppm(0.8, 108.0, 0.39, 0.2)
-    assert validate_sample(validate_sample(sample)) is sample
+    for bad in (1.3, -0.1, float("nan")):
+        with pytest.raises(ValidationError, match=r"psi must be in \[0, 1\], got"):
+            DiamondSample(0.8, 108.0, 0.39, bad)
 
 
 def test_sample_orientation_bookkeeping():
-    with pytest.raises(ValidationError, match="n_orientations"):
-        validate_sample(DiamondSample.from_ppm(0.8, 108.0, 0.39, 0.2, 5))
-    ok = DiamondSample.from_ppm(0.8, 108.0, 0.39, 0.2, 3)
-    assert validate_sample(ok).n_orientations_sensing == 3
+    message = r"^n_orientations_sensing must be in \[1, 4\], got 5$"
+    with pytest.raises(ValidationError, match=message):
+        DiamondSample(0.8, 108.0, 0.39, 0.2, 5)
+    assert DiamondSample(0.8, 108.0, 0.39, 0.2, 3).n_orientations_sensing == 3
+
+
+def test_validators_return_a_float_and_name_quantity_and_unit():
+    for check in (finite, positive, non_negative, in_range(0, 2)):
+        value = check("x", np.float64(1.5))
+        assert value == 1.5 and type(value) is float
+    assert capped_count("grid", 4, 4, "points") == 4.0
+    refusals = [
+        (lambda: finite("detuning", float("nan")), "detuning must be finite, got nan"),
+        (lambda: positive("t_end", 0, "us"), "t_end must be finite and > 0 us, got 0"),
+        (lambda: positive("tau", np.float64("inf")), "tau must be finite and > 0, got inf"),
+        (lambda: non_negative("t_overhead", float("inf"), "us"),
+         "t_overhead must be finite and >= 0 us, got inf"),
+        (lambda: in_range(0.0, 1.0)("psi", 1.5), "psi must be in [0, 1], got 1.5"),
+        (lambda: in_range(0.5, 3)("p", 4, "us"), "p must be in [0.5, 3] us, got 4"),
+        (lambda: capped_count("grid", 5.5, 5, "points"),
+         "grid must be at most 5 points, got 6"),
+        (lambda: capped_count("grid", 1e300 / 1e-300, 5, "points", "use fewer"),
+         "grid must be at most 5 points, got inf; use fewer"),
+    ]
+    for refuse, message in refusals:
+        with pytest.raises(ValidationError) as caught:
+            refuse()
+        assert str(caught.value) == message
+
+
+def test_validators_take_an_int_beyond_the_float_range():
+    huge = 10**400
+    with pytest.raises(ValidationError, match=r"^x must be finite and > 0, got 1000"):
+        positive("x", huge)
+    with pytest.raises(ValidationError, match="got -1000"):
+        non_negative("x", -huge)
+    with pytest.raises(ValidationError, match="got inf$"):
+        capped_count("grid", huge, 5, "points")
 
 
 # --- the stacked least-squares solver against scipy's ---

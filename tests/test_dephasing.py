@@ -35,7 +35,7 @@ def test_bath_budget_at_direct_post_treatment_nitrogen():
 
 
 def test_bath_budget_from_sample_bookkeeping():
-    sample = DiamondSample.from_ppm(0.8, 108.0, 0.39, 0.2)
+    sample = DiamondSample(0.8, 108.0, 0.39, 0.2)
     budget = spin_bath_budget(sample)
     # post-treatment nitrogen 0.332 ppm
     assert budget.rate_ns0 == pytest.approx(0.101 * 0.332, rel=1e-12)
@@ -77,9 +77,9 @@ def test_bath_rate_linear_in_each_concentration():
 
 
 def test_nitrogen_bookkeeping_paper_numbers():
-    assert nitrogen_bookkeeping(0.8, 0.39, 0.2).ppm == pytest.approx(0.332, rel=1e-12)
-    assert nitrogen_bookkeeping(0.8, 0.0, 0.7).ppm == pytest.approx(0.8)
-    assert nitrogen_bookkeeping(0.8, 0.39, 1.0).ppm == pytest.approx(0.02, rel=1e-9)
+    assert nitrogen_bookkeeping(0.8, 0.39, 0.2) == pytest.approx(0.332, rel=1e-12)
+    assert nitrogen_bookkeeping(0.8, 0.0, 0.7) == pytest.approx(0.8)
+    assert nitrogen_bookkeeping(0.8, 0.39, 1.0) == pytest.approx(0.02, rel=1e-9)
 
 
 def test_nitrogen_bookkeeping_overconsumption():
@@ -93,7 +93,7 @@ def test_nitrogen_bookkeeping_conserves_atoms():
         ns0 = rng.uniform(0.5, 30.0)
         psi = rng.uniform(0.0, 1.0)
         nv = rng.uniform(0.0, ns0 / (1.0 + psi))
-        post = nitrogen_bookkeeping(ns0, nv, psi).ppm
+        post = nitrogen_bookkeeping(ns0, nv, psi)
         assert post + nv * (1.0 + psi) == pytest.approx(ns0, rel=1e-12)
 
 

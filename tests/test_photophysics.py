@@ -20,6 +20,7 @@ from nvsk.photophysics import (
     FiveLevelParams,
     PLTrace,
     StateVector,
+    _KEPT_BLOCK,
     _contrast_arrays,
     _expm,
     _filter_state_space,
@@ -52,6 +53,31 @@ def test_rate_matrix_columns_sum_to_zero():
     for s in (0.0, 0.3, 7.0, 100.0):
         a = rate_matrix(PARAMS, s)
         assert np.abs(a.sum(axis=0)).max() < 1e-14
+
+
+@pytest.mark.parametrize("gamma_rad", [1e308, 5e-324])
+def test_rates_out_of_the_float_range_are_refused(gamma_rad):
+    # 1e308 overflows gamma_rad * (1 + kappa_45), and 5e-324 * s underflows
+    # to 0, which leaves A singular; both are refused where A is built
+    params = FiveLevelParams(gamma_rad=gamma_rad)
+    for run in (
+        lambda: rate_matrix(params, 0.5),
+        lambda: steady_state(params, 0.5),
+        lambda: default_trace_window(params, 0.5),
+        lambda: contrast_trace(params, 1.0, 2.0),
+        lambda: ti_band(params, [0.1, 1.0]),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(f"got gamma_rad {gamma_rad!r} 1/us")):
+            run()
+
+
+def test_infinite_saturation_intensities_and_pump_are_refused():
+    with pytest.raises(ValidationError, match="i_sat_band must be finite and > 0 mW/um"):
+        FiveLevelParams(i_sat_band=(1.0, math.inf))
+    with pytest.raises(ValidationError, match="i_sat must be finite and > 0 mW/um"):
+        saturation_parameter(1.0, math.inf)
+    with pytest.raises(ValidationError, match="saturation parameter must be finite and >= 0"):
+        rate_matrix(PARAMS, math.inf)
 
 
 def test_state_vector_validation():
@@ -340,18 +366,18 @@ def test_contrast_trace_refuses_unbounded_grids():
 
 def test_grids_refuse_a_step_count_beyond_the_float_range():
     # t_end / dt overflows to inf: refused before the count is rounded
-    with pytest.raises(ValidationError, match="sample limit"):
+    with pytest.raises(ValidationError, match="samples, got inf; pass a shorter t_end"):
         evolve(FiveLevelParams(), 1.0, GROUND_MS0, 5.0, 1e-320)
-    with pytest.raises(ValidationError, match="sample limit"):
+    with pytest.raises(ValidationError, match="samples, got inf; pass a shorter t_end"):
         contrast_trace(FiveLevelParams(), 1.0, 2.0, t_end=5.0, dt=1e-320)
 
 
 def test_full_resolution_grids_are_capped_at_the_trace_limit():
     # dt = 2^-10 keeps t_end = k dt exact; at s = 1 it resolves the dynamics
     dt = 2.0**-10
-    with pytest.raises(ValidationError, match=f"{MAX_TRACE_SAMPLES:,}-sample limit"):
+    with pytest.raises(ValidationError, match=f"at most {MAX_TRACE_SAMPLES:,} samples"):
         evolve(PARAMS, 1.0, GROUND_MS0, MAX_TRACE_SAMPLES * dt, dt)
-    with pytest.raises(ValidationError, match=f"{MAX_TRACE_SAMPLES:,}-sample limit"):
+    with pytest.raises(ValidationError, match=f"at most {MAX_TRACE_SAMPLES:,} samples"):
         contrast_trace(PARAMS, 3.0, 3.0, t_end=MAX_TRACE_SAMPLES * dt, dt=dt)
     curve = contrast_trace(PARAMS, 3.0, 3.0, t_end=(MAX_TRACE_SAMPLES - 1) * dt, dt=dt)
     assert len(curve.contrast) == MAX_TRACE_SAMPLES
@@ -488,6 +514,19 @@ pump = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)
 def test_property_rate_matrix_columns_sum_to_zero(params, s):
     a = rate_matrix(params, s)
     assert np.abs(a.sum(axis=0)).max() <= 1e-14 * np.abs(a).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=rates, s=pump, keep_stride=st.integers(1, 2**10))
+def test_property_readout_population_block_conserves_population(params, s, keep_stride):
+    # the propagators the readout puts in its joint state's population block:
+    # one step, and keep_stride * 2^k steps up to one block of kept samples;
+    # criterion 7's 1e-9 bound on the total population
+    dt = max_stable_dt(params, s)
+    steps = keep_stride * 2.0 ** np.arange(_KEPT_BLOCK.bit_length())
+    props = _expm(rate_matrix(params, s) * dt * np.r_[1, steps][:, None, None])
+    for start in (GROUND_MS_PM1, GROUND_MS0):
+        assert np.abs((props @ start.as_array()).sum(axis=1) - 1.0).max() < 1e-9
 
 
 @settings(max_examples=25, deadline=None)

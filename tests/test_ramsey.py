@@ -144,6 +144,14 @@ def test_fit_rejects_flat_signal():
         fit(TAU, signal)
 
 
+@pytest.mark.parametrize("lines", [0, 9, math.nan])
+def test_fit_refuses_a_line_count_outside_one_to_eight(lines):
+    # a NaN count passed both comparisons and ended in a TypeError
+    signal = synthesize(standard_model(), TAU)
+    with pytest.raises(ValidationError, match=r"n_hyperfine must be in \[1, 8\], got"):
+        fit(TAU, signal, n_hyperfine=lines)
+
+
 def test_model_validation():
     with pytest.raises(ValidationError):
         RamseyModel(t2_star=-1.0, detuning=0.4, amplitude=0.02)

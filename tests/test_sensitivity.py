@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvsk.core import Concentration, DiamondSample
+from nvsk.core import DiamondSample
 from nvsk.dephasing import BathCoefficients, dq_t2star, spin_bath_budget
 from nvsk.errors import ComputationError, ValidationError
 from nvsk.sensitivity import (
@@ -66,13 +66,24 @@ def test_double_quantum_prefactor():
 @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
 def test_stretch_exponent_must_be_finite_and_at_least_one(p):
     # an infinite p would make the envelope a step and its optimum undefined
-    with pytest.raises(ValidationError, match="stretch exponent p must be finite >= 1"):
+    with pytest.raises(ValidationError, match="p must be finite and >= 1, got"):
         unit_params(p=p)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [(unit_params, "gamma_e"), (unit_params, "n_sensors"),
+     (PhotonModel, "rate_at_1mw_kcps"), (PhotonModel, "i_sat")],
+)
+def test_infinite_scale_factors_are_refused(build, field):
+    # each was accepted when only > 0 was checked
+    with pytest.raises(ValidationError, match=f"{field} must be finite and > 0"):
+        build(**{field: math.inf})
 
 
 def test_zero_navg_rejected():
     # refused when the struct is built, not on every evaluation
-    with pytest.raises(ValidationError, match="readout noise term undefined: n_avg = 0"):
+    with pytest.raises(ValidationError, match="n_avg must be > 0, got 0.0"):
         unit_params(n_avg=0.0)
 
 
@@ -119,9 +130,9 @@ def test_property_sensitivity_matches_log_form(delta_ms, p, t2, t_o, n_avg, cont
 def test_tau_is_validated_per_call():
     params = unit_params()
     for bad in (0.0, -1.0, -math.inf, math.nan):
-        with pytest.raises(ValidationError, match="tau must be > 0"):
+        with pytest.raises(ValidationError, match="tau must be finite and > 0 us"):
             ramsey_sensitivity(params, bad)
-    with pytest.raises(ValidationError, match="tau must be finite, got inf"):
+    with pytest.raises(ValidationError, match="tau must be finite and > 0 us, got inf"):
         ramsey_sensitivity(params, math.inf)
     with pytest.raises(TypeError):
         ramsey_sensitivity(params)  # tau is required
@@ -285,7 +296,7 @@ GOLDEN_NITROGEN = [
     pytest.param(10.0, MetricConfig(), 0.22686018291860596, 0.3967165417764351, True,
                  id="overhead-10us"),
     pytest.param(0.0, MetricConfig(), 100.0, 0.3178836265050467, False, id="no-overhead"),
-    pytest.param(1e3, MetricConfig(c13=Concentration(1.1e4)), 10.896038479359008,
+    pytest.param(1e3, MetricConfig(c13=1.1e4), 10.896038479359008,
                  21.085586950708358, True, id="natural-c13"),
 ]
 
@@ -299,7 +310,7 @@ def test_optimal_tau_golden_values(overrides, tau, eta):
 @pytest.mark.parametrize("t_overhead, cfg, ppm, metric, interior", GOLDEN_NITROGEN)
 def test_optimal_nitrogen_golden_values(t_overhead, cfg, ppm, metric, interior):
     best = optimal_nitrogen(t_overhead, cfg)
-    assert (best.concentration.ppm, best.metric, best.interior) == (ppm, metric, interior)
+    assert (best.concentration, best.metric, best.interior) == (ppm, metric, interior)
 
 
 def nitrogen_oracle(t_o, a, b):
@@ -320,7 +331,7 @@ def test_golden_values_are_the_exact_optima():
     for case in GOLDEN_NITROGEN:
         t_o, cfg, ppm, _, interior = case.values
         oracle = nitrogen_oracle(t_o, cfg.bath_coeffs.a_ns0,
-                                 cfg.bath_coeffs.a_c13 * cfg.c13.ppm)
+                                 cfg.bath_coeffs.a_c13 * cfg.c13)
         assert ppm == pytest.approx(min(max(oracle, 0.01), 100.0), rel=1e-13)
 
 
@@ -340,7 +351,7 @@ def metric_oracle(n, c13, t_o, coeffs=BathCoefficients()):
     c13=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
 )
 def test_property_simplified_metric_matches_oracle(n, t_o, c13):
-    cfg = MetricConfig(c13=Concentration(c13))
+    cfg = MetricConfig(c13=c13)
     assert simplified_metric(n, t_o, cfg) == pytest.approx(
         metric_oracle(n, c13, t_o), rel=1e-12
     )
@@ -371,18 +382,31 @@ def test_simplified_metric_duty_factor_unity_at_zero_overhead():
 
 def test_simplified_metric_validates_bare_ppm():
     cfg = MetricConfig()
-    assert simplified_metric(Concentration(0.8), 10.0, cfg) == simplified_metric(0.8, 10.0, cfg)
-    for bad in (0.0, -1.0, math.nan, math.inf, Concentration(0.0)):
-        with pytest.raises(ValidationError, match="ns0 must be finite > 0 ppm"):
+    assert simplified_metric(np.float64(0.8), 10.0, cfg) == simplified_metric(0.8, 10.0, cfg)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="ns0 must be finite and > 0 ppm"):
             simplified_metric(bad, 10.0, cfg)
 
 
 def test_simplified_metric_validates_overhead():
     for bad in (-1.0, -1e-300, math.nan, math.inf):
-        with pytest.raises(ValidationError, match="t_overhead must be finite >= 0"):
+        with pytest.raises(ValidationError, match="t_overhead must be finite and >= 0 us"):
             simplified_metric(0.8, bad, MetricConfig())
-        with pytest.raises(ValidationError, match="t_overhead must be finite >= 0"):
+        with pytest.raises(ValidationError, match="t_overhead must be finite and >= 0 us"):
             optimal_nitrogen(bad)
+
+
+@pytest.mark.parametrize("t_overhead", [1.0, np.float64(1.0)])
+@pytest.mark.parametrize(
+    "cfg",
+    [MetricConfig(bath_coeffs=BathCoefficients(a_ns0=1e308)), MetricConfig(c13=1e308)],
+    ids=["a_ns0", "c13"],
+)
+def test_optimal_nitrogen_refuses_a_metric_out_of_the_float_range(t_overhead, cfg):
+    # n * T2*^2 underflows to 0: a ZeroDivisionError for Python floats, numpy
+    # warnings and an infinite metric for numpy scalars
+    with pytest.raises(ComputationError, match="simplified metric leaves the float range"):
+        optimal_nitrogen(t_overhead, cfg)
 
 
 def test_optimal_nitrogen_at_10us_overhead():
@@ -392,29 +416,29 @@ def test_optimal_nitrogen_at_10us_overhead():
     grid = np.logspace(-2, 2, 10_000)
     cfg = MetricConfig()
     oracle = grid[int(np.argmin([simplified_metric(n, 10.0, cfg) for n in grid]))]
-    assert result.concentration.ppm == pytest.approx(oracle, rel=2e-3)
-    assert result.concentration.ppm == pytest.approx(0.2269, abs=0.003)
+    assert result.concentration == pytest.approx(oracle, rel=2e-3)
+    assert result.concentration == pytest.approx(0.2269, abs=0.003)
 
 
 def test_optimal_nitrogen_deep_overhead_asymptote():
     # stationarity of (aN+b)^2/N gives N* -> b/a
     result = optimal_nitrogen(1e6)
-    assert result.concentration.ppm == pytest.approx(0.005 / 0.101, rel=0.02)
+    assert result.concentration == pytest.approx(0.005 / 0.101, rel=0.02)
 
 
 def test_optimal_nitrogen_no_interior_optimum_at_zero_overhead():
     result = optimal_nitrogen(0.0)
     assert not result.interior
-    assert result.concentration.ppm == 100.0
+    assert result.concentration == 100.0
 
 
 def test_optimal_nitrogen_clips_to_the_range_ends():
     # no nitrogen term: the metric falls towards 100 ppm
     no_n = optimal_nitrogen(10.0, MetricConfig(bath_coeffs=BathCoefficients(a_ns0=0.0)))
-    assert (no_n.concentration.ppm, no_n.interior) == (100.0, False)
+    assert (no_n.concentration, no_n.interior) == (100.0, False)
     # no carbon-13 term: N* = 0, clipped up to 0.01 ppm
-    no_c = optimal_nitrogen(10.0, MetricConfig(c13=Concentration(0.0)))
-    assert (no_c.concentration.ppm, no_c.interior) == (0.01, False)
+    no_c = optimal_nitrogen(10.0, MetricConfig(c13=0.0))
+    assert (no_c.concentration, no_c.interior) == (0.01, False)
 
 
 @settings(max_examples=100, deadline=None)
@@ -426,19 +450,19 @@ def test_optimal_nitrogen_clips_to_the_range_ends():
 )
 def test_property_optimal_nitrogen_is_the_grid_argmin(t_o, c13, a_ns0, a_c13):
     coeffs = BathCoefficients(a_ns0=a_ns0, a_c13=a_c13)
-    best = optimal_nitrogen(t_o, MetricConfig(c13=Concentration(c13), bath_coeffs=coeffs))
+    best = optimal_nitrogen(t_o, MetricConfig(c13=c13, bath_coeffs=coeffs))
     grid = np.logspace(-2.0, 2.0, 20001)  # steps of 0.046 %
     a, b = a_ns0, a_c13 * c13
     oracle = np.sqrt((a * grid + b) / grid + t_o * (a * grid + b) ** 2 / grid)
-    assert best.concentration.ppm == pytest.approx(grid[np.argmin(oracle)], rel=1e-3)
-    assert best.interior == (0.01 < best.concentration.ppm < 100.0)
+    assert best.concentration == pytest.approx(grid[np.argmin(oracle)], rel=1e-3)
+    assert best.interior == (0.01 < best.concentration < 100.0)
     assert best.metric == pytest.approx(
-        metric_oracle(best.concentration.ppm, c13, t_o, coeffs), rel=1e-12
+        metric_oracle(best.concentration, c13, t_o, coeffs), rel=1e-12
     )
 
 
 def test_optimal_nitrogen_nonincreasing_in_overhead():
-    values = [optimal_nitrogen(t).concentration.ppm for t in (0.5, 2.0, 10.0, 50.0, 1e3)]
+    values = [optimal_nitrogen(t).concentration for t in (0.5, 2.0, 10.0, 50.0, 1e3)]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(values, values[1:]))
 
 
@@ -502,9 +526,19 @@ def test_volume_normalized_swap_inverts_ratio():
     assert r_ab * r_ba == pytest.approx(1.0, rel=1e-12)
 
 
+def test_volume_normalized_refuses_a_negative_bias_or_an_infinite_window():
+    # a negative bias rate used to lengthen T2*, and an infinite readout
+    # window to give the ideal-readout limit
+    args = (low_n_sample(), low_n_table(), 0.1)
+    with pytest.raises(ValidationError, match="bias_rate_per_us must be finite and >= 0 1/us"):
+        volume_normalized_sensitivity(*args, bias_rate_per_us=-0.01)
+    with pytest.raises(ValidationError, match="readout_window_us must be finite and >= 0 us"):
+        volume_normalized_sensitivity(*args, readout_window_us=math.inf)
+
+
 def test_volume_normalized_hand_composed_row():
     # single synthetic row; all Eq-style factors recomposed by hand
-    sample = DiamondSample.from_ppm(2.0, 50.0, 0.5, 0.8)
+    sample = DiamondSample(2.0, 50.0, 0.5, 0.8)
     table = IntensityTable(
         [IntensityRow(intensity=0.1, contrast_c=0.03, psi=0.8, t_overhead=6.0)]
     )
@@ -621,7 +655,7 @@ def test_ratio_degenerates_to_simplified_metric():
     n_a, n_b = 0.8, 14.0
 
     def eta_at_t2(n):
-        a, b = cfg.bath_coeffs.a_ns0, cfg.bath_coeffs.a_c13 * cfg.c13.ppm
+        a, b = cfg.bath_coeffs.a_ns0, cfg.bath_coeffs.a_c13 * cfg.c13
         t2 = 1.0 / (a * n + b)
         params = SensingParams(
             delta_ms=1,

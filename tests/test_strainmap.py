@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,13 @@ from nvsk.strainmap import (
 def test_all_masked_rejected():
     with pytest.raises(ValidationError, match="no valid pixels"):
         StrainMap(values=np.full((5, 5), np.nan), pixel_pitch_um=1.0)
+
+
+@pytest.mark.parametrize("pitch", [0.0, math.nan, math.inf])
+def test_pixel_pitch_must_be_finite_and_positive(pitch):
+    # an infinite pitch was accepted when only > 0 was checked
+    with pytest.raises(ValidationError, match="pixel pitch must be finite and > 0 um"):
+        StrainMap(values=np.zeros((5, 5)), pixel_pitch_um=pitch)
 
 
 def test_cauchy_fwhm_monte_carlo_oracle():
@@ -131,9 +139,9 @@ def test_fit_below_the_fwhm_bound_starts_on_the_bound():
 @pytest.mark.parametrize("synth", [synth_stationary, synth_two_region])
 def test_synth_refuses_a_map_above_the_pixel_limit(synth):
     args = (6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)
-    with pytest.raises(ValidationError, match="16,777,216-pixel limit"):
+    with pytest.raises(ValidationError, match="at most 16,777,216 pixels, got 10,000,000,000"):
         synth((100_000, 100_000), *args)
-    with pytest.raises(ValidationError, match="pixel limit"):
+    with pytest.raises(ValidationError, match="at most 16,777,216 pixels"):
         synth((MAX_MAP_PIXELS // 1024 + 1, 1024), *args)
 
 
@@ -147,7 +155,7 @@ def test_partition_tile_size_guards():
         with pytest.raises(ValidationError, match="bin width must be finite and > 0"):
             partition_sweep(m, [32.0], bin_width_khz=width)
     for offset in ((-5, -5), (0, -1), (-1, 0)):
-        with pytest.raises(ValidationError, match="tile offset must be >= 0 px"):
+        with pytest.raises(ValidationError, match="tile offset must be finite and >= 0 px"):
             partition_sweep(m, [16.0], tile_offset=offset)
 
 
