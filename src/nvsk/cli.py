@@ -140,22 +140,23 @@ def cmd_dephasing(args):
 
 
 def _sweep_rows(sample, table, grid, protocol, cfg):
-    rows = []
-    for intensity in grid:
-        rows.append(
-            volume_normalized_sensitivity(
-                sample,
-                table,
-                intensity,
-                protocol,
-                constants=cfg.constants(),
-                coeffs=cfg.bath_coefficients(),
-                photon_model=cfg.photon_model(),
-                readout_window_us=cfg.readout_window_us,
-                bias_rate_per_us=cfg.bias_rate_per_us,
-            )
+    constants = cfg.constants()
+    coeffs = cfg.bath_coefficients()
+    photon_model = cfg.photon_model()
+    return [
+        volume_normalized_sensitivity(
+            sample,
+            table,
+            intensity,
+            protocol,
+            constants=constants,
+            coeffs=coeffs,
+            photon_model=photon_model,
+            readout_window_us=cfg.readout_window_us,
+            bias_rate_per_us=cfg.bias_rate_per_us,
         )
-    return rows
+        for intensity in grid
+    ]
 
 
 def cmd_sensitivity_sweep(args):

@@ -25,7 +25,11 @@ its Butterworth sections are designed in numpy and, written in state space,
 join the populations in one 9-dimensional state with a single step matrix;
 the filtered PL at any sample is an output row of a power of that matrix.
 The contrast and initialization-time routines evaluate those rows only at
-the samples they keep, and import no scipy. evolve() instead integrates the
+the samples they keep, and import no scipy. ti_band writes the contrast of
+all its traces, in turn, into one buffer of the largest kept count, finds
+each t_I in cache-sized blocks and builds times only for the samples the fit
+takes, so a call's peak memory is about one kept-sample array, at most
+16 MB, and no trace faults in fresh pages. evolve() instead integrates the
 rate equations with scipy's adaptive Runge-Kutta method, importing
 scipy.integrate when it is called, and lowpass() runs the same state-space
 filter over a given trace in numpy, block by block. The test suite
@@ -342,10 +346,35 @@ def default_trace_window(params: FiveLevelParams, s: float) -> float:
 @dataclass
 class ContrastCurve:
     """Filtered signal/reference PL ratio versus readout delay (us), Sig
-    started from m_s=+-1 and Ref from m_s=0."""
+    started from m_s=+-1 and Ref from m_s=0; one time per contrast sample."""
 
     times: np.ndarray
     contrast: np.ndarray
+
+    def __post_init__(self):
+        if len(self.times) != len(self.contrast):
+            raise ValidationError(
+                f"contrast curve needs one time per sample, got {len(self.times)} times "
+                f"for {len(self.contrast)} samples"
+            )
+        if len(self.contrast) == 0:
+            raise ValidationError("contrast curve has no samples")
+
+
+class _StridedGrid:
+    """Times (k stride) dt of the samples k < n that ti_band keeps, standing
+    in for a ContrastCurve's times: indexing with sample indices builds the
+    times of just those samples, with the bits of the materialized grid
+    np.arange(0, n stride, stride) * dt."""
+
+    def __init__(self, n: int, stride: int, dt: float):
+        self.n, self.stride, self.dt = n, stride, dt
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, index):
+        return (index * self.stride) * self.dt
 
 
 # Kept samples per output block. A power of two, so the row doubling ends on
@@ -524,9 +553,15 @@ def _contrast_arrays(
     t_end: float,
     dt: float,
     keep_stride: int = 1,
-):
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Filtered Sig/Ref contrast on the grid k * dt, keeping every
-    keep_stride-th sample; Sig starts from m_s=+-1, Ref from m_s=0.
+    keep_stride-th sample; Sig starts from m_s=+-1, Ref from m_s=0. The
+    kept sample j lies at (j keep_stride) dt; no time grid is built.
+
+    The contrast is written into out[:n_kept] when a buffer is given (ti_band
+    passes one buffer for all its traces), else into a new array, and
+    returned; beyond it only block-sized work arrays are allocated.
 
     Populations and readout filter form one linear state x = (5
     populations, 2 states per filter section) with the exact one-step
@@ -578,12 +613,17 @@ def _contrast_arrays(
     ref_floor = math.inf
     if s > 0:
         ref_floor = 1e-9 * float(pl_row @ steady_state(params, s).as_array())
-    contrast = np.ones(n_kept)
+    contrast = np.empty(n_kept) if out is None else out[:n_kept]
     for lo in range(0, n_kept, block):
         sig, ref = state.T @ rows_t[:, : n_kept - lo]
-        np.divide(sig, ref, out=contrast[lo : lo + len(ref)], where=np.abs(ref) > ref_floor)
+        kept = contrast[lo : lo + len(ref)]
+        if ref.min() > ref_floor:  # the usual block, above the floor throughout
+            np.divide(sig, ref, out=kept)
+        else:
+            kept.fill(1.0)
+            np.divide(sig, ref, out=kept, where=np.abs(ref) > ref_floor)
         state = power @ state
-    return np.arange(0, n_steps + 1, keep_stride) * dt, contrast
+    return contrast
 
 
 _MAX_KEPT_SAMPLES = 2_000_000
@@ -614,15 +654,78 @@ def contrast_trace(
         dt = max_stable_dt(params, s)
     if t_end is None:
         t_end = default_trace_window(params, s)
-    _check_grid(params, s, t_end, dt, MAX_TRACE_SAMPLES)
-    return ContrastCurve(*_contrast_arrays(params, s, t_end, dt))
+    n_steps = _check_grid(params, s, t_end, dt, MAX_TRACE_SAMPLES)
+    return ContrastCurve(np.arange(n_steps + 1) * dt, _contrast_arrays(params, s, t_end, dt))
 
 
-def _mean3(x: np.ndarray) -> np.ndarray:
-    """Mean over each sample and its two neighbours, the edge samples
-    repeated beyond the ends."""
-    padded = np.concatenate([x[:1], x, x[-1:]])
-    return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
+# Samples per block of the t_I scans: their work arrays stay in cache
+_SCAN_BLOCK = 2**15
+# Most samples of the decay the t_I fit takes, evenly spread
+_MAX_FIT_SAMPLES = 200_000
+
+
+def _mean3(contrast: np.ndarray, lo: int, hi: int, padded: np.ndarray, means: np.ndarray):
+    """Mean of |1 - contrast| over each sample lo, ..., hi - 1 and its two
+    neighbours, the edge samples repeated beyond the ends, written into
+    means[:hi - lo]; padded is work space of at least hi - lo + 2 samples."""
+    n, m = len(contrast), hi - lo
+    dev = padded[1 : m + 1]
+    np.subtract(1.0, contrast[lo:hi], out=dev)
+    np.abs(dev, out=dev)
+    padded[0] = abs(1.0 - contrast[max(lo - 1, 0)])
+    padded[m + 1] = abs(1.0 - contrast[min(hi, n - 1)])
+    out = means[:m]
+    np.add(padded[:m], dev, out=out)
+    np.add(out, padded[2 : m + 2], out=out)
+    out /= 3.0
+    return out
+
+
+def _smoothed_peak(contrast: np.ndarray) -> int:
+    """First sample where the 3-sample mean of |1 - contrast| (_mean3) is
+    largest; a contrast that is not finite is refused.
+
+    The means are formed block by block in two cache-sized arrays. A block
+    is skipped when no mean in it can exceed the peak so far: each is at
+    most (m + m + m) / 3 for the largest deviation m of the block and its
+    two neighbours, and since |1 - c| is largest at an extreme of c, m
+    comes from the block's minimum and maximum contrast. Skipping a block
+    whose means at best tie the peak keeps the first occurrence.
+    """
+    n = len(contrast)
+    padded = np.empty(min(n, _SCAN_BLOCK) + 2)
+    means = np.empty(min(n, _SCAN_BLOCK))
+    peak, i_peak = -math.inf, 0
+    for lo in range(0, n, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, n)
+        block = contrast[max(lo - 1, 0) : hi + 1]
+        m = max(abs(1.0 - block.min()), abs(1.0 - block.max()))
+        if (m + m + m) / 3.0 <= peak:  # a NaN in the block is never skipped
+            continue
+        out = _mean3(contrast, lo, hi, padded, means)
+        j = int(np.argmax(out))  # a NaN wins argmax
+        if not math.isfinite(out[j]):
+            raise ValidationError(
+                f"contrast must be finite, but sample {lo + j} or a neighbour is not"
+            )
+        if out[j] > peak:
+            peak, i_peak = out[j], lo + j
+    return i_peak
+
+
+def _first_below(contrast: np.ndarray, start: int, level: float) -> int:
+    """First sample from start on where |1 - contrast| < level, else
+    len(contrast); scanned in blocks."""
+    n = len(contrast)
+    dev = np.empty(min(n - start, _SCAN_BLOCK))
+    for lo in range(start, n, _SCAN_BLOCK):
+        d = dev[: min(n - lo, _SCAN_BLOCK)]
+        np.subtract(1.0, contrast[lo : lo + len(d)], out=d)
+        below = np.abs(d, out=d) < level
+        first = int(np.argmax(below))
+        if below[first]:
+            return lo + first
+    return n
 
 
 def initialization_time(curve: ContrastCurve) -> float:
@@ -634,28 +737,36 @@ def initialization_time(curve: ContrastCurve) -> float:
     evenly spread samples) from the peak to where the deviation falls below
     1% of the peak, and the 1/e^3 crossing is read off the fit. Readout time
     is included since delays are measured from the start of the optical
-    pulse.
+    pulse. A contrast that is not finite is refused.
+
+    The curve is read, never written. The smoothed peak and the 1% crossing
+    are found in cache-sized blocks (the first occurrence of the peak, as
+    over the whole curve), and the deviation and times are formed only for
+    the samples the fit takes, so beyond the curve itself this allocates at
+    most a few arrays of 200 000 samples. ti_band passes curves whose
+    contrast is its one reused buffer and whose times are built on demand.
     """
-    dev = np.abs(1.0 - curve.contrast)
-    i_peak = int(np.argmax(_mean3(dev)))
-    d_peak = float(dev[i_peak])
+    contrast = curve.contrast
+    i_peak = _smoothed_peak(contrast)
+    d_peak = float(abs(1.0 - contrast[i_peak]))
     if d_peak < 1e-6:
         raise ValidationError("no polarization dynamics at this intensity")
-    below = dev[i_peak:] < 0.01 * d_peak
-    first = int(np.argmax(below))
-    i_end = i_peak + (first if below[first] else len(below))
+    i_end = _first_below(contrast, i_peak, 0.01 * d_peak)
     if i_end - i_peak < 5:
-        i_end = min(len(dev), i_peak + 5)
-    t_window = curve.times[i_peak:i_end]
-    d_window = dev[i_peak:i_end]
-    keep = d_window > 0
-    if not keep.all():
-        t_window, d_window = t_window[keep], d_window[keep]
-    if len(t_window) < 2:
-        raise ComputationError("too few samples after the contrast peak")
-    if len(t_window) > 200_000:
-        idx = np.linspace(0, len(t_window) - 1, 200_000).astype(int)
-        t_window, d_window = t_window[idx], d_window[idx]
+        i_end = min(len(contrast), i_peak + 5)
+    if i_end - i_peak > _MAX_FIT_SAMPLES:
+        # every sample before the 1% crossing is above zero, so none is dropped
+        index = i_peak + np.linspace(0, i_end - i_peak - 1, _MAX_FIT_SAMPLES).astype(int)
+        d_window = np.abs(1.0 - contrast[index])
+    else:
+        index = np.arange(i_peak, i_end)
+        d_window = np.abs(1.0 - contrast[i_peak:i_end])
+        keep = d_window > 0
+        if not keep.all():
+            index, d_window = index[keep], d_window[keep]
+        if len(index) < 2:
+            raise ComputationError("too few samples after the contrast peak")
+    t_window = curve.times[index]
     t_mean = float(t_window.mean())
     t_centered = t_window - t_mean
     log_d = np.log(d_window)
@@ -686,6 +797,12 @@ def ti_band(params: FiveLevelParams, intensities) -> TiBand:
     resolution-limited grid, the stride chosen so that at most
     _MAX_KEPT_SAMPLES are kept; only the kept samples are evaluated, so time
     and memory stay bounded however weak the pumping.
+
+    One buffer, sized to the largest kept count of the grid, holds the
+    contrast of every trace in turn, and each curve's times are built only
+    for the samples its fit takes. A call thus allocates about one kept-sample
+    array (at most 16 MB) plus block-sized work arrays, and reuses its pages
+    from trace to trace instead of faulting in fresh ones.
     """
     grid = np.asarray([non_negative("intensity", i, "mW/um^2") for i in intensities])
     if grid.size == 0:
@@ -701,12 +818,14 @@ def ti_band(params: FiveLevelParams, intensities) -> TiBand:
                     f"intensity {i:g} mW/um^2 needs more than {_MAX_GRID_STEPS:.3g} "
                     "samples at full resolution"
                 )
-            traces.append((s, dt, t_end))
+            n_steps = _check_grid(params, s, t_end, dt)
+            stride = max(1, int(math.ceil((n_steps + 1) / _MAX_KEPT_SAMPLES)))
+            traces.append((s, dt, t_end, stride, n_steps // stride + 1))
+    buffer = np.empty(max(n_kept for *_, n_kept in traces))
     t_is = []
-    for s, dt, t_end in traces:
-        n_total = _check_grid(params, s, t_end, dt) + 1
-        stride = max(1, int(math.ceil(n_total / _MAX_KEPT_SAMPLES)))
-        times, contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride)
-        t_is.append(initialization_time(ContrastCurve(times, contrast)))
+    for s, dt, t_end, stride, n_kept in traces:
+        contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride, out=buffer)
+        curve = ContrastCurve(_StridedGrid(n_kept, stride, dt), contrast)
+        t_is.append(initialization_time(curve))
     lower, upper = np.reshape(t_is, (2, grid.size))
     return TiBand(intensities=grid, lower=lower, upper=upper)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,12 +22,17 @@ from nvsk.photophysics import (
     PLTrace,
     StateVector,
     _KEPT_BLOCK,
+    _MAX_KEPT_SAMPLES,
+    _SCAN_BLOCK,
+    _StridedGrid,
+    _check_grid,
     _contrast_arrays,
     _expm,
     _filter_state_space,
     _lowpass_poles,
     _mean3,
     _sections,
+    _smoothed_peak,
     contrast_trace,
     default_trace_window,
     evolve,
@@ -258,18 +264,60 @@ def test_filter_state_space_response_matches_the_butterworth_closed_form(intensi
             assert response == pytest.approx(1.0, abs=tol)  # unity DC gain
 
 
+def smoothed_deviation(contrast, block):
+    """_mean3 over the whole contrast, block by block."""
+    n = len(contrast)
+    padded, means = np.empty(block + 2), np.empty(block)
+    blocks = [_mean3(contrast, lo, min(lo + block, n), padded, means).copy()
+              for lo in range(0, n, block)]
+    return np.concatenate(blocks)
+
+
 def test_three_sample_mean_matches_scipy_uniform_filter():
     from scipy.ndimage import uniform_filter1d
 
     # lengths up to 8: on longer arrays the oracle's running sum drifts past
-    # 2 ulp by its own rounding
+    # 2 ulp by its own rounding. Blocks of 1 to 3 samples put block edges
+    # at every position; a block edge changes no bit.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(0)
     for n in (1, 2, 3, 4, 5, 8):
         for _ in range(200):
-            x = rng.random(n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            oracle = uniform_filter1d(x, size=3, mode="nearest")
-            assert np.abs(_mean3(x) - oracle).max() <= 2 * eps * np.abs(x).max()
+            contrast = 1.0 - rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            dev = np.abs(1.0 - contrast)
+            oracle = uniform_filter1d(dev, size=3, mode="nearest")
+            whole = smoothed_deviation(contrast, n)
+            assert np.abs(whole - oracle).max() <= 2 * eps * dev.max()
+            for block in (1, 2, 3):
+                assert np.array_equal(smoothed_deviation(contrast, block), whole)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _SCAN_BLOCK - 1, _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 5])
+def test_smoothed_peak_is_the_first_argmax_of_the_whole_curve(n):
+    # a random curve, and one repeating with a period that divides the
+    # block, so every later block at best ties the first one's peak
+    rng = np.random.default_rng(n)
+    for contrast in (1.0 - rng.uniform(-1.0, 1.0, n), 1.0 - np.resize(rng.random(1024), n)):
+        means = smoothed_deviation(contrast, n)
+        assert _smoothed_peak(contrast) == int(np.argmax(means))
+
+
+def test_initialization_time_takes_the_first_of_equal_peaks_across_a_block_edge():
+    # the same decay twice, its smoothed peak once before and once after
+    # the first block edge: the fit starts at the first, and the second,
+    # beyond the 1% crossing, changes no bit
+    dt = 0.05
+    bump = 0.4 * np.exp(-np.arange(2000) * dt / 10.0)
+    first = np.ones(2 * _SCAN_BLOCK)
+    first[_SCAN_BLOCK - 1000 : _SCAN_BLOCK + 1000] = 1.0 - bump
+    both = first.copy()
+    both[-2000:] = 1.0 - bump
+    second = np.ones_like(first)
+    second[-2000:] = 1.0 - bump
+    t = np.arange(len(first)) * dt
+    t_first = initialization_time(ContrastCurve(t, first))
+    assert initialization_time(ContrastCurve(t, both)) == t_first
+    assert initialization_time(ContrastCurve(t, second)) > t_first + 50.0
 
 
 def test_contrast_trace_shape_and_long_time_limit():
@@ -309,6 +357,22 @@ def test_initialization_time_exact_exponential():
     curve = ContrastCurve(times=t, contrast=1.0 - dev)
     t_i = initialization_time(curve)
     assert t_i == pytest.approx(t_peak + 3.0 * tau_fit, rel=1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "times, contrast",
+    [
+        (np.arange(500) * 0.05, 1.0 - 0.4 * np.exp(-np.arange(1000) * 0.05 / 10.0)),
+        (np.arange(0) * 0.05, np.ones(0)),
+        (np.arange(1000) * 0.05, np.r_[np.ones(500), np.inf, np.ones(499)]),
+        (np.arange(1000) * 0.05, np.r_[1.0 - 0.4 * np.exp(-np.arange(999) * 0.05), np.nan]),
+    ],
+    ids=["fewer-times", "empty", "inf", "nan"],
+)
+def test_initialization_time_refuses_a_malformed_curve(times, contrast):
+    with pytest.raises(ValidationError, match="one time per sample|no samples|finite"):
+        initialization_time(ContrastCurve(times, contrast))
 
 
 def test_initialization_time_requires_dynamics():
@@ -486,12 +550,57 @@ def test_decimated_grid_is_uniform_and_matches_full_resolution():
     s = 1e-3
     t_end = default_trace_window(PARAMS, s)
     dt = max_stable_dt(PARAMS, s)
-    times, contrast = _contrast_arrays(PARAMS, s, t_end, dt, keep_stride=3)
-    full_t, full_c = _contrast_arrays(PARAMS, s, t_end, dt)
-    n = len(full_t)
+    contrast = _contrast_arrays(PARAMS, s, t_end, dt, keep_stride=3)
+    full_c = _contrast_arrays(PARAMS, s, t_end, dt)
+    n = len(full_c)
     assert n == 3_743_824 and n % 3 != 0
-    assert np.array_equal(times, np.arange(0, n, 3) * dt)
+    times = _StridedGrid(len(contrast), 3, dt)
+    assert len(times) == len(contrast)
+    assert np.array_equal(times[np.arange(len(times))], np.arange(0, n, 3) * dt)
     assert np.abs(contrast - full_c[::3]).max() < 1e-12
+
+
+def kept_grid(params, intensity, i_sat):
+    """s, dt, t_end, stride and kept count of one ti_band trace."""
+    s = saturation_parameter(intensity, i_sat)
+    dt = max_stable_dt(params, s)
+    t_end = default_trace_window(params, s)
+    n_steps = _check_grid(params, s, t_end, dt)
+    stride = max(1, math.ceil((n_steps + 1) / _MAX_KEPT_SAMPLES))
+    return s, dt, t_end, stride, n_steps // stride + 1
+
+
+def test_ti_band_buffer_carries_nothing_between_traces():
+    # strided traces (3e-3 keeps every 2nd sample at I_sat 3, 1e-3 every 6th)
+    # each followed by far shorter ones, in one reused buffer
+    grid = [3e-3, 10.0, 1e-3, 0.05, 1.0]
+    assert kept_grid(PARAMS, 3e-3, 3.0)[3] == 2 and kept_grid(PARAMS, 1e-3, 3.0)[3] == 6
+    band = ti_band(PARAMS, grid)
+    alone = [ti_band(PARAMS, [i]) for i in grid]
+    assert band.lower.tobytes() == np.concatenate([b.lower for b in alone]).tobytes()
+    assert band.upper.tobytes() == np.concatenate([b.upper for b in alone]).tobytes()
+    for i_sat, t_is in zip(PARAMS.i_sat_band, (band.lower, band.upper)):
+        for intensity, t_i in zip(grid, t_is):
+            s, dt, t_end, stride, n_kept = kept_grid(PARAMS, intensity, i_sat)
+            times = np.arange(0, n_kept * stride, stride) * dt
+            contrast = _contrast_arrays(PARAMS, s, t_end, dt, keep_stride=stride)
+            assert initialization_time(ContrastCurve(times, contrast)) == t_i
+
+
+def test_ti_band_peak_memory_is_about_one_kept_sample_array():
+    # the benchmark grid 3e-3:10:log:10; its weakest-pumped trace keeps
+    # 1,871,912 samples, and the buffer holding them is most of the peak
+    grid = np.logspace(math.log10(3e-3), 1.0, 10)
+    largest = max(kept_grid(PARAMS, i, i_sat)[-1] for i_sat in PARAMS.i_sat_band for i in grid)
+    assert largest == 1_871_912
+    ti_band(PARAMS, grid)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        ti_band(PARAMS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * largest
 
 
 # --- physical invariants over random rates and pump strengths ---
@@ -581,7 +690,7 @@ def test_property_contrast_returns_to_one(params, s):
     window = default_trace_window(params, s)
     dt = max_stable_dt(params, s)
     stride = max(1, math.ceil(window / dt / 200_000))
-    _, contrast = _contrast_arrays(params, s, window, dt, keep_stride=stride)
+    contrast = _contrast_arrays(params, s, window, dt, keep_stride=stride)
     dev = np.abs(1.0 - contrast)
     assert dev[-1] < 0.01 * dev.max()
 
@@ -637,7 +746,7 @@ def exact_readout_contrast(params, s, dt, n, block=256):
 )
 def test_property_readout_matches_exact_populations_through_lowpass(params, s, n):
     dt = max_stable_dt(params, s)
-    _, contrast = _contrast_arrays(params, s, (n - 1) * dt, dt)
+    contrast = _contrast_arrays(params, s, (n - 1) * dt, dt)
     assert len(contrast) == n
     assert np.abs(contrast - exact_readout_contrast(params, s, dt, n)).max() < 1e-10
 
@@ -648,5 +757,5 @@ def test_readout_filter_realization_holds_at_high_sample_rate():
     # state is ~1e-9 off here, the coupled-form realization ~5e-12
     s, n = 100.0, 50_000
     dt = max_stable_dt(PARAMS, s)
-    _, contrast = _contrast_arrays(PARAMS, s, (n - 1) * dt, dt)
+    contrast = _contrast_arrays(PARAMS, s, (n - 1) * dt, dt)
     assert np.abs(contrast - exact_readout_contrast(PARAMS, s, dt, n)).max() < 1e-10
