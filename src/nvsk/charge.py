@@ -11,7 +11,7 @@ NV- under typical excitation):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -118,14 +118,7 @@ class ChargeDecomposition:
     outside_validated_regime: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "w_minus": self.w_minus,
-            "w_zero": self.w_zero,
-            "psi": self.psi,
-            "residual_rms": self.residual_rms,
-            "brightness_ratio": self.brightness_ratio,
-            "outside_validated_regime": self.outside_validated_regime,
-        }
+        return asdict(self)
 
 
 def decompose_to_psi(

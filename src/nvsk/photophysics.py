@@ -25,9 +25,12 @@ its Butterworth sections are designed in numpy and, written in state space,
 join the populations in one 9-dimensional state with a single step matrix;
 the filtered PL at any sample is an output row of a power of that matrix.
 The contrast and initialization-time routines evaluate those rows only at
-the samples they keep, and import no scipy. ti_band writes the contrast of
-all its traces, in turn, into one buffer of the largest kept count, finds
-each t_I in cache-sized blocks and builds times only for the samples the fit
+the samples they keep, and import no scipy. Every grid is uniform from
+t = 0, so a trace holds its step dt, not its times: sample k lies at k dt
+(k stride dt on a ContrastCurve that keeps every stride-th step), and times
+are built from the step when asked for. ti_band writes the contrast of all
+its traces, in turn, into one buffer of the largest kept count, finds each
+t_I in cache-sized blocks and builds times only for the samples the fit
 takes, so a call's peak memory is about one kept-sample array, at most
 16 MB, and no trace faults in fresh pages. evolve() instead integrates the
 rate equations with scipy's adaptive Runge-Kutta method, importing
@@ -191,13 +194,16 @@ def _check_grid(params, s, t_end, dt, max_samples=_MAX_GRID_STEPS):
 
 
 class Trajectory:
-    """Populations sampled on a uniform time grid."""
+    """Populations sampled every dt (us) from t = 0."""
 
-    def __init__(self, times: np.ndarray, populations: np.ndarray,
-                 params: FiveLevelParams):
-        self.times = times
+    def __init__(self, dt: float, populations: np.ndarray, params: FiveLevelParams):
+        self.dt = dt
         self.populations = populations  # shape (n, 5)
         self.params = params
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.populations)) * self.dt
 
     def conservation_error(self) -> float:
         return float(np.abs(self.populations.sum(axis=1) - 1.0).max())
@@ -240,7 +246,7 @@ def evolve(
         if reached > done:
             populations[done:reached] = solver.dense_output()(grid[done:reached]).T
             done = reached
-    return Trajectory(grid, populations, params)
+    return Trajectory(dt, populations, params)
 
 
 def steady_state(params: FiveLevelParams, s: float) -> StateVector:
@@ -259,33 +265,29 @@ def steady_state(params: FiveLevelParams, s: float) -> StateVector:
 
 @dataclass
 class PLTrace:
-    """Photoluminescence rate (1/us) on a uniform time grid (us)."""
+    """Photoluminescence rate (1/us) sampled every dt (us) from t = 0."""
 
-    times: np.ndarray
+    dt: float
     values: np.ndarray
     filtered: bool = False
 
     def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise ValidationError("time grid and values differ in length")
-        if len(self.times) < 2:
+        self.dt = positive("dt", self.dt, "us")
+        if len(self.values) < 2:
             raise ValidationError("trace needs at least two samples")
-        steps = np.diff(self.times)
-        if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
-            raise ValidationError("time grid must be uniform and increasing")
         if not self.filtered and np.any(self.values < 0):
             raise ValidationError("unfiltered PL rate must be non-negative")
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.values)) * self.dt
 
 
 def pl_rate(trajectory: Trajectory) -> PLTrace:
     """Emission rate R(t) = gamma_rad * (n3 + n4)."""
     g = trajectory.params.gamma_rad
     values = g * (trajectory.populations[:, 2] + trajectory.populations[:, 3])
-    return PLTrace(times=trajectory.times, values=values)
+    return PLTrace(dt=trajectory.dt, values=values)
 
 
 def _lowpass_poles(dt: float):
@@ -313,19 +315,6 @@ def _lowpass_poles(dt: float):
     return upper[np.argsort(-np.abs(1.0 - np.abs(upper)))], gain
 
 
-def _sections(upper: np.ndarray, gain: float) -> np.ndarray:
-    """Second-order sections (b0, b1, b2, 1, a1, a2) of the poles and gain
-    of _lowpass_poles, in the layout and section order of scipy's
-    butter(..., output="sos"); the overall gain sits on the first numerator.
-    """
-    sos = np.empty((len(upper), 6))
-    sos[:, :4] = [1.0, 2.0, 1.0, 1.0]
-    sos[:, 4] = -2.0 * upper.real
-    sos[:, 5] = (upper * upper.conj()).real
-    sos[0, :3] *= gain
-    return sos
-
-
 def _slowest_relaxation(params: FiveLevelParams, s: float) -> float:
     lam = np.linalg.eigvals(rate_matrix(params, s))
     rates = np.sort(np.abs(lam.real))
@@ -345,36 +334,26 @@ def default_trace_window(params: FiveLevelParams, s: float) -> float:
 
 @dataclass
 class ContrastCurve:
-    """Filtered signal/reference PL ratio versus readout delay (us), Sig
-    started from m_s=+-1 and Ref from m_s=0; one time per contrast sample."""
+    """Filtered signal/reference PL ratio versus readout delay, Sig started
+    from m_s=+-1 and Ref from m_s=0. Sample k lies at (k stride) dt (us):
+    every stride-th step of the grid of step dt."""
 
-    times: np.ndarray
     contrast: np.ndarray
+    dt: float
+    stride: int = 1
 
     def __post_init__(self):
-        if len(self.times) != len(self.contrast):
-            raise ValidationError(
-                f"contrast curve needs one time per sample, got {len(self.times)} times "
-                f"for {len(self.contrast)} samples"
-            )
+        self.dt = positive("dt", self.dt, "us")
         if len(self.contrast) == 0:
             raise ValidationError("contrast curve has no samples")
 
-
-class _StridedGrid:
-    """Times (k stride) dt of the samples k < n that ti_band keeps, standing
-    in for a ContrastCurve's times: indexing with sample indices builds the
-    times of just those samples, with the bits of the materialized grid
-    np.arange(0, n stride, stride) * dt."""
-
-    def __init__(self, n: int, stride: int, dt: float):
-        self.n, self.stride, self.dt = n, stride, dt
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, index):
+    def time(self, index):
+        """Delays (us) of the samples at index, an int or an int array."""
         return (index * self.stride) * self.dt
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.time(np.arange(len(self.contrast)))
 
 
 # Kept samples per output block. A power of two, so the row doubling ends on
@@ -387,27 +366,32 @@ def _filter_state_space(dt: float):
     """State-space (F, G, H, D) of the readout filter at step dt: the
     cascade of its second-order sections, each in coupled (normal) form.
 
-    A section b(z)/a(z) splits into b0 plus a strictly proper part with
-    numerator beta1 z + beta2 (beta_i = b_i - a_i b0). Its poles
-    sigma +- i omega give the rotation-scaling state matrix
+    Section k of the design of _lowpass_poles, with upper pole
+    sigma + i omega, is b0 (1 + 2/z + 1/z^2) / (1 + a1/z + a2/z^2), where
+    a1 = -2 sigma, a2 = sigma^2 + omega^2 and b0 is the overall gain on
+    the first section and 1 on the others. It splits into b0 plus a
+    strictly proper part with numerator beta1 z + beta2 (beta_i = b_i -
+    a_i b0), realized by the rotation-scaling state matrix
     [[sigma, omega], [-omega, sigma]], input [1, 0] and output
     [beta1, -(beta2 + beta1 sigma) / omega]. Unlike the direct-form
     states, this realization stays well conditioned as the poles crowd
     towards z = 1 at high sample rates. sigma and omega are the bilinear
-    poles themselves: omega = sqrt(a2 - sigma^2) from the rounded section
+    poles themselves: omega = sqrt(a2 - sigma^2) from the rounded
     coefficients would cancel to zero at small dt.
     """
     poles, gain = _lowpass_poles(dt)
-    sos = _sections(poles, gain)
-    n = 2 * len(sos)
+    a2 = (poles * poles.conj()).real
+    n = 2 * len(poles)
     f = np.zeros((n, n))
     g = np.zeros(n)
     h = np.zeros(n)
     d = 1.0
-    for k, (b0, b1, b2, _a0, a1, a2) in enumerate(sos):
+    for k, pole in enumerate(poles):
         lo = 2 * k
-        sigma, omega = poles.real[k], poles.imag[k]
-        beta1, beta2 = b1 - a1 * b0, b2 - a2 * b0
+        sigma, omega = pole.real, pole.imag
+        b0 = gain if k == 0 else 1.0
+        b1, a1 = 2.0 * b0, -2.0 * sigma
+        beta1, beta2 = b1 - a1 * b0, b0 - a2[k] * b0
         # the section's input is the output d u + h z of those before it
         f[lo, :lo] = h[:lo]
         g[lo] = d
@@ -499,7 +483,7 @@ def lowpass(trace: PLTrace) -> PLTrace:
         out += response[:k]
     if n % chunk:
         values[n - n % chunk :] = tail_out.flat[: n % chunk]
-    return PLTrace(times=trace.times, values=values, filtered=True)
+    return PLTrace(dt=trace.dt, values=values, filtered=True)
 
 
 # Degree-13 Padé numerator coefficients b_0..b_13 (the denominator's are
@@ -550,14 +534,15 @@ def _expm(stack: np.ndarray) -> np.ndarray:
 def _contrast_arrays(
     params: FiveLevelParams,
     s: float,
-    t_end: float,
     dt: float,
+    n_steps: int,
     keep_stride: int = 1,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Filtered Sig/Ref contrast on the grid k * dt, keeping every
-    keep_stride-th sample; Sig starts from m_s=+-1, Ref from m_s=0. The
-    kept sample j lies at (j keep_stride) dt; no time grid is built.
+    """Filtered Sig/Ref contrast over the n_steps steps of size dt, as
+    _check_grid counts them, keeping every keep_stride-th sample; Sig
+    starts from m_s=+-1, Ref from m_s=0. The kept sample j lies at
+    (j keep_stride) dt, the grid of a ContrastCurve of that step and stride.
 
     The contrast is written into out[:n_kept] when a buffer is given (ti_band
     passes one buffer for all its traces), else into a new array, and
@@ -578,7 +563,6 @@ def _contrast_arrays(
     length. Without pumping (s = 0) there is no PL and the contrast is one
     throughout.
     """
-    n_steps = _check_grid(params, s, t_end, dt)
     n_kept = n_steps // keep_stride + 1
     pl_row = params.gamma_rad * np.array([0.0, 0.0, 1.0, 1.0, 0.0])
     block = min(n_kept, _KEPT_BLOCK)
@@ -655,7 +639,7 @@ def contrast_trace(
     if t_end is None:
         t_end = default_trace_window(params, s)
     n_steps = _check_grid(params, s, t_end, dt, MAX_TRACE_SAMPLES)
-    return ContrastCurve(np.arange(n_steps + 1) * dt, _contrast_arrays(params, s, t_end, dt))
+    return ContrastCurve(_contrast_arrays(params, s, dt, n_steps), dt)
 
 
 # Samples per block of the t_I scans: their work arrays stay in cache
@@ -741,10 +725,11 @@ def initialization_time(curve: ContrastCurve) -> float:
 
     The curve is read, never written. The smoothed peak and the 1% crossing
     are found in cache-sized blocks (the first occurrence of the peak, as
-    over the whole curve), and the deviation and times are formed only for
-    the samples the fit takes, so beyond the curve itself this allocates at
-    most a few arrays of 200 000 samples. ti_band passes curves whose
-    contrast is its one reused buffer and whose times are built on demand.
+    over the whole curve), and the deviation and, by curve.time from the
+    curve's step and stride, the times are formed only for the samples the
+    fit takes, so beyond the curve itself this allocates at most a few arrays
+    of 200 000 samples. ti_band passes curves whose contrast is its one
+    reused buffer.
     """
     contrast = curve.contrast
     i_peak = _smoothed_peak(contrast)
@@ -766,7 +751,7 @@ def initialization_time(curve: ContrastCurve) -> float:
             index, d_window = index[keep], d_window[keep]
         if len(index) < 2:
             raise ComputationError("too few samples after the contrast peak")
-    t_window = curve.times[index]
+    t_window = curve.time(index)
     t_mean = float(t_window.mean())
     t_centered = t_window - t_mean
     log_d = np.log(d_window)
@@ -793,16 +778,17 @@ class TiBand:
 
 def ti_band(params: FiveLevelParams, intensities) -> TiBand:
     """Map initialization_time over a grid at both band saturation
-    intensities. Each contrast curve keeps every stride-th sample of the
-    resolution-limited grid, the stride chosen so that at most
+    intensities. Each contrast curve keeps every stride-th step of the
+    resolution-limited step dt, the stride chosen so that at most
     _MAX_KEPT_SAMPLES are kept; only the kept samples are evaluated, so time
     and memory stay bounded however weak the pumping.
 
     One buffer, sized to the largest kept count of the grid, holds the
-    contrast of every trace in turn, and each curve's times are built only
-    for the samples its fit takes. A call thus allocates about one kept-sample
-    array (at most 16 MB) plus block-sized work arrays, and reuses its pages
-    from trace to trace instead of faulting in fresh ones.
+    contrast of every trace in turn. Each curve holds its step and stride,
+    so its times are built only for the samples its fit takes. A call thus
+    allocates about one kept-sample array (at most 16 MB) plus block-sized
+    work arrays, and reuses its pages from trace to trace instead of
+    faulting in fresh ones.
     """
     grid = np.asarray([non_negative("intensity", i, "mW/um^2") for i in intensities])
     if grid.size == 0:
@@ -820,12 +806,11 @@ def ti_band(params: FiveLevelParams, intensities) -> TiBand:
                 )
             n_steps = _check_grid(params, s, t_end, dt)
             stride = max(1, int(math.ceil((n_steps + 1) / _MAX_KEPT_SAMPLES)))
-            traces.append((s, dt, t_end, stride, n_steps // stride + 1))
-    buffer = np.empty(max(n_kept for *_, n_kept in traces))
+            traces.append((s, dt, n_steps, stride))
+    buffer = np.empty(max(n_steps // stride + 1 for _, _, n_steps, stride in traces))
     t_is = []
-    for s, dt, t_end, stride, n_kept in traces:
-        contrast = _contrast_arrays(params, s, t_end, dt, keep_stride=stride, out=buffer)
-        curve = ContrastCurve(_StridedGrid(n_kept, stride, dt), contrast)
-        t_is.append(initialization_time(curve))
+    for s, dt, n_steps, stride in traces:
+        contrast = _contrast_arrays(params, s, dt, n_steps, keep_stride=stride, out=buffer)
+        t_is.append(initialization_time(ContrastCurve(contrast, dt, stride)))
     lower, upper = np.reshape(t_is, (2, grid.size))
     return TiBand(intensities=grid, lower=lower, upper=upper)

@@ -117,7 +117,6 @@ class RamseyFitResult:
     amplitude: float
     baseline: float
     residual_rms: float
-    envelope_samples: np.ndarray
     n_evaluations: int
 
     def as_dict(self) -> dict:
@@ -327,7 +326,7 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
 
     best = least_squares(residuals, x0[None, :n], jacobian, (_LOWER[:n], _UPPER[:n]),
                          xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=200 * (n + 1))
-    x, best_terms = terms(best.x)
+    x = terms(best.x)[0]
     base, amp, t2, p, det, split = x
     residual = best.fun[0]
     dof = max(1, len(signal) - n)
@@ -347,6 +346,5 @@ def fit(tau, signal, n_hyperfine: int = 3) -> RamseyFitResult:
         amplitude=float(amp),
         baseline=float(base),
         residual_rms=float(np.sqrt(np.mean(residual**2))),
-        envelope_samples=best_terms[3],
         n_evaluations=best.nfev,
     )

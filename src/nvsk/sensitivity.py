@@ -254,15 +254,6 @@ class IntensityRow:
             non_negative("photon_rate_kcps", self.photon_rate_kcps, "kcps")
 
 
-@dataclass(frozen=True)
-class InterpolatedRow:
-    intensity: float
-    contrast_c: float
-    psi: float
-    t_overhead: float
-    photon_rate_kcps: Optional[float]
-
-
 class IntensityTable:
     """Measured operating points, interpolated linearly in log10(intensity).
 
@@ -296,7 +287,7 @@ class IntensityTable:
     def __len__(self):
         return len(self.rows)
 
-    def interpolate(self, intensity) -> InterpolatedRow:
+    def interpolate(self, intensity) -> IntensityRow:
         i = non_negative("intensity", intensity, "mW/um^2")
         lo, hi = self.intensity_range
         if not lo <= i <= hi:
@@ -307,12 +298,15 @@ class IntensityTable:
         x = math.log10(i)
 
         def lerp(values):
-            return float(np.interp(x, self._log_i, values))
+            # np.interp can round past the values it joins (to -5.6e-17
+            # between 0.487 and 0), which no IntensityRow would hold
+            v = float(np.interp(x, self._log_i, values))
+            return min(max(v, min(values)), max(values))
 
         rate = None
         if self.rows[0].photon_rate_kcps is not None:
             rate = lerp([r.photon_rate_kcps for r in self.rows])
-        return InterpolatedRow(
+        return IntensityRow(
             intensity=i,
             contrast_c=lerp([r.contrast_c for r in self.rows]),
             psi=lerp([r.psi for r in self.rows]),

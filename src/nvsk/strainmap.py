@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,13 +79,7 @@ class LorentzianFit:
     residual_rms: float
 
     def as_dict(self) -> dict:
-        return {
-            "center_khz": self.center_khz,
-            "fwhm_khz": self.fwhm_khz,
-            "amplitude": self.amplitude,
-            "offset": self.offset,
-            "residual_rms": self.residual_rms,
-        }
+        return asdict(self)
 
 
 def _out_of_range(bin_width) -> ValidationError:
@@ -412,14 +406,20 @@ def partition_sweep(
         non_negative("tile offset", offset, "px")
     stats = []
     for size in sizes_um:
-        n_px = int(round(size / pitch))
+        span = float(size) / float(pitch)  # in Python floats, an overflow is inf, unwarned
+        if not math.isfinite(span):
+            raise ValidationError(
+                f"tile size {size:g} um at pixel pitch {pitch:g} um must span a finite "
+                f"pixel count, got {span:g}"
+            )
+        n_px = int(round(span))
         if n_px < _MIN_TILE_PIXELS:
             raise ValidationError(
-                f"tile size {size:g} um spans {n_px} px; need >= {_MIN_TILE_PIXELS}"
+                f"tile size {size:g} um spans {n_px:g} px; need >= {_MIN_TILE_PIXELS}"
             )
         if n_px > min(h - off_r, w - off_c):
             raise ValidationError(
-                f"tile size {size:g} um ({n_px} px) exceeds the map extent"
+                f"tile size {size:g} um ({n_px:g} px) exceeds the map extent"
             )
         stacks, errors, n_tiles = _tile_histograms(strain_map, n_px, off_r, off_c, bin_width_khz)
         fwhm = np.empty(n_tiles)

@@ -133,7 +133,7 @@ def test_criterion_08_butterworth_response():
     dt = 0.02
     n = 40000
     t = np.arange(n) * dt
-    trace = ph.PLTrace(times=t, values=2.0 + np.sin(2 * np.pi * 1.7 * t))
+    trace = ph.PLTrace(dt=dt, values=2.0 + np.sin(2 * np.pi * 1.7 * t))
     out = ph.lowpass(trace)
     tail = slice(n // 2, n)
     y = out.values[tail] - out.values[tail].mean()
@@ -141,7 +141,7 @@ def test_criterion_08_butterworth_response():
     s_ = 2.0 * np.mean(y * np.sin(2 * np.pi * 1.7 * t[tail]))
     gain_fc = math.hypot(c, s_)
 
-    const = ph.PLTrace(times=t, values=np.full(n, 3.7))
+    const = ph.PLTrace(dt=dt, values=np.full(n, 3.7))
     dc = ph.lowpass(const).values[n // 2 :]
     dc_err = np.abs(dc - 3.7).max() / 3.7
     elapsed = time.perf_counter() - start

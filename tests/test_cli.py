@@ -177,6 +177,37 @@ def test_strain_synth_analyze(tmp_path, capsys):
     assert len(payload["partitions"]) == 4
 
 
+@pytest.mark.filterwarnings("error")
+def test_strain_analyze_refuses_a_pixel_count_beyond_the_float_range(tmp_path, capsys):
+    # at a pitch of 1e-310 um, 96 um spans 9.6e311 px, past the largest double
+    map_path = tmp_path / "m.csv"
+    synth = ["strain", "synth", "--model", "stationary", "--shape", "64x64",
+             "--pitch-um", "1e-310", "--out", str(map_path)]
+    assert main(synth) == 0
+    capsys.readouterr()
+    argv = ["strain", "analyze", str(map_path), "--sizes", "96:384:log:3",
+            "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "nvsk: tile size 96 um at pixel pitch 1e-310 um must span a finite pixel count, "
+        "got inf\n"
+    )
+
+
+def test_strain_analyze_gives_a_huge_pixel_count_in_g_form(tmp_path, capsys):
+    map_path = tmp_path / "m.csv"
+    synth = ["strain", "synth", "--model", "stationary", "--shape", "64x64",
+             "--pitch-um", "6", "--out", str(map_path)]
+    assert main(synth) == 0
+    capsys.readouterr()
+    argv = ["strain", "analyze", str(map_path), "--sizes", "96:1e300:log:3",
+            "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "nvsk: tile size 9.79796e+150 um (1.63299e+150 px) exceeds the map extent\n"
+    )
+
+
 def test_strain_synth_with_a_refused_config_writes_nothing(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(SAMPLE_CFG.replace("psi = 0.2", "psi = 1.3"))

