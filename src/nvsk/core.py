@@ -88,10 +88,12 @@ def in_range(lo: float, hi: float):
 def capped_count(name: str, count, limit: int, unit: str, hint: str = "") -> float:
     """A count of at most limit. It is taken as a float, so a caller can
     pass a ratio such as span / step + 1 unrounded, and no ratio or
-    product overflows before it is compared."""
+    product overflows before it is compared. A refused count from 1e15 up
+    is shown in :g form, since its digits past 2**53 are not exact."""
     n = _number(count)
     if not n <= limit:
-        message = f"{name} must be at most {limit:,} {unit}, got {n:,.0f}"
+        shown = f"{n:,.0f}" if n < 1e15 else f"{n:g}"
+        message = f"{name} must be at most {limit:,} {unit}, got {shown}"
         raise ValidationError(f"{message}; {hint}" if hint else message)
     return n
 

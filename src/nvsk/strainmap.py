@@ -26,6 +26,10 @@ ORIENTATIONS = ("nv1", "nv2", "nv3", "nv4")
 _MIN_PIXELS_FOR_FIT = 100
 _MIN_TILE_PIXELS = 4
 _HISTOGRAM_HALF_RANGE_IQR = 20.0
+# Most bins one histogram holds. Freedman-Diaconis binning of n shifts
+# needs _HISTOGRAM_HALF_RANGE_IQR x n^(1/3) of them, about 5,100 at
+# MAX_MAP_PIXELS; a fixed width below IQR / 5,000 needs more and is refused.
+_MAX_BINS = 200_000
 # The solver's trust-region step squares dot products of the parameter
 # vector, so the largest parameter, the amplitude peak count x (FWHM/2)^2,
 # meets its fourth power; keep that 256 times below the largest double.
@@ -85,6 +89,13 @@ class LorentzianFit:
 def _out_of_range(bin_width) -> ValidationError:
     return ValidationError(
         f"bin width {bin_width:g} kHz takes the Lorentzian fit out of floating-point range"
+    )
+
+
+def _too_many_bins(bin_width, span, n_bins) -> ValidationError:
+    return ValidationError(
+        f"bin width {bin_width:g} kHz needs {n_bins:g} bins to span the {span:g} kHz "
+        f"histogram range; a histogram holds at most {_MAX_BINS:,}"
     )
 
 
@@ -198,9 +209,10 @@ def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]):
     Returns one _Stack per bin count, and a dict holding for each row it
     cannot histogram the ComputationError that skips it (Freedman-Diaconis
     binning of a zero interquartile range) or the ValidationError that
-    refuses it (edges out of floating-point range). The rows' quartiles
-    come from their sorted columns, the edges of the rows of one bin count
-    from one array op, and each row's counts from searchsorted on it.
+    refuses it (edges out of floating-point range, or a fixed width that
+    needs more than _MAX_BINS bins). The rows' quartiles come from their
+    sorted columns, the edges of the rows of one bin count from one array
+    op, and each row's counts from searchsorted on it.
     """
     n = rows.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -217,13 +229,18 @@ def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]):
         half = _HISTOGRAM_HALF_RANGE_IQR * np.maximum(iqr, width)
         lo, hi = q50 - half, q50 + half
         # a width that underflows to zero leaves no bins to count in
-        refuse = ~skip & ~(np.isfinite(hi - lo) & (width > 0))
-        n_bins = np.clip(np.ceil((hi - lo) / width), 8, 200_000)
+        out_of_range = ~(np.isfinite(hi - lo) & (width > 0))
+        n_bins = np.maximum(np.ceil((hi - lo) / width), 8)
+        refuse = ~skip & (out_of_range | (n_bins > _MAX_BINS))
     errors = {
         int(i): ComputationError("under-resolved linewidth: zero interquartile range")
         for i in np.flatnonzero(skip)
     }
-    errors.update((int(i), _out_of_range(width[i])) for i in np.flatnonzero(refuse))
+    errors.update(
+        (int(i), _out_of_range(width[i]) if out_of_range[i]
+         else _too_many_bins(width[i], hi[i] - lo[i], n_bins[i]))
+        for i in np.flatnonzero(refuse)
+    )
     stacks = []
     fitted = ~(skip | refuse)
     for count in np.unique(n_bins[fitted]).astype(int):
@@ -311,10 +328,13 @@ def histogram_fwhm(
     Non-finite entries are dropped, and the rest are histogrammed and
     fitted as a group of one tile, down the path partition_sweep takes:
     one sort gives the quartiles and the counts. Binning is
-    Freedman-Diaconis unless a fixed width is given; initialization uses
-    the sample median and interquartile range, so the fit is
-    deterministic. The fit is core.least_squares on one problem: scipy's
-    trust-region reflective least squares, run in numpy.
+    Freedman-Diaconis unless a fixed width is given. A histogram spans 40
+    interquartile ranges (or 40 bins, if wider) and holds at most 200,000
+    bins, so a fixed width below about IQR / 5,000 is refused with a
+    ValidationError. Initialization uses the sample median and
+    interquartile range, so the fit is deterministic. The fit is
+    core.least_squares on one problem: scipy's trust-region reflective
+    least squares, run in numpy.
     """
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")
@@ -395,7 +415,10 @@ def partition_sweep(
     Tiles are anchored at the map origin (plus tile_offset pixels); partial
     edge tiles are discarded. Each tile is mean-subtracted before its
     histogram fit. Tiles with too few valid pixels or unresolvable widths
-    are skipped and counted; a bad bin width is refused up front.
+    are skipped and counted; a bad bin width is refused up front, and so
+    is a fixed width that needs more than 200,000 bins in any tile's
+    histogram (one below about a 5,000th of its interquartile range; see
+    histogram_fwhm).
     """
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")

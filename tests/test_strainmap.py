@@ -256,7 +256,7 @@ def _numpy_edges(shifts, bin_width_khz):
         bin_width_khz = 2.0 * iqr / len(shifts) ** (1.0 / 3.0)
     half = 20.0 * max(iqr, bin_width_khz)
     lo, hi = q50 - half, q50 + half
-    n_bins = min(max(int(np.ceil((hi - lo) / bin_width_khz)), 8), 200_000)
+    n_bins = max(int(np.ceil((hi - lo) / bin_width_khz)), 8)
     return (q25, q50, q75), np.linspace(lo, hi, n_bins + 1)
 
 
@@ -507,13 +507,20 @@ def test_tile_with_overflowing_shifts_drops_them():
     assert n_tiles == 4
 
 
-def test_a_bin_count_past_its_cap_takes_the_cap():
-    # at 5e-324 kHz, (hi - lo) / width overflows; at 1e-300 it does not.
-    # Both counts pass the 200,000-bin cap, over the same edges.
+def test_a_bin_count_past_its_cap_is_refused():
+    # a histogram spans 40 interquartile ranges in at most 200,000 bins; at
+    # 5e-324 kHz, (hi - lo) / width overflows, at 1e-300 it does not
     rows = np.sort(np.random.default_rng(0).standard_cauchy(1000))[None, :]
-    tiny = _by_row(strainmap._histograms(rows, 5e-324)[0])
-    assert len(tiny[0][1]) == 200_000
-    _assert_same_histograms(tiny, _by_row(strainmap._histograms(rows, 1e-300)[0]))
+    span = 40.0 * np.subtract(*np.percentile(rows, [75.0, 25.0]))
+    assert len(_by_row(strainmap._histograms(rows, span / 150_000)[0])[0][1]) == 150_000
+    for width, needed in [(span / 250_000, "250000"), (1e-300, f"{span / 1e-300:.6g}"),
+                          (5e-324, "inf")]:
+        stacks, errors = strainmap._histograms(rows, width)
+        assert stacks == [] and isinstance(errors[0], ValidationError)
+        assert str(errors[0]) == (
+            f"bin width {width:g} kHz needs {needed} bins to span the {span:g} kHz "
+            "histogram range; a histogram holds at most 200,000"
+        )
 
 
 # Bit-for-bit properties of the one-sort statistics against numpy. Shifts
