@@ -21,7 +21,7 @@ from .config import ResolvedConfig, default_config, parse_config
 from .core import MAX_TRACE_SAMPLES, capped_count, finite, positive
 from .dephasing import dq_t2star, spin_bath_budget, strain_rate_from_fwhm
 from .errors import NvskError, ValidationError
-from .sensitivity import optimal_nitrogen, volume_normalized_sensitivity
+from .sensitivity import optimal_nitrogen, volume_sensitivity_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,23 +140,17 @@ def cmd_dephasing(args):
 
 
 def _sweep_rows(sample, table, grid, protocol, cfg):
-    constants = cfg.constants()
-    coeffs = cfg.bath_coefficients()
-    photon_model = cfg.photon_model()
-    return [
-        volume_normalized_sensitivity(
-            sample,
-            table,
-            intensity,
-            protocol,
-            constants=constants,
-            coeffs=coeffs,
-            photon_model=photon_model,
-            readout_window_us=cfg.readout_window_us,
-            bias_rate_per_us=cfg.bias_rate_per_us,
-        )
-        for intensity in grid
-    ]
+    return volume_sensitivity_sweep(
+        sample,
+        table,
+        grid,
+        protocol,
+        constants=cfg.constants(),
+        coeffs=cfg.bath_coefficients(),
+        photon_model=cfg.photon_model(),
+        readout_window_us=cfg.readout_window_us,
+        bias_rate_per_us=cfg.bias_rate_per_us,
+    )
 
 
 def cmd_sensitivity_sweep(args):
@@ -296,9 +290,7 @@ def cmd_strain_analyze(args):
         )
     else:
         other_rate = 0.0
-    full_fit = strainmap.histogram_fwhm(
-        strainmap.mean_subtracted(strain_map.valid_values), args.bin_width_khz
-    )
+    full_fit = strainmap.full_map_fwhm(strain_map, args.bin_width_khz)
     stats = strainmap.partition_sweep(
         strain_map,
         sizes,

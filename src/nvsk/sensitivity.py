@@ -353,9 +353,52 @@ def volume_normalized_sensitivity(
     reported initialization time). T2* is the sample's bath budget plus any
     supplied bias rate for SQ, or the double-quantum variant for DQ.
     """
+    [result] = volume_sensitivity_sweep(
+        sample,
+        table,
+        [intensity],
+        protocol,
+        constants=constants,
+        coeffs=coeffs,
+        photon_model=photon_model,
+        readout_window_us=readout_window_us,
+        bias_rate_per_us=bias_rate_per_us,
+    )
+    return result
+
+
+def volume_sensitivity_sweep(
+    sample: DiamondSample,
+    table: IntensityTable,
+    intensities,
+    protocol: str = "sq",
+    *,
+    constants: PhysicalConstants = PhysicalConstants(),
+    coeffs: BathCoefficients = BathCoefficients(),
+    photon_model: PhotonModel = PhotonModel(),
+    readout_window_us: Optional[float] = None,
+    bias_rate_per_us: float = 0.0,
+) -> list:
+    """volume_normalized_sensitivity at each intensity in turn. The bath
+    budget and T2* do not depend on the intensity, so they are computed
+    once, after the first intensity's table row, where each call would
+    first compute them."""
     if protocol not in PROTOCOLS:
         raise ValidationError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    row = table.interpolate(intensity)
+    results, dephasing = [], None
+    for intensity in intensities:
+        row = table.interpolate(intensity)
+        if dephasing is None:
+            dephasing = _t2_star(sample, coeffs, protocol, bias_rate_per_us)
+        results.append(
+            _at_row(sample, row, protocol, *dephasing, constants, photon_model, readout_window_us)
+        )
+    return results
+
+
+def _t2_star(sample, coeffs, protocol, bias_rate_per_us):
+    """T2* (us) of a protocol and its spin transition order; an unbounded
+    T2* is refused."""
     budget = spin_bath_budget(sample, coeffs)
     if protocol == "sq":
         rate = budget.bath_rate + non_negative("bias_rate_per_us", bias_rate_per_us, "1/us")
@@ -366,7 +409,11 @@ def volume_normalized_sensitivity(
         delta_ms = 2
     if math.isinf(t2):
         raise ValidationError("sample has no dephasing mechanism; T2* unbounded")
+    return t2, delta_ms
 
+
+def _at_row(sample, row, protocol, t2, delta_ms, constants, photon_model, readout_window_us):
+    """volume_normalized_sensitivity at one interpolated table row."""
     n_eff = (
         sample.nv_total
         * row.psi

@@ -6,6 +6,13 @@ The width of their distribution sets the strain dephasing rate; partitioning
 the map into square tiles of side L and repeating the analysis shows how
 that width grows with sensor size, and the metric 1/(T2_eff * L) quantifies
 whether enlarging the sensor keeps paying off.
+
+Memory: the map is read one band of tiles (n_px rows) at a time, so a
+partition sweep holds, besides the map, about one band's copies and the
+histogram stacks of one tile size; full_map_fwhm holds one copy of the
+valid shifts. On a 1024^2 map at the benchmark's sizes, partition_sweep
+peaks at about 1.6 times the map's bytes above it, most of that the fit
+solver's share of the stacks.
 """
 
 from __future__ import annotations
@@ -265,11 +272,16 @@ def _finite_histogram(values: np.ndarray, bin_width_khz: Optional[float]):
     """_histograms of the finite entries of a 1-D array of shifts, as row 0,
     or row 0's ValidationError that refuses too few of them."""
     shifts = values[np.isfinite(values)]
+    shifts.sort()
+    return _sorted_histogram(shifts, bin_width_khz)
+
+
+def _sorted_histogram(shifts: np.ndarray, bin_width_khz: Optional[float]):
+    """_finite_histogram of a 1-D array of sorted finite shifts."""
     if len(shifts) < _MIN_PIXELS_FOR_FIT:
         return [], {0: ValidationError(
             f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(shifts)}"
         )}
-    shifts.sort()
     return _histograms(shifts[None, :], bin_width_khz)
 
 
@@ -338,7 +350,32 @@ def histogram_fwhm(
     """
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")
-    stacks, errors = _finite_histogram(np.asarray(values, dtype=float), bin_width_khz)
+    return _lorentzian_fit(
+        *_finite_histogram(np.asarray(values, dtype=float), bin_width_khz)
+    )
+
+
+def full_map_fwhm(strain_map: StrainMap, bin_width_khz: Optional[float] = None) -> LorentzianFit:
+    """histogram_fwhm(mean_subtracted(strain_map.valid_values), bin_width_khz),
+    bit for bit, on one copy of the valid shifts.
+
+    The copy is mean-subtracted and sorted in place; only where a
+    subtraction overflows does a second, finite copy replace it. The peak
+    above the map is that copy and the histogram.
+    """
+    shifts = strain_map.valid_values
+    if not _subtract_means(shifts):
+        raise _overflowing_mean(len(shifts))
+    if bin_width_khz is not None:
+        positive("bin width", bin_width_khz, "kHz")
+    if not np.isfinite(shifts).all():
+        shifts = shifts[np.isfinite(shifts)]
+    shifts.sort()
+    return _lorentzian_fit(*_sorted_histogram(shifts, bin_width_khz))
+
+
+def _lorentzian_fit(stacks, errors) -> LorentzianFit:
+    """The fit of the one histogram _finite_histogram gives, or its error."""
     if errors:
         raise errors[0]
     [(_, bin_w, result)] = _fit(stacks, errors)
@@ -418,7 +455,8 @@ def partition_sweep(
     are skipped and counted; a bad bin width is refused up front, and so
     is a fixed width that needs more than 200,000 bins in any tile's
     histogram (one below about a 5,000th of its interquartile range; see
-    histogram_fwhm).
+    histogram_fwhm). Besides the map it holds, at one tile size, about
+    one band of tiles and the histogram stacks (see _tile_histograms).
     """
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")
@@ -467,13 +505,15 @@ def partition_sweep(
     return stats
 
 
-def _tiles(grid: np.ndarray, n_px: int, off_r: int, off_c: int) -> np.ndarray:
-    """The whole n_px x n_px tiles of grid from (off_r, off_c): one row per
-    tile, tiles and the pixels in each in row-major order."""
-    h, w = grid.shape
-    rows, cols = (h - off_r) // n_px, (w - off_c) // n_px
-    block = grid[off_r : off_r + rows * n_px, off_c : off_c + cols * n_px]
-    return block.reshape(rows, n_px, cols, n_px).swapaxes(1, 2).reshape(rows * cols, -1)
+def _tiles(band: np.ndarray, n_px: int, off_c: int) -> np.ndarray:
+    """The whole n_px x n_px tiles of a band of n_px grid rows from column
+    off_c, as a new array: one row per tile, tiles and the pixels in each
+    in row-major order."""
+    cols = (band.shape[1] - off_c) // n_px
+    tiles = np.empty((cols, n_px * n_px), dtype=band.dtype)
+    block = band[:, off_c : off_c + cols * n_px]
+    tiles.reshape(cols, n_px, n_px)[...] = block.reshape(n_px, cols, n_px).swapaxes(0, 1)
+    return tiles
 
 
 def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
@@ -483,19 +523,54 @@ def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
     that has one, and the number of tiles. A tile with too few valid
     shifts has neither and is skipped.
 
-    The tiles with one number of valid pixels form a group: one row mean
-    and one in-place sort of its rows, which give each tile's own values
-    bit for bit, and then _histograms of the sorted rows. A tile whose
-    mean overflows is refused. A tile with a finite mean but shifts that
-    overflow drops them and forms a group of one.
+    The map is read one band at a time, a row of tiles n_px pixels high.
+    In a band, the tiles with one number of valid pixels form a group:
+    one copy of their valid shifts (none when the group is the whole band
+    and its tiles have no invalid pixel: the band's tile copy is sorted in
+    place), one row mean and one in-place sort of its rows, which give
+    each tile's own values bit for bit, and then _histograms of the sorted
+    rows. A tile whose mean overflows is refused. A tile with a finite
+    mean but shifts that overflow drops them and forms a stack of one. The
+    groups' pieces of all bands are joined into one stack per valid-pixel
+    count and bin count, rows in scan order, as one pass over the whole
+    map would build them; _fit's results do not depend on the order of
+    the stacks. The peak above the map is about one band's copies and the
+    stacks.
     """
-    values = _tiles(strain_map.values, n_px, off_r, off_c)
-    valid = _tiles(strain_map.mask, n_px, off_r, off_c)
+    values, mask = strain_map.values, strain_map.mask
+    n_bands, per_band = (values.shape[0] - off_r) // n_px, (values.shape[1] - off_c) // n_px
+    groups, singles, errors = {}, [], {}
+    for band in range(n_bands):
+        rows = slice(off_r + band * n_px, off_r + (band + 1) * n_px)
+        band_groups, band_singles, band_errors = _band_histograms(
+            _tiles(values[rows], n_px, off_c),
+            _tiles(mask[rows], n_px, off_c),
+            band * per_band,
+            bin_width_khz,
+        )
+        for key, stack in band_groups:
+            groups.setdefault(key, []).append(stack)
+        singles += band_singles
+        errors.update(band_errors)
+    stacks = [_joined(pieces) for pieces in groups.values()] + singles
+    return stacks, errors, n_bands * per_band
+
+
+def _band_histograms(values, valid, first, bin_width_khz):
+    """_tile_histograms of one band, from its tiles' values and valid
+    masks (_tiles rows, which the grouping may sort in place) and the
+    scan index of its first tile. Returns its groups' _Stacks, each under
+    its (valid-pixel count, bin count), the _Stacks of tiles of their own,
+    and its errors."""
     n_valid = valid.sum(axis=1)
-    stacks, errors = [], {}
+    groups, singles, errors = [], [], {}
     for count in np.unique(n_valid[n_valid >= _MIN_PIXELS_FOR_FIT]):
-        group = np.flatnonzero(n_valid == count)
-        shifts = values[group][valid[group]].reshape(group.size, count)
+        in_group = n_valid == count
+        group = first + np.flatnonzero(in_group)
+        if count < valid.shape[1]:
+            shifts = values[valid & in_group[:, None]].reshape(group.size, count)
+        else:
+            shifts = values if in_group.all() else values[in_group]
         finite_mean = _subtract_means(shifts)
         shifts.sort(axis=1)
         # sorted, a row holds any non-finite shift at one of its ends
@@ -507,10 +582,22 @@ def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
                 parts.append((np.array([tile]), _finite_histogram(row, bin_width_khz)))
             else:
                 errors[int(tile)] = _overflowing_mean(count)
-        for tiles, (part_stacks, part_errors) in parts:
-            stacks += [stack._replace(rows=tiles[stack.rows]) for stack in part_stacks]
+        for n, (tiles, (part_stacks, part_errors)) in enumerate(parts):
+            for stack in part_stacks:
+                stack = stack._replace(rows=tiles[stack.rows])
+                if n:
+                    singles.append(stack)
+                else:
+                    groups.append(((count, stack.counts.shape[1]), stack))
             errors.update((int(tiles[i]), error) for i, error in part_errors.items())
-    return stacks, errors, len(values)
+    return groups, singles, errors
+
+
+def _joined(stacks) -> _Stack:
+    """One _Stack of the rows of stacks, in order."""
+    if len(stacks) == 1:
+        return stacks[0]
+    return _Stack(*(np.concatenate(field) for field in zip(*stacks)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nvsk import sensitivity
 from nvsk.core import DiamondSample
 from nvsk.dephasing import BathCoefficients, dq_t2star, spin_bath_budget
 from nvsk.errors import ComputationError, ValidationError
@@ -22,6 +23,7 @@ from nvsk.sensitivity import (
     ramsey_sensitivity,
     simplified_metric,
     volume_normalized_sensitivity,
+    volume_sensitivity_sweep,
 )
 from synthdata import high_n_sample, high_n_table, low_n_sample, low_n_table
 
@@ -550,6 +552,27 @@ def test_volume_normalized_refuses_a_negative_bias_or_an_infinite_window():
     with pytest.raises(ValidationError, match="readout_window_us must be finite and >= 0 us"):
         volume_normalized_sensitivity(*args, readout_window_us=math.inf)
 
+
+@pytest.mark.parametrize("protocol", ["sq", "dq"])
+def test_sweep_equals_one_call_per_intensity_with_one_budget(protocol, monkeypatch):
+    grid = np.logspace(-3, 1, 9).tolist()
+    kwargs = dict(photon_model=PhotonModel(rate_at_1mw_kcps=50.0), bias_rate_per_us=0.01)
+    want = [volume_normalized_sensitivity(high_n_sample(), high_n_table(), i, protocol,
+                                          **kwargs) for i in grid]
+    budgets = []
+    monkeypatch.setattr(sensitivity, "spin_bath_budget",
+                        lambda *a: budgets.append(a) or spin_bath_budget(*a))
+    got = volume_sensitivity_sweep(high_n_sample(), high_n_table(), grid, protocol, **kwargs)
+    assert got == want and len(budgets) == 1
+
+
+def test_sweep_reads_the_first_row_before_the_budget():
+    # each call interpolated its row before it refused the sample, so an
+    # intensity off the table is still what a sweep refuses first
+    no_bath = BathCoefficients(a_ns0=0.0, a_c13=0.0, a_nv_par=0.0, a_nv_nonpar=0.0)
+    for grid, message in [([1e-4, 0.1], "outside table range"), ([0.1, 1e-4], "unbounded")]:
+        with pytest.raises(ValidationError, match=message):
+            volume_sensitivity_sweep(low_n_sample(), low_n_table(), grid, coeffs=no_bath)
 
 def test_volume_normalized_hand_composed_row():
     # single synthetic row; all Eq-style factors recomposed by hand

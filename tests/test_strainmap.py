@@ -7,12 +7,14 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvsk import strainmap
+from nvsk import dataio, strainmap
+from nvsk.cli import main
 from nvsk.errors import ComputationError, ValidationError
 from nvsk.strainmap import (
     MAX_MAP_PIXELS,
     LorentzianFit,
     StrainMap,
+    full_map_fwhm,
     histogram_fwhm,
     partition_sweep,
     scaling_metric,
@@ -465,6 +467,38 @@ def test_full_map_histogram_equals_numpy(bin_width):
     assert (got.center_khz, got.fwhm_khz, got.amplitude, got.offset) == tuple(fit.x[0])
 
 
+def _outcome(fit, *args):
+    """fit(*args) as the LorentzianFit it returns or the (type, message) of
+    the error it raises."""
+    try:
+        return fit(*args)
+    except (ComputationError, ValidationError) as e:
+        return type(e), str(e)
+
+
+def _overflowing_map():
+    # 127 equal shifts and one that, less their finite mean, overflows
+    values = np.full((4, 32), 2.2e306)
+    values[0, 0] = -1.79e308
+    values[1:, 5] += np.linspace(1e304, 1e305, 3)
+    return values
+
+
+@pytest.mark.parametrize("case, bin_width", [("holes", None), ("holes", 0.5), ("overflow", None)])
+def test_full_map_fwhm_equals_histogram_fwhm_of_the_mean_subtracted_shifts(case, bin_width):
+    if case == "holes":
+        m = _map_with_holes(synth_two_region, seed=6)
+    else:
+        m = StrainMap(values=_overflowing_map(), pixel_pitch_um=1.0)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(strainmap.mean_subtracted(m.valid_values)).all()
+    before = m.values.copy()
+    want = _outcome(histogram_fwhm, strainmap.mean_subtracted(m.valid_values), bin_width)
+    assert _outcome(full_map_fwhm, m, bin_width) == want
+    assert isinstance(want, LorentzianFit) == (case == "holes")
+    assert _same_bits(m.values, before)
+
+
 def _four_tiles(seed):
     """A 64^2 map at 1 um pitch: four 32-px tiles of Cauchy shifts."""
     return synth_stationary((64, 64), 1.0, 10.0, seed=seed).values.copy()
@@ -610,3 +644,83 @@ def test_histograms_equal_numpy(draw, bin_width, data):
     else:
         assert errors == {}
         _assert_same_histograms(_by_row(stacks), {0: want})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_px=st.integers(10, 50),
+    offset=st.integers(0, 5),
+    bin_width=st.sampled_from([None, 0.5, 2.0]),
+    data=st.data(),
+)
+def test_banded_tile_fits_equal_each_tile_fitted_alone(seed, n_px, offset, bin_width, data):
+    # maps of at most 160^2 whose tiles span at least three bands: Cauchy
+    # shifts, a NaN block, and about 5 % of NaNs scattered over the left
+    # half, so that tiles of the right half, whole, group across bands
+    h = data.draw(st.integers(offset + 3 * n_px, 160), label="rows")
+    w = data.draw(st.integers(offset + n_px, 160), label="cols")
+    rng = np.random.default_rng(seed)
+    values = 10.0 * rng.standard_cauchy((h, w))
+    r0, c0 = rng.integers(0, h), rng.integers(0, w)
+    values[r0 : r0 + rng.integers(0, h // 2 + 1), c0 : c0 + rng.integers(0, w // 2 + 1)] = np.nan
+    values[:, : w // 2][rng.random((h, w // 2)) < 0.1] = np.nan
+    want, n_tiles = [], 0
+    for i in range(offset, h - n_px + 1, n_px):
+        for k in range(offset, w - n_px + 1, n_px):
+            n_tiles += 1
+            tile = values[i : i + n_px, k : k + n_px]
+            valid = tile[np.isfinite(tile)]
+            if len(valid) >= 100:
+                fit = _outcome(histogram_fwhm, strainmap.mean_subtracted(valid), bin_width)
+                if isinstance(fit, LorentzianFit):
+                    want.append(fit.fwhm_khz)
+    m = StrainMap(values=values, pixel_pitch_um=1.0)
+    sweep = lambda: partition_sweep(m, [float(n_px)], (offset, offset), bin_width)[0]
+    if not want:
+        with pytest.raises(ComputationError, match="no tile"):
+            sweep()
+        return
+    stats = sweep()
+    assert stats.n_tiles == n_tiles
+    assert _same_bits(stats.fwhms_khz, want)
+
+
+# The benchmark's strain maps and sensor sizes: 1024^2 shifts at 3 um
+# pitch, tiles of 32 to 512 px.
+_BENCH_SIZES = "96:1536:log:5"
+
+
+def _bench_map():
+    return synth_two_region((1024, 1024), 3.0, 10.0, 60.0, seed=0)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_partition_sweep_peak_is_about_one_band_and_the_stacks():
+    # one band's copies and the fit stacks; three copies of the whole map
+    # would pass 3 times its bytes
+    m = _bench_map()
+    sizes = [96.0 * 2**k for k in range(5)]
+    peak = _traced_peak(lambda: partition_sweep(m, sizes))
+    assert peak <= 2 * m.values.nbytes
+
+
+def test_strain_analyze_peak_is_about_the_map_one_band_and_the_stacks(tmp_path):
+    # the map and its mask, one band of tiles, the fit stacks; the
+    # whole-map fit holds one copy of the valid shifts
+    m = _bench_map()
+    path = tmp_path / "map.csv"
+    dataio.save_strain_map(m, path)
+    argv = ["strain", "analyze", str(path), "--sizes", _BENCH_SIZES,
+            "--other-rate-per-us", "0.05", "--out", str(tmp_path / "out.json")]
+    peak = _traced_peak(lambda: main(argv))
+    assert (tmp_path / "out.json").is_file()
+    assert peak <= 3 * m.values.nbytes
