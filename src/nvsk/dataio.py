@@ -400,15 +400,18 @@ def _sidecar_path(map_path) -> Path:
 def save_strain_map(strain_map: StrainMap, path) -> None:
     """Numeric CSV grid (kHz) plus a JSON sidecar with units and pitch.
 
-    Masked pixels are stored as nan.
+    Masked (non-finite) pixels are stored as nan, one block of rows at a
+    time.
     """
     path = Path(path)
-    values = np.where(strain_map.mask, strain_map.values, np.nan)
+    values = strain_map.values
     step = max(1, _CSV_BLOCK_CELLS // values.shape[1])
     cells = _Cells(min(step, len(values)) * values.shape[1])
     with open(path, "wb") as handle:
         for lo in range(0, len(values), step):
-            rows = memoryview(_float_rows(values[lo:lo + step], cells))
+            block = values[lo:lo + step]
+            block = np.where(np.isfinite(block), block, np.nan)
+            rows = memoryview(_float_rows(block, cells))
             handle.write(rows[1:] if lo == 0 else rows)  # no newline before row 1
         handle.write(b"\n")
     sidecar = {

@@ -7,6 +7,9 @@ the map into square tiles of side L and repeating the analysis shows how
 that width grows with sensor size, and the metric 1/(T2_eff * L) quantifies
 whether enlarging the sensor keeps paying off.
 
+Range: _histograms refuses, where it builds them, the histograms whose
+fit would leave the floating-point range (see its rule); _fit only solves.
+
 Memory: the map is read one band of tiles (n_px rows) at a time, so a
 partition sweep holds, besides the map, about one band's copies and the
 histogram stacks of one tile size; full_map_fwhm holds one copy of the
@@ -54,14 +57,13 @@ _FIT_CELLS = 1 << 15
 class StrainMap:
     """2-D grid of strain-induced frequency shifts, kHz.
 
-    A NaN or infinite cell marks a pixel without data; mask is True on the
-    finite cells, the only valid pixels.
+    A NaN or infinite cell marks a pixel without data; the finite cells
+    are the only valid pixels.
     """
 
     values: np.ndarray
     pixel_pitch_um: float
     orientation: str = "nv1"
-    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -72,13 +74,12 @@ class StrainMap:
             raise ValidationError(
                 f"orientation must be one of {ORIENTATIONS}, got {self.orientation!r}"
             )
-        self.mask = np.isfinite(self.values)
-        if not self.mask.any():
+        if not np.isfinite(self.values).any():
             raise ValidationError("strain map has no valid pixels")
 
     @property
     def valid_values(self) -> np.ndarray:
-        return self.values[self.mask]
+        return self.values[np.isfinite(self.values)]
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,19 @@ class LorentzianFit:
 def _out_of_range(bin_width) -> ValidationError:
     return ValidationError(
         f"bin width {bin_width:g} kHz takes the Lorentzian fit out of floating-point range"
+    )
+
+
+def _beyond_the_fit_range(width, median, bin_w, amplitude) -> ValidationError:
+    if not np.isfinite(amplitude):
+        return _out_of_range(bin_w)
+    if amplitude < _MAX_AMPLITUDE:  # the edges are not strictly increasing
+        return ValidationError(f"bin width {width:g} kHz is finer than doubles resolve "
+                               f"near the {median:.3g} kHz median shift")
+    return ValidationError(
+        f"bin width {bin_w:g} kHz takes the Lorentzian fit out of floating-point range: "
+        f"its amplitude, peak count x (FWHM/2)^2 = {amplitude:.3g}, must stay below "
+        f"(largest double / 256)^(1/4) = {_MAX_AMPLITUDE:.3g}"
     )
 
 
@@ -213,13 +227,18 @@ def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]):
     """Histograms of rows of sorted finite shifts, all of one length, with
     the start points of their Lorentzian fits.
 
-    Returns one _Stack per bin count, and a dict holding for each row it
-    cannot histogram the ComputationError that skips it (Freedman-Diaconis
-    binning of a zero interquartile range) or the ValidationError that
-    refuses it (edges out of floating-point range, or a fixed width that
-    needs more than _MAX_BINS bins). The rows' quartiles come from their
-    sorted columns, the edges of the rows of one bin count from one array
-    op, and each row's counts from searchsorted on it.
+    Returns one _Stack per bin count of the rows it accepts, and a dict
+    holding for each other row the ComputationError that skips it
+    (Freedman-Diaconis binning of a zero interquartile range) or the
+    ValidationError that refuses it: a fixed width that needs more than
+    _MAX_BINS bins, a range that is not finite, edges that are not
+    strictly increasing, or a start amplitude not below _MAX_AMPLITUDE.
+    An accepted row's bin width is then at least one ulp of its centre and
+    at most FWHM0 < 2 sqrt(_MAX_AMPLITUDE), so its centre lies below about
+    1e55 kHz: every start parameter lies below _MAX_AMPLITUDE, and the
+    residuals and Jacobian at x0 are finite. The rows' quartiles come from
+    their sorted columns, the edges of the rows of one bin count from one
+    array op, and each row's counts from searchsorted on it.
     """
     n = rows.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -256,28 +275,30 @@ def _histograms(rows: np.ndarray, bin_width_khz: Optional[float]):
         counts = np.empty((len(same), count))
         for i, row_edges, row_counts in zip(same, edges, counts):
             row_counts[:] = _sorted_counts(rows[i], row_edges)
-        centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
         bin_w = edges[:, 1] - edges[:, 0]
         # the fit starts inside its bounds even where a fixed bin width and
         # the interquartile range are both narrower than _MIN_FWHM
         fwhm0 = np.maximum(np.maximum(iqr[same], bin_w), _MIN_FWHM)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # only in rows refused below
+            centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
             amplitude = np.maximum(counts.max(axis=1), 1.0) * scalar_pow(fwhm0 / 2.0, 2)
         x0 = np.stack([q50[same], fwhm0, amplitude, np.zeros(len(same))], axis=1)
-        stacks.append(_Stack(same, centers, counts, bin_w, x0))
+        stack = _Stack(same, centers, counts, bin_w, x0)
+        accepted = (np.diff(edges, axis=1) > 0).all(axis=1) & (amplitude < _MAX_AMPLITUDE)
+        for i, row in zip(np.flatnonzero(~accepted), same[~accepted]):
+            errors[int(row)] = _beyond_the_fit_range(width[row], q50[row], bin_w[i], amplitude[i])
+        if accepted.any():
+            stacks.append(stack if accepted.all() else _Stack(*(a[accepted] for a in stack)))
     return stacks, errors
 
 
-def _finite_histogram(values: np.ndarray, bin_width_khz: Optional[float]):
+def _finite_histogram(shifts: np.ndarray, bin_width_khz: Optional[float]):
     """_histograms of the finite entries of a 1-D array of shifts, as row 0,
-    or row 0's ValidationError that refuses too few of them."""
-    shifts = values[np.isfinite(values)]
+    or row 0's ValidationError that refuses too few of them. It owns the
+    array: all finite, it is sorted in place."""
+    if not np.isfinite(shifts).all():
+        shifts = shifts[np.isfinite(shifts)]
     shifts.sort()
-    return _sorted_histogram(shifts, bin_width_khz)
-
-
-def _sorted_histogram(shifts: np.ndarray, bin_width_khz: Optional[float]):
-    """_finite_histogram of a 1-D array of sorted finite shifts."""
     if len(shifts) < _MIN_PIXELS_FOR_FIT:
         return [], {0: ValidationError(
             f"need >= {_MIN_PIXELS_FOR_FIT} valid pixels, got {len(shifts)}"
@@ -289,45 +310,27 @@ def _fit(stacks, errors) -> list:
     """Fit a Lorentzian to every histogram of stacks; returns the rows,
     bin widths and solver result of each part of a stack solved.
 
-    Each stack is solved in parts of at most _FIT_CELLS bins (one
-    histogram at least), on slices of its arrays. Each part is first
-    range-checked: a bin width that overflows the start point, residuals
-    or Jacobian is refused here rather than inside the solver. Once errors
-    or the range check hold a ValidationError, no further part is solved,
-    and the ValidationError of the first row, in row order, is raised.
+    When errors hold a ValidationError, nothing is solved and that of the
+    first row, in row order, is raised. _histograms refuses every row whose
+    fit would leave the floating-point range, so _fit only solves: each
+    stack in parts of at most _FIT_CELLS bins (one histogram at least), on
+    slices of its arrays.
     """
-    refused = {row: e for row, e in errors.items() if isinstance(e, ValidationError)}
+    refused = [row for row, e in errors.items() if isinstance(e, ValidationError)]
+    if refused:
+        raise errors[min(refused)]
     fits = []
     for stack in stacks:
         size = max(_FIT_CELLS // stack.counts.shape[1], 1)
         for start in range(0, len(stack.rows), size):
             part = slice(start, start + size)
-            rows, bin_w, x0 = stack.rows[part], stack.bin_widths[part], stack.x0[part]
             resid, jac = _lorentzian_residual_and_jacobian(
                 stack.centers[part], stack.counts[part]
             )
-            every = np.arange(len(rows))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                finite = (
-                    np.isfinite(resid(x0, every)).all(axis=1)
-                    & np.isfinite(jac(x0, every)).all(axis=(1, 2))
-                )
-            for i in np.flatnonzero(~finite):
-                refused[int(rows[i])] = _out_of_range(bin_w[i])
-            for i in np.flatnonzero(finite & ~(x0[:, 2] < _MAX_AMPLITUDE)):
-                refused[int(rows[i])] = ValidationError(
-                    f"bin width {bin_w[i]:g} kHz takes the Lorentzian fit out of "
-                    f"floating-point range: its amplitude, peak count x (FWHM/2)^2 = "
-                    f"{x0[i, 2]:.3g}, must stay below (largest double / 256)^(1/4) = "
-                    f"{_MAX_AMPLITUDE:.3g}"
-                )
-            if not refused:
-                result = least_squares(
-                    resid, x0, jac, _FIT_BOUNDS, xtol=1e-10, ftol=1e-10, max_nfev=400
-                )
-                fits.append((rows, bin_w, result))
-    if refused:
-        raise refused[min(refused)]
+            result = least_squares(
+                resid, stack.x0[part], jac, _FIT_BOUNDS, xtol=1e-10, ftol=1e-10, max_nfev=400
+            )
+            fits.append((stack.rows[part], stack.bin_widths[part], result))
     return fits
 
 
@@ -343,16 +346,16 @@ def histogram_fwhm(
     Freedman-Diaconis unless a fixed width is given. A histogram spans 40
     interquartile ranges (or 40 bins, if wider) and holds at most 200,000
     bins, so a fixed width below about IQR / 5,000 is refused with a
-    ValidationError. Initialization uses the sample median and
-    interquartile range, so the fit is deterministic. The fit is
-    core.least_squares on one problem: scipy's trust-region reflective
-    least squares, run in numpy.
+    ValidationError; so, before the solver runs, is a fit out of
+    floating-point range: bins finer than doubles resolve at the shifts,
+    or a start amplitude not below (largest double / 256)^(1/4).
+    Initialization uses the sample median and interquartile range, so the
+    fit is deterministic. The fit is core.least_squares on one problem:
+    scipy's trust-region reflective least squares, run in numpy.
     """
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")
-    return _lorentzian_fit(
-        *_finite_histogram(np.asarray(values, dtype=float), bin_width_khz)
-    )
+    return _lorentzian_fit(*_finite_histogram(np.array(values, dtype=float), bin_width_khz))
 
 
 def full_map_fwhm(strain_map: StrainMap, bin_width_khz: Optional[float] = None) -> LorentzianFit:
@@ -368,10 +371,7 @@ def full_map_fwhm(strain_map: StrainMap, bin_width_khz: Optional[float] = None) 
         raise _overflowing_mean(len(shifts))
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")
-    if not np.isfinite(shifts).all():
-        shifts = shifts[np.isfinite(shifts)]
-    shifts.sort()
-    return _lorentzian_fit(*_sorted_histogram(shifts, bin_width_khz))
+    return _lorentzian_fit(*_finite_histogram(shifts, bin_width_khz))
 
 
 def _lorentzian_fit(stacks, errors) -> LorentzianFit:
@@ -452,11 +452,11 @@ def partition_sweep(
     Tiles are anchored at the map origin (plus tile_offset pixels); partial
     edge tiles are discarded. Each tile is mean-subtracted before its
     histogram fit. Tiles with too few valid pixels or unresolvable widths
-    are skipped and counted; a bad bin width is refused up front, and so
-    is a fixed width that needs more than 200,000 bins in any tile's
-    histogram (one below about a 5,000th of its interquartile range; see
-    histogram_fwhm). Besides the map it holds, at one tile size, about
-    one band of tiles and the histogram stacks (see _tile_histograms).
+    are skipped and counted; a bad bin width is refused up front, and,
+    before any tile is solved, so is any tile histogram histogram_fwhm
+    refuses (too many bins, or a fit out of floating-point range), the
+    first in scan order giving the message. Besides the map it holds, at
+    one tile size, about one band of tiles and the histogram stacks.
     """
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")
@@ -537,16 +537,13 @@ def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
     the stacks. The peak above the map is about one band's copies and the
     stacks.
     """
-    values, mask = strain_map.values, strain_map.mask
+    values = strain_map.values
     n_bands, per_band = (values.shape[0] - off_r) // n_px, (values.shape[1] - off_c) // n_px
     groups, singles, errors = {}, [], {}
     for band in range(n_bands):
         rows = slice(off_r + band * n_px, off_r + (band + 1) * n_px)
         band_groups, band_singles, band_errors = _band_histograms(
-            _tiles(values[rows], n_px, off_c),
-            _tiles(mask[rows], n_px, off_c),
-            band * per_band,
-            bin_width_khz,
+            _tiles(values[rows], n_px, off_c), band * per_band, bin_width_khz
         )
         for key, stack in band_groups:
             groups.setdefault(key, []).append(stack)
@@ -556,12 +553,12 @@ def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
     return stacks, errors, n_bands * per_band
 
 
-def _band_histograms(values, valid, first, bin_width_khz):
-    """_tile_histograms of one band, from its tiles' values and valid
-    masks (_tiles rows, which the grouping may sort in place) and the
-    scan index of its first tile. Returns its groups' _Stacks, each under
-    its (valid-pixel count, bin count), the _Stacks of tiles of their own,
-    and its errors."""
+def _band_histograms(values, first, bin_width_khz):
+    """_tile_histograms of one band, from its tiles' values (_tiles rows,
+    which the grouping may sort in place) and the scan index of its first
+    tile. Returns its groups' _Stacks, each under its (valid-pixel count,
+    bin count), the _Stacks of tiles of their own, and its errors."""
+    valid = np.isfinite(values)
     n_valid = valid.sum(axis=1)
     groups, singles, errors = [], [], {}
     for count in np.unique(n_valid[n_valid >= _MIN_PIXELS_FOR_FIT]):

@@ -592,14 +592,25 @@ def _synth(tmp, name, argv):
     return tmp / name
 
 
+def _saved_map(tmp, values, pitch):
+    dataio.save_strain_map(strainmap.StrainMap(values=values, pixel_pitch_um=pitch), tmp / "o.csv")
+    return tmp / "o.csv"
+
+
 def _cauchy_map(tmp, clip):
     """A 128^2 map of 1e306 x Cauchy shifts whose finite pixels' mean
     overflows; with clip, the shifts that overflow are +-1e308, not inf."""
     with np.errstate(over="ignore"):
         values = 1e306 * np.random.default_rng(3).standard_cauchy((128, 128))
-    values = np.clip(values, -1e308, 1e308) if clip else values
-    dataio.save_strain_map(strainmap.StrainMap(values=values, pixel_pitch_um=6.0), tmp / "o.csv")
-    return tmp / "o.csv"
+    return _saved_map(tmp, np.clip(values, -1e308, 1e308) if clip else values, 6.0)
+
+
+def _far_center_map(tmp):
+    """A 4x32 map of 2.2e306 kHz shifts but one of -1.79e308: that one less
+    the finite mean overflows, and the 127 left sit 1.4e306 above it."""
+    values = np.full((4, 32), 2.2e306)
+    values[0, 0] = -1.79e308
+    return _saved_map(tmp, values, 1.0)
 
 
 def _sidecar_map(tmp, grid, sidecar):
@@ -673,6 +684,10 @@ INPUTS = {
                               "--seed 3"),
     "tiny_pitch_map": lambda tmp: _synth(tmp, "p.csv", "strain synth --model stationary "
                                          "--shape 64x64 --pitch-um 1e-310"),
+    # 90 % of 1e70 kHz: near the 1e69 kHz median shift, 0.5 kHz bins all have width 0
+    "zero_width_map": lambda tmp: _saved_map(
+        tmp, np.where(np.random.default_rng(1).random((128, 128)) < 0.9, 1e70, 0.0), 6.0),
+    "far_center_map": _far_center_map,
     "cauchy_map": lambda tmp: _cauchy_map(tmp, clip=False),
     "clipped_cauchy_map": lambda tmp: _cauchy_map(tmp, clip=True),
     "no_pitch_map": lambda tmp: _sidecar_map(tmp, _ONES, '{"units": "kHz"}'),
@@ -733,6 +748,12 @@ REFUSALS = {
          f"strain analyze {{map}} --sizes 96:384:log:3 --bin-width-khz 1e-300 {_OUT}", 1,
          "bin width 1e-300 kHz needs 8.15832e+302 bins to span the 815.832 kHz histogram "
          "range; a histogram holds at most 200,000"),
+        ("zero-width-bins",
+         f"strain analyze {{zero_width_map}} --sizes 96:384:log:3 --bin-width-khz 0.5 {_OUT}", 1,
+         "bin width 0.5 kHz is finer than doubles resolve near the 1.01e+69 kHz median shift"),
+        ("center-beyond-the-solver-range",
+         f"strain analyze {{far_center_map}} --sizes 4:8:log:3 --bin-width-khz 0.5 {_OUT}", 1,
+         "bin width 0.5 kHz is finer than doubles resolve near the 1.42e+306 kHz median shift"),
         ("clipped-shifts-whose-mean-overflows",
          f"strain analyze {{clipped_cauchy_map}} --sizes 96:384:log:3 {_OUT}", 1,
          "strain shifts overflow: the mean of 16,384 valid pixels is not finite"),

@@ -351,18 +351,19 @@ def test_strain_map_roundtrip(tmp_path):
     loaded = load_strain_map(path)
     assert loaded.pixel_pitch_um == 6.0
     assert loaded.orientation == "nv2"
-    assert not loaded.mask[3, 7]  # masked pixel stored as nan
-    ok = loaded.mask
+    assert np.isnan(loaded.values[3, 7])  # masked pixel stored as nan
+    ok = np.isfinite(loaded.values)
     assert np.allclose(loaded.values[ok], values[ok], rtol=1e-8)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (300, 257)])
 def test_save_strain_map_writes_what_savetxt_wrote(tmp_path, shape):
-    # cubed Cauchy draws: tails past 1e9 and below 1e-4 print in exponent notation
+    # cubed Cauchy draws: tails past 1e9 and below 1e-4 print in exponent
+    # notation; masked pixels are nan, inf or -inf, each written as nan
     rng = np.random.default_rng(9)
     values = 10.0 * rng.standard_cauchy(shape) ** 3
     mask = rng.random(shape) > 0.05
-    masked = np.where(mask, values, np.nan)
+    masked = np.where(mask, values, rng.choice([np.nan, np.inf, -np.inf], shape))
     save_strain_map(StrainMap(values=masked, pixel_pitch_um=3.0), tmp_path / "m.csv")
     oracle = tmp_path / "oracle.csv"
     np.savetxt(oracle, np.where(mask, values, np.nan), delimiter=",", fmt=FLOAT_FORMAT,

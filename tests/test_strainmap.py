@@ -116,7 +116,8 @@ def test_partition_stationary_medians_stable():
 
 @pytest.mark.parametrize("width", [1e150, 1e200, 1e300, 1e308])
 def test_fit_refuses_an_overwide_bin_width_before_the_solver(width):
-    # the initial point, its residuals or its Jacobian overflow
+    # the histogram range or the start amplitude overflows, or the
+    # amplitude passes its bound
     values = np.random.default_rng(0).standard_cauchy(1000)
     with pytest.raises(ValidationError, match="out of floating-point range"):
         histogram_fwhm(values, bin_width_khz=width)
@@ -288,8 +289,8 @@ def _per_tile_histograms(strain_map, n_px, offset, bin_width_khz):
     for i in range(offset, h - n_px + 1, n_px):
         for k in range(offset, w - n_px + 1, n_px):
             tile += 1
-            pixels = np.s_[i : i + n_px, k : k + n_px]
-            vals = strain_map.values[pixels][strain_map.mask[pixels]]
+            pixels = strain_map.values[i : i + n_px, k : k + n_px]
+            vals = pixels[np.isfinite(pixels)]
             if len(vals) < 100:
                 skipped += 1
                 continue
@@ -439,15 +440,17 @@ def test_partition_sweep_memory_stays_within_the_fit_stacks():
 
 
 def test_partition_refuses_the_first_out_of_range_tile_in_scan_order():
-    # at 1e40 kHz every tile's amplitude overflows; the message carries the
-    # tile's own peak count, which the holes make differ from tile to tile
+    # at 1e40 kHz every tile's amplitude passes its bound; the message
+    # carries the tile's own peak count, which the holes make differ from
+    # tile to tile
     m = _map_with_holes(synth_stationary, seed=5)
     with pytest.raises(ValidationError, match="amplitude") as caught:
         partition_sweep(m, [192.0], bin_width_khz=1e40)
-    first = next(iter(_per_tile_histograms(m, 32, 0, 1e40)[0].values()))
-    with pytest.raises(ValidationError) as expected:
-        strainmap._fit([_stack_of([first])], {})
-    assert str(caught.value) == str(expected.value)
+    row, col = divmod(min(_per_tile_histograms(m, 32, 0, 1e40)[0]), 256 // 32)
+    tile = m.values[32 * row : 32 * row + 32, 32 * col : 32 * col + 32]
+    shifts = np.sort(strainmap.mean_subtracted(tile[np.isfinite(tile)]))
+    stacks, errors = strainmap._histograms(shifts[None, :], 1e40)
+    assert stacks == [] and str(caught.value) == str(errors[0])
 
 
 @pytest.mark.parametrize("bin_width", [None, 0.5])
@@ -646,6 +649,50 @@ def test_histograms_equal_numpy(draw, bin_width, data):
         _assert_same_histograms(_by_row(stacks), {0: want})
 
 
+_powers_of_ten = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            # the centre, 1e-300 to 1e308 kHz; half of them where accepted
+            # and refused rows meet, below and above about 1e54 kHz
+            st.one_of(_powers_of_ten(-300, 308), _powers_of_ten(30, 60)),
+            st.sampled_from([1.0, -1.0]),  # its sign
+            st.one_of(st.just(0.0), _powers_of_ten(-20, 1)),  # the spread, by the centre
+        ),
+        min_size=1, max_size=3,
+    ),
+    n=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    bin_width=st.one_of(st.none(), _powers_of_ten(-323, 308)),
+)
+def test_histograms_accept_only_fits_that_start_in_range(rows, n, seed, bin_width):
+    # The guarantee _fit relies on instead of a check of its own: every row
+    # _histograms accepts has strictly increasing edges, finite residuals
+    # and Jacobian at x0, and start parameters below _MAX_AMPLITUDE; every
+    # other row has its error.
+    rng = np.random.default_rng(seed)
+    big = np.finfo(float).max
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifts = np.array([sign * centre * (1.0 + spread * rng.standard_cauchy(n))
+                           for centre, sign, spread in rows])
+    shifts = np.sort(np.clip(shifts, -big, big), axis=1)
+    stacks, errors = strainmap._histograms(shifts, bin_width)
+    accepted = [int(row) for stack in stacks for row in stack.rows]
+    assert sorted(accepted + list(errors)) == list(range(len(rows)))
+    for stack in stacks:
+        resid, jac = strainmap._lorentzian_residual_and_jacobian(stack.centers, stack.counts)
+        every = np.arange(len(stack.rows))
+        assert np.isfinite(resid(stack.x0, every)).all()
+        assert np.isfinite(jac(stack.x0, every)).all()
+        assert (np.abs(stack.x0) < strainmap._MAX_AMPLITUDE).all()
+        for row in stack.rows:
+            edges = _numpy_edges(shifts[row], bin_width)[1]
+            assert (np.diff(edges) > 0).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -714,8 +761,8 @@ def test_partition_sweep_peak_is_about_one_band_and_the_stacks():
 
 
 def test_strain_analyze_peak_is_about_the_map_one_band_and_the_stacks(tmp_path):
-    # the map and its mask, one band of tiles, the fit stacks; the
-    # whole-map fit holds one copy of the valid shifts
+    # the map, one band of tiles, the fit stacks; the whole-map fit holds
+    # one copy of the valid shifts
     m = _bench_map()
     path = tmp_path / "map.csv"
     dataio.save_strain_map(m, path)
