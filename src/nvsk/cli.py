@@ -67,6 +67,8 @@ def parse_grid(spec: str, default_count: int = 25) -> np.ndarray:
     if scale == "lin":
         if stop <= start:
             raise ValidationError(f"grid needs start < stop, got {spec!r}")
+        if not math.isfinite(stop - start):
+            raise ValidationError(f"lin grid needs a finite stop - start, got {spec!r}")
         return np.linspace(start, stop, count)
     raise ValidationError(f"grid scale must be 'log' or 'lin', got {scale!r}")
 
@@ -242,7 +244,6 @@ def cmd_photophysics_ti_band(args):
 
 
 def cmd_ramsey_synth(args):
-    cfg = _load_config(args.config)
     model = ramsey.RamseyModel(
         t2_star=args.t2,
         p=args.p,
@@ -253,25 +254,33 @@ def cmd_ramsey_synth(args):
         baseline=args.baseline,
     )
     dtau = positive("--dtau", args.dtau, "us")
+    if args.tau_end is None and not math.isfinite(3.0 * args.t2):
+        raise ValidationError(
+            f"the default --tau-end, 3 x --t2, overflows at --t2 {args.t2:g} us; pass --tau-end"
+        )
     tau_end = positive("--tau-end", 3.0 * args.t2 if args.tau_end is None else args.tau_end, "us")
     capped_count(
         "grid", tau_end / dtau + 1, MAX_TRACE_SAMPLES, "points",
         "pass a larger --dtau or a shorter --tau-end",
     )
-    tau = np.arange(dtau, tau_end + 0.5 * dtau, dtau)
+    stop = tau_end + 0.5 * dtau  # the grid's last point is the one nearest tau_end
+    if not math.isfinite(stop):
+        raise ValidationError(
+            f"--tau-end {tau_end:g} us plus half of --dtau {dtau:g} us overflows"
+        )
+    tau = np.arange(dtau, stop, dtau)
     signal = ramsey.synthesize(model, tau, noise_sigma=args.noise_sigma, seed=args.seed)
-    return [("tau_us", tau), ("contrast", signal)], cfg.as_dict()
+    return [("tau_us", tau), ("contrast", signal)], {}
 
 
 def cmd_ramsey_fit(args):
-    cfg = _load_config(args.config)
     _, columns = dataio.read_columns(args.signal, ("tau_us", "contrast"))
     result = ramsey.fit(columns["tau_us"], columns["contrast"], n_hyperfine=args.lines)
     payload = result.as_dict()
     payload["t2_star_formatted"] = parenthesis_format(
         result.t2_star, result.t2_star_sigma, " us"
     )
-    return payload, cfg.as_dict()
+    return payload, {}
 
 
 # --- strain ---
@@ -294,7 +303,7 @@ def cmd_strain_analyze(args):
     stats = strainmap.partition_sweep(
         strain_map,
         sizes,
-        tile_offset=(args.tile_offset, args.tile_offset),
+        tile_offset=args.tile_offset,
         bin_width_khz=args.bin_width_khz,
     )
     scaling = strainmap.scaling_metric(stats, other_rate)
@@ -314,7 +323,6 @@ def cmd_strain_synth(args):
         shape = ()
     if len(shape) != 2 or min(shape) <= 0:
         raise ValidationError(f"--shape must be ROWSxCOLS, got {args.shape!r}")
-    config = _load_config(args.config).as_dict()
     if args.model == "stationary":
         strain_map = strainmap.synth_stationary(
             shape, args.pitch_um, args.scale_khz, seed=args.seed
@@ -327,14 +335,13 @@ def cmd_strain_synth(args):
             hot_scale_khz=args.hot_scale_khz,
             seed=args.seed,
         )
-    return strain_map, config
+    return strain_map, {}
 
 
 # --- charge ---
 
 
 def cmd_charge_decompose(args):
-    config = _load_config(args.config).as_dict()
     measured = dataio.load_spectrum(args.measured)
     basis_minus = dataio.load_spectrum(args.basis_minus)
     basis_zero = dataio.load_spectrum(args.basis_zero)
@@ -345,7 +352,7 @@ def cmd_charge_decompose(args):
         brightness_ratio=args.brightness_ratio,
         intensity_mw_um2=args.intensity,
     )
-    return result.as_dict(), config
+    return result.as_dict(), {}
 
 
 # --- wiring ---
@@ -428,16 +435,14 @@ def build_parser() -> _Parser:
     p.add_argument("--tau-end", type=float, default=None, help="us; default 3*T2")
     p.add_argument("--dtau", type=float, default=0.06, help="us")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ramsey_synth)
 
     p = rams_sub.add_parser("fit")
     p.add_argument("signal", help="CSV with tau_us, contrast")
     p.add_argument("--lines", type=int, default=3)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ramsey_fit, inputs=("config", "signal"))
+    p.set_defaults(func=cmd_ramsey_fit, inputs=("signal",))
 
     strain = sub.add_parser("strain", help="strain-map statistics")
     strain_sub = strain.add_subparsers(dest="verb", required=True)
@@ -454,7 +459,6 @@ def build_parser() -> _Parser:
 
     p = strain_sub.add_parser("synth")
     p.add_argument("--model", choices=("stationary", "two-region"), required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--shape", default="512x512")
     p.add_argument("--pitch-um", type=float, default=6.0)
     p.add_argument("--scale-khz", type=float, default=10.0)
@@ -468,14 +472,13 @@ def build_parser() -> _Parser:
 
     p = chg_sub.add_parser("decompose")
     p.add_argument("--measured", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--basis-minus", required=True)
     p.add_argument("--basis-zero", required=True)
     p.add_argument("--brightness-ratio", type=float, default=charge.DEFAULT_BRIGHTNESS_RATIO)
     p.add_argument("--intensity", type=float, default=None, help="mW/um^2")
     p.add_argument("--out", default=None)
     p.set_defaults(
-        func=cmd_charge_decompose, inputs=("config", "measured", "basis_minus", "basis_zero")
+        func=cmd_charge_decompose, inputs=("measured", "basis_minus", "basis_zero")
     )
 
     return parser

@@ -444,13 +444,13 @@ class PartitionStats:
 def partition_sweep(
     strain_map: StrainMap,
     sizes_um: Sequence[float],
-    tile_offset: tuple = (0, 0),
+    tile_offset: int = 0,
     bin_width_khz: Optional[float] = None,
 ) -> list:
     """Tile the map at each sensor size and fit every tile.
 
-    Tiles are anchored at the map origin (plus tile_offset pixels); partial
-    edge tiles are discarded. Each tile is mean-subtracted before its
+    Tiles are anchored tile_offset pixels down and right of the map origin;
+    partial edge tiles are discarded. Each tile is mean-subtracted before its
     histogram fit. Tiles with too few valid pixels or unresolvable widths
     are skipped and counted; a bad bin width is refused up front, and,
     before any tile is solved, so is any tile histogram histogram_fwhm
@@ -460,11 +460,9 @@ def partition_sweep(
     """
     if bin_width_khz is not None:
         positive("bin width", bin_width_khz, "kHz")
-    h, w = strain_map.values.shape
     pitch = strain_map.pixel_pitch_um
-    off_r, off_c = int(tile_offset[0]), int(tile_offset[1])
-    for offset in (off_r, off_c):
-        non_negative("tile offset", offset, "px")
+    offset = int(tile_offset)
+    non_negative("tile offset", offset, "px")
     stats = []
     for size in sizes_um:
         span = float(size) / float(pitch)  # in Python floats, an overflow is inf, unwarned
@@ -478,11 +476,11 @@ def partition_sweep(
             raise ValidationError(
                 f"tile size {size:g} um spans {n_px:g} px; need >= {_MIN_TILE_PIXELS}"
             )
-        if n_px > min(h - off_r, w - off_c):
+        if n_px > min(strain_map.values.shape) - offset:
             raise ValidationError(
                 f"tile size {size:g} um ({n_px:g} px) exceeds the map extent"
             )
-        stacks, errors, n_tiles = _tile_histograms(strain_map, n_px, off_r, off_c, bin_width_khz)
+        stacks, errors, n_tiles = _tile_histograms(strain_map, n_px, offset, bin_width_khz)
         fwhm = np.empty(n_tiles)
         usable = np.zeros(n_tiles, dtype=bool)
         for tiles, bin_w, result in _fit(stacks, errors):
@@ -505,62 +503,62 @@ def partition_sweep(
     return stats
 
 
-def _tiles(band: np.ndarray, n_px: int, off_c: int) -> np.ndarray:
+def _tiles(band: np.ndarray, n_px: int, offset: int) -> np.ndarray:
     """The whole n_px x n_px tiles of a band of n_px grid rows from column
-    off_c, as a new array: one row per tile, tiles and the pixels in each
+    offset, as a new array: one row per tile, tiles and the pixels in each
     in row-major order."""
-    cols = (band.shape[1] - off_c) // n_px
+    cols = (band.shape[1] - offset) // n_px
     tiles = np.empty((cols, n_px * n_px), dtype=band.dtype)
-    block = band[:, off_c : off_c + cols * n_px]
+    block = band[:, offset : offset + cols * n_px]
     tiles.reshape(cols, n_px, n_px)[...] = block.reshape(n_px, cols, n_px).swapaxes(0, 1)
     return tiles
 
 
-def _tile_histograms(strain_map: StrainMap, n_px, off_r, off_c, bin_width_khz):
+def _tile_histograms(strain_map: StrainMap, n_px, offset, bin_width_khz):
     """Histograms of the mean-subtracted valid shifts of every tile with
-    enough of them: the _Stacks of _histograms, each row labelled with its
-    tile's index in scan order, the skip or refusal error of each tile
-    that has one, and the number of tiles. A tile with too few valid
-    shifts has neither and is skipped.
+    enough of them, the tiles anchored offset pixels down and right of the
+    map origin: one _Stack per bin count, each row labelled with its tile's
+    index in scan order, the skip or refusal error of each tile that has
+    one, and the number of tiles. A tile with too few valid shifts has
+    neither and is skipped.
 
-    The map is read one band at a time, a row of tiles n_px pixels high.
-    In a band, the tiles with one number of valid pixels form a group:
-    one copy of their valid shifts (none when the group is the whole band
-    and its tiles have no invalid pixel: the band's tile copy is sorted in
-    place), one row mean and one in-place sort of its rows, which give
-    each tile's own values bit for bit, and then _histograms of the sorted
-    rows. A tile whose mean overflows is refused. A tile with a finite
-    mean but shifts that overflow drops them and forms a stack of one. The
-    groups' pieces of all bands are joined into one stack per valid-pixel
-    count and bin count, rows in scan order, as one pass over the whole
-    map would build them; _fit's results do not depend on the order of
-    the stacks. The peak above the map is about one band's copies and the
-    stacks.
+    The map is read one band at a time, a row of tiles n_px pixels high,
+    and _band_histograms gives each band's stacks. Those of all bands are
+    joined by bin count alone, the one shape a stack's arrays share; each
+    tile's fit does not depend on the stack it is solved in, and _fit's
+    results do not depend on the order of the stacks or of their rows. The
+    peak above the map is about one band's copies and the stacks.
     """
     values = strain_map.values
-    n_bands, per_band = (values.shape[0] - off_r) // n_px, (values.shape[1] - off_c) // n_px
-    groups, singles, errors = {}, [], {}
+    n_bands, per_band = ((n - offset) // n_px for n in values.shape)
+    by_bins, errors = {}, {}
     for band in range(n_bands):
-        rows = slice(off_r + band * n_px, off_r + (band + 1) * n_px)
-        band_groups, band_singles, band_errors = _band_histograms(
-            _tiles(values[rows], n_px, off_c), band * per_band, bin_width_khz
+        rows = slice(offset + band * n_px, offset + (band + 1) * n_px)
+        stacks, band_errors = _band_histograms(
+            _tiles(values[rows], n_px, offset), band * per_band, bin_width_khz
         )
-        for key, stack in band_groups:
-            groups.setdefault(key, []).append(stack)
-        singles += band_singles
+        for stack in stacks:
+            by_bins.setdefault(stack.counts.shape[1], []).append(stack)
         errors.update(band_errors)
-    stacks = [_joined(pieces) for pieces in groups.values()] + singles
-    return stacks, errors, n_bands * per_band
+    return [_joined(pieces) for pieces in by_bins.values()], errors, n_bands * per_band
 
 
 def _band_histograms(values, first, bin_width_khz):
-    """_tile_histograms of one band, from its tiles' values (_tiles rows,
-    which the grouping may sort in place) and the scan index of its first
-    tile. Returns its groups' _Stacks, each under its (valid-pixel count,
-    bin count), the _Stacks of tiles of their own, and its errors."""
+    """The _Stacks and errors of _tile_histograms for one band, from its
+    tiles' values (_tiles rows, which may be sorted in place) and the scan
+    index of its first tile; each stack's rows are tile indices.
+
+    The tiles with one number of valid pixels form a group: one copy of
+    their valid shifts (none when the group is the whole band and its tiles
+    have no invalid pixel), one row mean and one in-place sort of its rows,
+    which give each tile's own values bit for bit, and then _histograms of
+    the sorted rows. A tile whose mean overflows is refused. A tile with a
+    finite mean but shifts that overflow drops them and is histogrammed
+    alone.
+    """
     valid = np.isfinite(values)
     n_valid = valid.sum(axis=1)
-    groups, singles, errors = [], [], {}
+    stacks, errors = [], {}
     for count in np.unique(n_valid[n_valid >= _MIN_PIXELS_FOR_FIT]):
         in_group = n_valid == count
         group = first + np.flatnonzero(in_group)
@@ -579,15 +577,10 @@ def _band_histograms(values, first, bin_width_khz):
                 parts.append((np.array([tile]), _finite_histogram(row, bin_width_khz)))
             else:
                 errors[int(tile)] = _overflowing_mean(count)
-        for n, (tiles, (part_stacks, part_errors)) in enumerate(parts):
-            for stack in part_stacks:
-                stack = stack._replace(rows=tiles[stack.rows])
-                if n:
-                    singles.append(stack)
-                else:
-                    groups.append(((count, stack.counts.shape[1]), stack))
+        for tiles, (part_stacks, part_errors) in parts:
+            stacks += (stack._replace(rows=tiles[stack.rows]) for stack in part_stacks)
             errors.update((int(tiles[i]), error) for i, error in part_errors.items())
-    return groups, singles, errors
+    return stacks, errors
 
 
 def _joined(stacks) -> _Stack:

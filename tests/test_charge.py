@@ -152,3 +152,9 @@ def test_spectrum_validation():
         Spectrum(np.array([600.0, 600.0, 610.0]), np.ones(3))
     with pytest.raises(ValidationError):
         Spectrum(WL, -np.ones_like(WL))
+
+
+@pytest.mark.parametrize("shapes", [(400, 399), ((1, 400), (1, 400))], ids=["lengths", "2-D"])
+def test_spectrum_refuses_arrays_that_do_not_match(shapes):
+    with pytest.raises(ValidationError, match="wavelength and counts must be matching 1-D arrays"):
+        Spectrum(np.ones(shapes[0]), np.ones(shapes[1]))

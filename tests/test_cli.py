@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,17 +342,15 @@ def _regeneration_inputs(tmp_path):
         (["photophysics", "ti-band", "--grid", "1:10:log:2", "--config", "s.cfg",
           "--out", "band.csv"], ["band.csv"], {"config"}),
         (["ramsey", "synth", "--t2", "8.6", "--detuning", "0.4", "--noise-sigma", "4e-4",
-          "--seed", "9", "--config", "s.cfg", "--out", "signal.csv"], ["signal.csv"],
-         {"config"}),
-        (["ramsey", "fit", "in_signal.csv", "--config", "s.cfg", "--out", "fit.json"],
-         ["fit.json"], {"config", "signal"}),
+          "--seed", "9", "--out", "signal.csv"], ["signal.csv"], set()),
+        (["ramsey", "fit", "in_signal.csv", "--out", "fit.json"], ["fit.json"], {"signal"}),
         (["strain", "synth", "--model", "stationary", "--shape", "64x48", "--seed", "5",
-          "--config", "s.cfg", "--out", "map.csv"], ["map.csv", "map.json"], {"config"}),
+          "--out", "map.csv"], ["map.csv", "map.json"], set()),
         (["strain", "analyze", "in_map.csv", "--sizes", "96:384:log:3", "--config", "s.cfg",
           "--out", "stats.json"], ["stats.json"], {"config", "map"}),
         (["charge", "decompose", "--measured", "m.csv", "--basis-minus", "bm.csv",
-          "--basis-zero", "b0.csv", "--config", "s.cfg", "--out", "psi.json"], ["psi.json"],
-         {"config", "measured", "basis_minus", "basis_zero"}),
+          "--basis-zero", "b0.csv", "--out", "psi.json"], ["psi.json"],
+         {"measured", "basis_minus", "basis_zero"}),
     ],
     ids=["dephasing", "sensitivity-sweep", "sensitivity-optimal-n", "sensitivity-compare",
          "photophysics-simulate", "photophysics-ti-band", "ramsey-synth", "ramsey-fit",
@@ -405,73 +404,6 @@ def test_photophysics_ti_band_command(tmp_path):
     for row in rows:
         _, lo, hi = (float(x) for x in row.split(","))
         assert 0 < lo <= hi
-
-
-def _run_fresh(argv=None):
-    """Import nvsk.cli in a fresh interpreter and run main(argv) unless argv
-    is None: the exit code (None when not run) and the sorted names of every
-    scipy module left in sys.modules."""
-    code = (
-        "import json, sys\n"
-        "from nvsk.cli import main\n"
-        f"code = None if {argv!r} is None else main({argv!r})\n"
-        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
-        "print(json.dumps([code, loaded]))\n"
-    )
-    src = str(Path(nvsk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=path),
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        None,
-        ["dephasing", "--config", "{cfg}", "--out", "{tmp}/budget.json"],
-        ["sensitivity", "sweep", "--sample", "{cfg}", "--table", "{table}",
-         "--grid", "1e-3:1e1:log:4", "--out", "{tmp}/curve.csv"],
-        ["sensitivity", "optimal-n", "--to-grid", "0.1:100:log:5", "--out", "{tmp}/n.csv"],
-        ["photophysics", "ti-band", "--grid", "1:10:log:2", "--out", "{tmp}/band.csv"],
-        ["strain", "synth", "--model", "two-region", "--shape", "64x64",
-         "--out", "{tmp}/map.csv"],
-        ["strain", "analyze", "{map}", "--sizes", "96:384:log:3",
-         "--out", "{tmp}/stats.json"],
-        ["ramsey", "fit", "{signal}", "--out", "{tmp}/fit.json"],
-    ],
-    ids=["import", "dephasing", "sensitivity-sweep", "sensitivity-optimal-n", "ti-band",
-         "strain-synth", "strain-analyze", "ramsey-fit"],
-)
-def test_command_loads_no_scipy_module(tmp_path, argv):
-    if argv is not None:
-        inputs = _Inputs(tmp_path)
-        argv = [a.format_map(inputs) for a in argv]
-    code, loaded = _run_fresh(argv)
-    assert code == (None if argv is None else 0)
-    assert loaded == []
-
-
-@pytest.mark.parametrize("make_argv", [charge_argv], ids=["charge-decompose"])
-def test_solver_commands_load_scipy_optimize_when_they_run(tmp_path, make_argv):
-    code, loaded = _run_fresh(make_argv(tmp_path))
-    assert code == 0
-    assert "scipy.optimize" in loaded
-
-
-def test_simulate_imports_its_scipy_modules_when_it_runs(tmp_path):
-    # scipy.integrate for evolve's DOP853 solver; the readout filter is numpy
-    out = tmp_path / "trace.csv"
-    code, loaded = _run_fresh(
-        ["photophysics", "simulate", "--intensity", "10", "--isat", "3",
-         "--t-end", "5", "--out", str(out)]
-    )
-    assert code == 0
-    assert "scipy.integrate" in loaded
-    assert not [m for m in loaded if m == "scipy.signal" or m.startswith("scipy.signal.")]
-    assert out.read_text().startswith("t_us,pl_rate_per_us,contrast\n")
 
 
 def test_strain_bin_widths_fit_or_refuse_without_warnings(tmp_path, capsys):
@@ -581,8 +513,11 @@ def assert_refused(argv, code, message):
 # --- input files, each built in tmp by its INPUTS placeholder ---
 
 
-def _write(path, text):
-    path.write_text(text)
+def _write(path, data):
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
     return path
 
 
@@ -666,8 +601,8 @@ def _edited_signal(tmp, edit):
 
 _ONES = "1,1,1,1,1,1,1,1\n" * 8
 _PITCH_1 = '{"units": "kHz", "pixel_pitch_um": 1.0}'
-# A text input is written to a file named by its placeholder; any other
-# is a function of tmp that writes its file there and returns its path.
+# A text or bytes input is written to a file named by its placeholder; any
+# other is a function of tmp that writes its file there and returns its path.
 INPUTS = {
     "cfg": SAMPLE_CFG,
     "psi_cfg": SAMPLE_CFG.replace("psi = 0.2", "psi = 1.3"),
@@ -679,7 +614,11 @@ INPUTS = {
     "isat_cfg": "[photophysics]\ni_sat_lower_mw_um2 = 1e-310\n",
     "huge_gamma_cfg": "[photophysics]\ngamma_rad_per_us = 1e308\n",
     "tiny_gamma_cfg": "[photophysics]\ngamma_rad_per_us = 5e-324\n",
+    "bare_key_cfg": "[sample]\npsi\n",
+    "latin1_cfg": "[sample]\n# café\n".encode("latin-1"),
     "table": table_rows_to_csv_text(LOW_N_ROWS),
+    # 20-30 mW/um^2, above the 1e-3-10 of "table"
+    "far_table": table_rows_to_csv_text([(20.0, 0.014, 0.16, 2.6e2), (30.0, 0.012, 0.14, 1e2)]),
     "map": lambda tmp: _synth(tmp, "map.csv", "strain synth --model stationary --shape 128x128 "
                               "--seed 3"),
     "tiny_pitch_map": lambda tmp: _synth(tmp, "p.csv", "strain synth --model stationary "
@@ -697,6 +636,10 @@ INPUTS = {
     "list_sidecar_map": lambda tmp: _sidecar_map(tmp, _ONES, "[1]"),
     "empty_map": lambda tmp: _sidecar_map(tmp, "", _PITCH_1),
     "blank_map": lambda tmp: _sidecar_map(tmp, "\n\n", _PITCH_1),
+    "text_map": lambda tmp: _sidecar_map(tmp, "1,2\n3,x\n", _PITCH_1),
+    "mhz_map": lambda tmp: _sidecar_map(tmp, _ONES, '{"units": "MHz", "pixel_pitch_um": 1.0}'),
+    "nv9_map": lambda tmp: _sidecar_map(
+        tmp, _ONES, '{"units": "kHz", "pixel_pitch_um": 1.0, "orientation": "nv9"}'),
     "signal": lambda tmp: _synth(tmp, "signal.csv", "ramsey synth --t2 10 --detuning 1.3 "
                                  "--seed 1 --noise-sigma 4e-4"),
     # a 0.9 ns record, whose T2* seed lies below the fit's bounds
@@ -704,6 +647,9 @@ INPUTS = {
                                        "20000 --splitting 2160 --dtau 0.00001 --tau-end 0.0009"),
     "spectra": lambda tmp: _spectra(tmp, nan_wavelength=False),
     "nan_spectra": lambda tmp: _spectra(tmp, nan_wavelength=True),
+    "two_row_spectrum": "wavelength_nm,counts\n600,1\n700,1\n",
+    # 10 nm steps that meet the other spectra's 560-850 nm only at 840 and 850 nm
+    "far_basis": "wavelength_nm,counts\n840,1\n850,1\n860,1\n870,1\n",
     **{f"signal-{name}": lambda tmp, edit=edit: _edited_signal(tmp, edit)
        for name, edit in SIGNAL_EDITS.items()},
 }
@@ -719,7 +665,7 @@ class _Inputs(dict):
 
     def __missing__(self, name):
         build = INPUTS[name]
-        path = _write(self.tmp / name, build) if isinstance(build, str) else build(self.tmp)
+        path = build(self.tmp) if callable(build) else _write(self.tmp / name, build)
         self[name] = str(path)
         return self[name]
 
@@ -757,6 +703,53 @@ REFUSALS = {
         ("clipped-shifts-whose-mean-overflows",
          f"strain analyze {{clipped_cauchy_map}} --sizes 96:384:log:3 {_OUT}", 1,
          "strain shifts overflow: the mean of 16,384 valid pixels is not finite"),
+        *((f"{command}-lin-grid-whose-span-overflows", f"{argv}=-1e308:1e308:lin:3 {_OUT}", 1,
+           "lin grid needs a finite stop - start, got '-1e308:1e308:lin:3'")
+          for command, argv in [("optimal-n", "sensitivity optimal-n --to-grid"),
+                                ("ti-band", "photophysics ti-band --grid"),
+                                ("strain-analyze", "strain analyze {map} --sizes")]),
+        ("grid-without-a-scale", f"sensitivity optimal-n --to-grid 0.1:100 {_OUT}", 1,
+         "grid must be start:stop:log|lin[:count], got '0.1:100'"),
+        ("grid-endpoint-not-a-number", f"photophysics ti-band --grid a:10:log {_OUT}", 1,
+         "bad grid endpoints in 'a:10:log'"),
+        ("grid-count-not-a-number",
+         f"sensitivity sweep --sample {{cfg}} --table {{table}} --grid 1e-3:1:log:x {_OUT}", 1,
+         "bad grid count in '1e-3:1:log:x'"),
+        ("grid-of-one-point", f"strain analyze {{map}} --sizes 96:384:log:1 {_OUT}", 1,
+         "grid needs >= 2 points, got 1"),
+        ("lin-grid-reversed", f"sensitivity optimal-n --to-grid 5:1:lin:3 {_OUT}", 1,
+         "grid needs start < stop, got '5:1:lin:3'"),
+        ("ramsey-synth-grid-end-overflows", f"{_RSYN} --tau-end 1.7e308 --dtau 1e308 {_OUT}", 1,
+         "--tau-end 1.7e+308 us plus half of --dtau 1e+308 us overflows"),
+        ("ramsey-synth-grid-of-one-point", f"{_RSYN} --tau-end 0.06 {_OUT}", 1,
+         "tau grid must be a 1-D array with >= 2 points"),
+        ("tables-sharing-no-range", "sensitivity compare --sample-a {cfg} --table-a {table} "
+         f"--sample-b {{cfg}} --table-b {{far_table}} {_OUT}", 1,
+         "tables share no overlapping intensity range"),
+        ("ramsey-synth-default-grid-end-overflows",
+         f"ramsey synth --t2 1e308 --detuning 0.4 {_OUT}", 1,
+         "the default --tau-end, 3 x --t2, overflows at --t2 1e+308 us; pass --tau-end"),
+        *((f"{command}-takes-no-config", f"{argv} --config {{cfg}} {_OUT}", 1,
+           "unrecognized arguments: --config {cfg}") for command, argv in [
+            ("ramsey-synth", _RSYN), ("ramsey-fit", "ramsey fit {signal}"),
+            ("charge-decompose", f"{_CHARGE} 0.05")]),
+        ("config-key-without-a-value", "dephasing --config {bare_key_cfg}", 1,
+         "{bare_key_cfg}:2: expected 'key = value', got 'psi'"),
+        ("config-not-utf-8", "dephasing --config {latin1_cfg}", 1,
+         "config file {latin1_cfg} is not valid UTF-8: …"),
+        ("missing-map", "strain analyze {tmp}/none.csv --sizes 4:8:log:3", 1,
+         "strain map not found: {tmp}/none.csv"),
+        ("map-in-mhz", "strain analyze {mhz_map} --sizes 4:8:log:3", 1,
+         "{tmp}/grid.json: expected units 'kHz', got 'MHz'"),
+        ("map-of-an-unknown-orientation", "strain analyze {nv9_map} --sizes 4:8:log:3", 1,
+         "{tmp}/grid.json: unknown orientation 'nv9'"),
+        ("map-of-text", "strain analyze {text_map} --sizes 4:8:log:3", 1,
+         "{text_map}: cannot parse numeric grid: …"),
+        ("spectrum-of-two-samples", _CHARGE.replace("{spectra}/m.csv", "{two_row_spectrum}")
+         + " 0.05", 1, "{two_row_spectrum}: spectrum needs at least 3 samples"),
+        ("spectra-overlapping-in-two-samples",
+         _CHARGE.replace("{spectra}/bm.csv", "{far_basis}") + " 0.05", 1,
+         "overlapping wavelength range is too short"),
     ],
     "test_bad_arguments_exit_1_with_message": [
         ("argv0", f"strain synth --model stationary --shape abc {_OUT}", 1,
@@ -826,7 +819,7 @@ REFUSALS = {
                                              "{psi_cfg}:5: psi must be in [0, 1], got 1.3")],
     "test_strain_synth_with_a_refused_config_writes_nothing": [
         (None, "strain synth --model stationary --shape 32x32 --seed 1 --config {psi_cfg} "
-         "--out {tmp}/map.csv", 1, "{psi_cfg}:5: psi must be in [0, 1], got 1.3")],
+         "--out {tmp}/map.csv", 1, "unrecognized arguments: --config {psi_cfg}")],
     "test_optimal_n_refuses_the_removed_overhead_key": [
         (None, "sensitivity optimal-n --to-grid 0.1:100:log:6 --config {overhead_cfg} "
          "--out {tmp}/n.csv", 1,
@@ -911,25 +904,97 @@ def _run_row(tmp_path, argv, code, message):
                    message.format_map(inputs))
 
 
-def _refusal_test(rows):
-    """A test of REFUSALS rows: parametrized by their ids, or of one row."""
+def _table_test(rows, run):
+    """A test that calls run(tmp_path, *row) for each table row (id, *row):
+    parametrized by the rows' ids, or of one row whose id is None."""
     if rows[0][0] is None:
         [(_, *row)] = rows
 
         def test(tmp_path):
-            _run_row(tmp_path, *row)
+            run(tmp_path, *row)
 
     else:
 
-        @pytest.mark.parametrize("argv, code, message", [pytest.param(*r, id=i) for i, *r in rows])
-        def test(tmp_path, argv, code, message):
-            _run_row(tmp_path, argv, code, message)
+        @pytest.mark.parametrize("row", [pytest.param(r, id=i) for i, *r in rows])
+        def test(tmp_path, row):
+            run(tmp_path, *row)
 
-    return pytest.mark.filterwarnings("error")(test)
+    return test
 
 
 for _name, _rows in REFUSALS.items():
-    globals()[_name] = _refusal_test(_rows)
+    globals()[_name] = pytest.mark.filterwarnings("error")(_table_test(_rows, _run_row))
+
+
+# --- the scipy modules each command loads ---
+
+_NO_SCIPY = ((), ("scipy",))
+# A row is (id, argv, modules, families): argv, split on spaces and taking
+# INPUTS placeholders, runs in a fresh interpreter (None only imports
+# nvsk.cli) and exits 0, having loaded each of modules and no module of
+# families. Each key names the test its rows run under, as in REFUSALS.
+SCIPY_MODULES = {
+    "test_command_loads_no_scipy_module": [
+        ("import", None, *_NO_SCIPY),
+        ("dephasing", "dephasing --config {cfg} --out {tmp}/budget.json", *_NO_SCIPY),
+        ("sensitivity-sweep", "sensitivity sweep --sample {cfg} --table {table} "
+         "--grid 1e-3:1e1:log:4 --out {tmp}/curve.csv", *_NO_SCIPY),
+        ("sensitivity-optimal-n",
+         "sensitivity optimal-n --to-grid 0.1:100:log:5 --out {tmp}/n.csv", *_NO_SCIPY),
+        ("sensitivity-compare", "sensitivity compare --sample-a {cfg} --table-a {table} "
+         "--sample-b {cfg} --table-b {table} --grid 1e-3:1e1:log:4 --out {tmp}/ratio.csv",
+         *_NO_SCIPY),
+        ("ti-band", "photophysics ti-band --grid 1:10:log:2 --out {tmp}/band.csv", *_NO_SCIPY),
+        ("ramsey-synth", f"{_RSYN} --out {{tmp}}/signal.csv", *_NO_SCIPY),
+        ("strain-synth", "strain synth --model two-region --shape 64x64 --out {tmp}/map.csv",
+         *_NO_SCIPY),
+        ("strain-analyze", "strain analyze {map} --sizes 96:384:log:3 --out {tmp}/stats.json",
+         *_NO_SCIPY),
+        ("ramsey-fit", "ramsey fit {signal} --out {tmp}/fit.json", *_NO_SCIPY),
+    ],
+    "test_solver_commands_load_scipy_optimize_when_they_run": [
+        ("charge-decompose", f"{_CHARGE} 0.05 --out {{tmp}}/psi.json", ("scipy.optimize",), ()),
+    ],
+    # scipy.integrate for evolve's DOP853 solver; the readout filter is numpy
+    "test_simulate_imports_its_scipy_modules_when_it_runs": [
+        (None, "photophysics simulate --intensity 10 --isat 3 --t-end 5 --out {tmp}/trace.csv",
+         ("scipy.integrate",), ("scipy.signal",)),
+    ],
+}
+
+
+def _run_fresh(argv):
+    """Import nvsk.cli in a fresh interpreter and run main(argv) unless argv
+    is None: the exit code (None when not run) and the sorted names of every
+    scipy module left in sys.modules."""
+    code = (
+        "import json, sys\n"
+        "from nvsk.cli import main\n"
+        f"code = None if {argv!r} is None else main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    src = str(Path(nvsk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run_fresh_row(tmp_path, argv, modules, families):
+    if argv is not None:
+        inputs = _Inputs(tmp_path)
+        argv = [a.format_map(inputs) for a in argv.split(" ")]
+    code, loaded = _run_fresh(argv)
+    assert code == (None if argv is None else 0)
+    assert set(modules) <= set(loaded)
+    assert not [m for m in loaded for f in families if m == f or m.startswith(f + ".")]
+
+
+for _name, _rows in SCIPY_MODULES.items():
+    globals()[_name] = _table_test(_rows, _run_fresh_row)
 
 
 @pytest.mark.parametrize("edit", ["zero-first-tau", "repeated-tau", "blank-line"])
@@ -946,3 +1011,30 @@ def test_ramsey_fit_refuses_many_lines_at_once(tmp_path):
     assert_refused(["ramsey", "fit", str(sig), "--lines", "50"], 1,
                    "n_hyperfine must be in [1, 8], got 50")
     assert time.perf_counter() - start < 1.0
+
+
+# Tracemalloc peaks of a second main(argv), after a warm call, in units of
+# the command's largest float64 array. Each bound is a ceiling set at most
+# about 10 % above the peak measured when it was added (in brackets).
+@pytest.mark.parametrize(
+    "argv, largest, arrays",
+    [
+        # a CSV column of 1,130,539 samples [9.01 columns]
+        ("photophysics simulate --intensity 0.01 --isat 3", 1_130_539, 9.5),
+        # the 1024^2 map [1.35 maps]
+        ("strain synth --model stationary --shape 1024x1024 --seed 1", 1024 * 1024, 1.45),
+        # the contrast buffer, 1,871,912 samples kept at 1e-3 mW/um^2 [1.64 buffers]
+        ("photophysics ti-band --grid 1e-3:1e1:log:40", 1_871_912, 1.75),
+    ],
+    ids=["simulate", "strain-synth", "ti-band"],
+)
+def test_command_peak_stays_within_its_budget(tmp_path, argv, largest, arrays):
+    argv = [*argv.split(), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * largest

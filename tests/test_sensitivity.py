@@ -522,6 +522,21 @@ def test_table_rejects_nonincreasing():
         IntensityTable(rows)
 
 
+def test_table_refuses_no_rows():
+    with pytest.raises(ValidationError, match="intensity table is empty"):
+        IntensityTable([])
+
+
+def test_table_refuses_photon_rates_on_some_rows_only():
+    rows = [
+        IntensityRow(intensity=1.0, contrast_c=0.01, psi=0.5, t_overhead=10.0,
+                     photon_rate_kcps=100.0),
+        IntensityRow(intensity=2.0, contrast_c=0.01, psi=0.5, t_overhead=10.0),
+    ]
+    with pytest.raises(ValidationError, match="photon_rate_kcps must be given for all rows"):
+        IntensityTable(rows)
+
+
 def eta_ratio(sample_a, table_a, sample_b, table_b, intensity):
     return (
         volume_normalized_sensitivity(sample_a, table_a, intensity).eta

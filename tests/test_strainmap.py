@@ -157,7 +157,7 @@ def test_partition_tile_size_guards():
     for width in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="bin width must be finite and > 0"):
             partition_sweep(m, [32.0], bin_width_khz=width)
-    for offset in ((-5, -5), (0, -1), (-1, 0)):
+    for offset in (-5, -1):
         with pytest.raises(ValidationError, match="tile offset must be finite and >= 0 px"):
             partition_sweep(m, [16.0], tile_offset=offset)
 
@@ -232,7 +232,7 @@ def test_partition_deterministic():
 def test_tile_offset_changes_tiling():
     m = synth_stationary((300, 300), 1.0, 10.0, seed=4)
     base = partition_sweep(m, [128.0])
-    shifted = partition_sweep(m, [128.0], tile_offset=(13, 13))
+    shifted = partition_sweep(m, [128.0], tile_offset=13)
     assert base[0].n_tiles == shifted[0].n_tiles == 4
     assert base[0].fwhms_khz != shifted[0].fwhms_khz
 
@@ -341,7 +341,7 @@ def _assert_same_histograms(got, want):
 @pytest.mark.parametrize("n_px, offset, bin_width", [(16, 0, None), (32, 7, None), (32, 3, 2.0)])
 def test_tile_histograms_equal_the_per_tile_loop(synth, n_px, offset, bin_width):
     m = _map_with_holes(synth, seed=5)
-    stacks, errors, n_tiles = strainmap._tile_histograms(m, n_px, offset, offset, bin_width)
+    stacks, errors, n_tiles = strainmap._tile_histograms(m, n_px, offset, bin_width)
     ref, ref_skipped = _per_tile_histograms(m, n_px, offset, bin_width)
     assert len({s.counts.shape[1] for s in stacks}) > 1  # several bin counts
     hists = _by_row(stacks)
@@ -381,12 +381,14 @@ def test_every_tile_fit_matches_scipy(synth, holes, bin_width):
     else:
         args = (6.0, 10.0) if synth is synth_stationary else (6.0, 10.0, 60.0)
         m = synth((256, 256), *args, seed=2)
-    spans_groups = False
+    mixes_counts = False
     for n_px in (16, 32):
-        stacks, errors, _ = strainmap._tile_histograms(m, n_px, 0, 0, bin_width)
-        # with a fixed width, tiles of different valid-pixel counts (groups)
-        # share a bin count, and each group is solved as its own stack
-        spans_groups |= len(stacks) > len({s.counts.shape[1] for s in stacks})
+        stacks, errors, _ = strainmap._tile_histograms(m, n_px, 0, bin_width)
+        # one stack per bin count; with a fixed width, tiles of different
+        # valid-pixel counts share one
+        assert len(stacks) == len({s.counts.shape[1] for s in stacks})
+        n_valid = np.isfinite(m.values).reshape(256 // n_px, n_px, -1, n_px).sum(axis=(1, 3))
+        mixes_counts |= any(len(set(n_valid.ravel()[s.rows])) > 1 for s in stacks)
         hists = _by_row(stacks)
         fitted = []
         for tiles, bin_w, result in strainmap._fit(stacks, errors):
@@ -397,7 +399,7 @@ def test_every_tile_fit_matches_scipy(synth, holes, bin_width):
                 np.testing.assert_allclose(result.x[row], ref.x, rtol=1e-12, atol=0)
                 fitted.append(tile)
         assert sorted(fitted) == list(hists)  # every tile fitted once
-    assert spans_groups == holes
+    assert mixes_counts == holes
 
 
 def test_partition_skips_tiles_narrower_than_a_bin():
@@ -536,7 +538,7 @@ def test_tile_with_overflowing_shifts_drops_them():
         mean = tile.mean()
         assert np.isfinite(mean) and np.isfinite(tile - mean).sum() == 127
     m = StrainMap(values=values, pixel_pitch_um=1.0)
-    stacks, errors, n_tiles = strainmap._tile_histograms(m, 32, 0, 0, None)
+    stacks, errors, n_tiles = strainmap._tile_histograms(m, 32, 0, None)
     ref, ref_skipped = _per_tile_histograms(m, 32, 0, None)
     assert ref_skipped == 1 and list(errors) == [1]
     assert isinstance(errors[1], ComputationError)
@@ -723,7 +725,7 @@ def test_banded_tile_fits_equal_each_tile_fitted_alone(seed, n_px, offset, bin_w
                 if isinstance(fit, LorentzianFit):
                     want.append(fit.fwhm_khz)
     m = StrainMap(values=values, pixel_pitch_um=1.0)
-    sweep = lambda: partition_sweep(m, [float(n_px)], (offset, offset), bin_width)[0]
+    sweep = lambda: partition_sweep(m, [float(n_px)], offset, bin_width)[0]
     if not want:
         with pytest.raises(ComputationError, match="no tile"):
             sweep()
