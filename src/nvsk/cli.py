@@ -9,9 +9,11 @@ codes: 0 success, 1 input validation error, 2 computation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -99,6 +101,10 @@ def _write(args, result, config: dict) -> None:
     The manifest records the argv main() parsed, the resolved config, the
     --seed of commands that take one, and the hashes of the input files
     named by the command's `inputs` arguments.
+
+    An OSError while writing is refused as a validation error naming the
+    path that failed. The files the command created by then are removed
+    first, so that no result is left without its manifest.
     """
     if isinstance(result, dict) and not args.out:
         print(dataio.format_json(result))
@@ -109,13 +115,25 @@ def _write(args, result, config: dict) -> None:
     for label in args.inputs:
         if getattr(args, label, None):
             manifest.add_input(label, getattr(args, label))
-    if isinstance(result, dict):
-        dataio.emit_json(result, args.out)
-    elif isinstance(result, strainmap.StrainMap):
-        dataio.save_strain_map(result, args.out)
-    else:
-        dataio.emit_csv(result, args.out)
-    dataio.write_manifest(args.out, manifest)
+    outputs = [args.out, dataio.manifest_path(args.out)]
+    if isinstance(result, strainmap.StrainMap):
+        outputs.append(dataio.map_sidecar_path(args.out))
+    created = [path for path in outputs if not os.path.lexists(path)]
+    try:
+        if isinstance(result, dict):
+            dataio.emit_json(result, args.out)
+        elif isinstance(result, strainmap.StrainMap):
+            dataio.save_strain_map(result, args.out)
+        else:
+            dataio.emit_csv(result, args.out)
+        dataio.write_manifest(args.out, manifest)
+    except OSError as exc:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise ValidationError(
+            f"cannot write {exc.filename or args.out}: {exc.strerror or exc}"
+        ) from None
 
 
 # --- dephasing ---

@@ -98,8 +98,12 @@ def _write_bytes(path, text: str) -> None:
     Path(path).write_bytes(text.encode("utf-8"))
 
 
+def manifest_path(out_path) -> Path:
+    return Path(str(out_path) + ".manifest.json")
+
+
 def write_manifest(out_path, manifest: RunManifest) -> Path:
-    sidecar = Path(str(out_path) + ".manifest.json")
+    sidecar = manifest_path(out_path)
     payload = json.dumps(_round_floats(manifest.as_dict()), indent=2) + "\n"
     _write_bytes(sidecar, payload)
     return sidecar
@@ -393,7 +397,7 @@ def ingest_intensity_table(path) -> IntensityTable:
 # --- strain maps ---
 
 
-def _sidecar_path(map_path) -> Path:
+def map_sidecar_path(map_path) -> Path:
     return Path(map_path).with_suffix(".json")
 
 
@@ -419,14 +423,14 @@ def save_strain_map(strain_map: StrainMap, path) -> None:
         "orientation": strain_map.orientation,
         "units": "kHz",
     }
-    _write_bytes(_sidecar_path(path), json.dumps(_round_floats(sidecar), indent=2) + "\n")
+    _write_bytes(map_sidecar_path(path), json.dumps(_round_floats(sidecar), indent=2) + "\n")
 
 
 def load_strain_map(path) -> StrainMap:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"strain map not found: {path}")
-    sidecar_path = _sidecar_path(path)
+    sidecar_path = map_sidecar_path(path)
     if not sidecar_path.is_file():
         raise ValidationError(f"strain map sidecar not found: {sidecar_path}")
     try:

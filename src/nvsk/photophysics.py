@@ -25,18 +25,19 @@ its Butterworth sections are designed in numpy and, written in state space,
 join the populations in one 9-dimensional state with a single step matrix;
 the filtered PL at any sample is an output row of a power of that matrix.
 The contrast and initialization-time routines evaluate those rows only at
-the samples they keep, and import no scipy. Every grid is uniform from
-t = 0, so a trace holds its step dt, not its times: sample k lies at k dt
-(k stride dt on a ContrastCurve that keeps every stride-th step), and times
-are built from the step when asked for. ti_band writes the contrast of all
-its traces, in turn, into one buffer of the largest kept count, finds each
-t_I in cache-sized blocks and builds times only for the samples the fit
-takes, so a call's peak memory is about one kept-sample array, at most
-16 MB, and no trace faults in fresh pages. evolve() instead integrates the
-rate equations with scipy's adaptive Runge-Kutta method, importing
-scipy.integrate when it is called, and lowpass() runs the same state-space
+the samples they keep. Every grid is uniform from t = 0, so a trace holds
+its step dt, not its times: sample k lies at k dt (k stride dt on a
+ContrastCurve that keeps every stride-th step), and times are built from
+the step when asked for. ti_band writes the contrast of all its traces, in
+turn, into one buffer of the largest kept count, finds each t_I in
+cache-sized blocks and builds times only for the samples the fit takes, so
+a call's peak memory is about one kept-sample array, at most 16 MB, and no
+trace faults in fresh pages. evolve() instead integrates the rate equations
+by adaptive Runge-Kutta, scipy 1.17.1's DOP853 written in numpy with the
+same floating-point operations, and lowpass() runs the same state-space
 filter over a given trace in numpy, block by block. The test suite
 cross-checks the two paths. The steady state is a linear solve on A.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -209,6 +210,172 @@ class Trajectory:
         return float(np.abs(self.populations.sum(axis=1) - 1.0).max())
 
 
+# The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5)
+# as the doubles scipy 1.17.1 holds. Row i of _DOP853_A weights stages
+# 0..i-1 into stage i: rows 1-11 build the 12 stages, row 12 is the
+# eighth-order solution _DOP853_B, and rows 13-15 are the 3 extra stages of
+# the dense output, whose terms of degree 3-6 _DOP853_D weights over all 16
+# stages. _DOP853_E5 and _DOP853_E3 weight the 12 stages and the derivative
+# at the step's end into the fifth- and third-order error estimates. The
+# stage times are not needed: the rate equations do not depend on t.
+_DOP853_A = np.array([
+    [*row, *[0.0] * (16 - len(row))] for row in (
+        (),
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023),
+        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996),
+        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+         -3.0467644718982196),
+        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+         12.360567175794303, 0.6433927460157636),
+        (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+         -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+         0.04471061572777259),
+        (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+         -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+         0.007567897660545699, -0.008298),
+        (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+         -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+         -0.00034046500868740456, 0.1413124436746325),
+        (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+         4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+         2.9475147891527724, -9.15095847217987),
+    )
+])
+_DOP853_B = _DOP853_A[12, :12]
+_DOP853_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0,
+])
+_DOP853_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0,
+])
+_DOP853_D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+])
+# evolve's tolerances, and the step-size control of scipy's _ivp/rk.py:
+# steps scale by SAFETY err^(-1/8), for the order-7 error estimate, within
+# [MIN_FACTOR, MAX_FACTOR]
+_RTOL, _ATOL = 1e-10, 1e-12
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _initial_step(a, y0, f0, t_bound):
+    """First step for dn/dt = a n from t = 0 to t_bound: scipy's
+    select_initial_step (_ivp/common.py) for the order-7 error estimate."""
+    scale = _ATOL + np.abs(y0) * _RTOL
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    f1 = a @ (y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, t_bound)
+
+
+def _rk_step(a, y, f, h, k):
+    """One DOP853 step of size h from y, with f = a y: the new state and
+    its derivative, which with the 12 stages goes into rows 0-12 of k.
+    scipy's rk_step (_ivp/rk.py)."""
+    k[0] = f
+    for s in range(1, 12):
+        k[s] = a @ (y + k[:s].T.dot(_DOP853_A[s, :s]) * h)
+    y_new = y + h * k[:12].T.dot(_DOP853_B)
+    k[12] = f_new = a @ y_new
+    return y_new, f_new
+
+
+def _error_norm(k, h, scale):
+    """RMS norm, relative to scale, of the error estimate of the step of
+    size h whose stages k holds: DOP853's _estimate_error_norm, the
+    fifth-order estimate corrected by the third-order one."""
+    err5 = k.T.dot(_DOP853_E5) / scale
+    err3 = k.T.dot(_DOP853_E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def _dense_output(a, k_ext, h, y_old, y, f):
+    """The coefficients of the interpolant over a DOP853 step, as the rows
+    of a (7, 5) array: the step, of size h, went from y_old to y with
+    stages k_ext[:13] and f = a y, and its 3 extra stages go into
+    k_ext[13:]. scipy's _dense_output_impl (_ivp/rk.py)."""
+    for s in range(13, 16):
+        k_ext[s] = a @ (y_old + k_ext[:s].T.dot(_DOP853_A[s, :s]) * h)
+    coeffs = np.empty((7, len(y)))
+    f_old = k_ext[0]
+    delta_y = y - y_old
+    coeffs[0] = delta_y
+    coeffs[1] = h * f_old - delta_y
+    coeffs[2] = 2 * delta_y - h * (f + f_old)
+    coeffs[3:] = h * np.dot(_DOP853_D, k_ext)
+    return coeffs
+
+
+# Samples per block of evolve's dense output: the (5, block) array it is
+# interpolated in stays in cache
+_DENSE_BLOCK = 2**12
+
+
+def _interpolate(coeffs, y_old, x):
+    """The interpolant at the step fractions x as a (5, len(x)) array, one
+    column per fraction: Dop853DenseOutput's Horner sequence, element by
+    element, in the rows c of coeffs: y = 0, y += c6, y *= x, y += c5,
+    y *= 1 - x, ..., y += c0, y *= x, y += y_old."""
+    y = np.zeros((len(y_old), len(x)))
+    rest = 1 - x
+    for i in range(6, -1, -1):
+        y += coeffs[i, :, None]
+        y *= x if i % 2 == 0 else rest
+    y += y_old[:, None]
+    return y
+
+
 def evolve(
     params: FiveLevelParams,
     s: float,
@@ -218,34 +385,67 @@ def evolve(
 ) -> Trajectory:
     """Integrate the rate equations, reporting populations every dt.
 
-    Adaptive eighth-order Runge-Kutta with tight tolerances; total
+    Adaptive eighth-order Runge-Kutta (DOP853) with tight tolerances; total
     population is conserved to well below 1e-9 over the trajectory. The
-    loop is solve_ivp's with t_eval set to the grid: scipy's DOP853 solver
-    is stepped to the end of the grid, and after each step its dense output
-    gives the grid points the step reached. They are written into the
-    preallocated populations, so the result is solve_ivp's bit for bit
-    without its list of per-step arrays. scipy.integrate is imported when
-    this runs. A grid of more than MAX_TRACE_SAMPLES samples is refused.
+    loop is scipy 1.17.1's solve_ivp with t_eval set to the grid, in numpy:
+    its DOP853 solver's step-size control and rejections, its refusal of a
+    step below ten times the spacing of doubles at t, and after each step
+    the dense output at the grid points the step reached. Every
+    floating-point operation is scipy's, so the populations are
+    solve_ivp's bit for bit. The dense output is interpolated in blocks of
+    up to _DENSE_BLOCK samples, one level per row, so each operation runs
+    over contiguous samples, and each block is copied into the
+    preallocated populations. A grid of more than MAX_TRACE_SAMPLES
+    samples is refused.
     """
-    from scipy.integrate import DOP853
-
     n_steps = _check_grid(params, s, t_end, dt, MAX_TRACE_SAMPLES)
     a = rate_matrix(params, s)
     grid = np.arange(n_steps + 1) * dt
-    solver = DOP853(
-        lambda _t, y: a @ y, 0.0, initial.as_array(), float(grid[-1]),
-        rtol=1e-10, atol=1e-12,
-    )
+    t_bound = float(grid[-1])
     populations = np.empty((len(grid), 5))
+    k_ext = np.empty((16, 5))  # the stages; rows 13-15 for the dense output
+    k = k_ext[:13]
+    t, y = 0.0, initial.as_array()
+    f = a @ y
+    h_abs = _initial_step(a, y, f, t_bound)
     done = 0  # grid points written
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise ComputationError(f"integration failed: {message}")
-        reached = int(np.searchsorted(grid, solver.t, side="right"))
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ComputationError(
+                    "integration failed: Required step size is less than spacing between "
+                    "numbers."
+                )
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _rk_step(a, y, f, h, k)
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+            error_norm = _error_norm(k, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+        reached = int(np.searchsorted(grid, t_new, side="right"))
         if reached > done:
-            populations[done:reached] = solver.dense_output()(grid[done:reached]).T
+            coeffs = _dense_output(a, k_ext, h, y, y_new, f_new)
+            for lo in range(done, reached, _DENSE_BLOCK):
+                hi = min(lo + _DENSE_BLOCK, reached)
+                x = (grid[lo:hi] - t) / (t_new - t)
+                populations[lo:hi] = _interpolate(coeffs, y, x).T
             done = reached
+        t, y, f = t_new, y_new, f_new
     return Trajectory(dt, populations, params)
 
 

@@ -488,7 +488,8 @@ def _usage_lines(argv) -> list:
 
 
 def _files_beside_out(argv) -> set:
-    return set(Path(argv[argv.index("--out") + 1]).parent.iterdir()) if "--out" in argv else set()
+    folder = Path(argv[argv.index("--out") + 1]).parent if "--out" in argv else None
+    return set(folder.iterdir()) if folder and folder.is_dir() else set()
 
 
 def assert_refused(argv, code, message):
@@ -546,6 +547,12 @@ def _far_center_map(tmp):
     values = np.full((4, 32), 2.2e306)
     values[0, 0] = -1.79e308
     return _saved_map(tmp, values, 1.0)
+
+
+def _blocked_out(tmp, name):
+    """The out path tmp/name, whose manifest path is a directory."""
+    (tmp / f"{name}.manifest.json").mkdir()
+    return tmp / name
 
 
 def _sidecar_map(tmp, grid, sidecar):
@@ -640,6 +647,8 @@ INPUTS = {
     "mhz_map": lambda tmp: _sidecar_map(tmp, _ONES, '{"units": "MHz", "pixel_pitch_um": 1.0}'),
     "nv9_map": lambda tmp: _sidecar_map(
         tmp, _ONES, '{"units": "kHz", "pixel_pitch_um": 1.0, "orientation": "nv9"}'),
+    "blocked_json": lambda tmp: _blocked_out(tmp, "blk.json"),
+    "blocked_map": lambda tmp: _blocked_out(tmp, "blk.csv"),
     "signal": lambda tmp: _synth(tmp, "signal.csv", "ramsey synth --t2 10 --detuning 1.3 "
                                  "--seed 1 --noise-sigma 4e-4"),
     # a 0.9 ns record, whose T2* seed lies below the fit's bounds
@@ -892,6 +901,18 @@ REFUSALS = {
             ("empty-file", "{tmp}/sig.csv: no header row"),
             ("no-tau-column", "{tmp}/sig.csv: missing columns: tau_us"),
         ]],
+    # the files the command created are removed: a map's grid and sidecar too
+    "test_output_that_cannot_be_written_exit_1_with_one_line": [
+        ("out-in-a-missing-directory", "dephasing --config {cfg} --out {tmp}/nodir/d.json", 1,
+         "cannot write {tmp}/nodir/d.json: No such file or directory"),
+        ("out-is-a-directory", "sensitivity optimal-n --to-grid 0.1:100:log --out {tmp}", 1,
+         "cannot write {tmp}: Is a directory"),
+        ("manifest-path-is-a-directory", "dephasing --config {cfg} --out {blocked_json}", 1,
+         "cannot write {blocked_json}.manifest.json: Is a directory"),
+        ("map-manifest-path-is-a-directory",
+         "strain synth --model stationary --shape 32x32 --out {blocked_map}", 1,
+         "cannot write {blocked_map}.manifest.json: Is a directory"),
+    ],
     "test_ramsey_fit_refuses_fewer_than_one_line": [
         (lines, f"ramsey fit {{signal}} --lines {lines}", 1,
          f"n_hyperfine must be in [1, 8], got {lines}") for lines in ("-1", "0")],
@@ -951,14 +972,11 @@ SCIPY_MODULES = {
         ("strain-analyze", "strain analyze {map} --sizes 96:384:log:3 --out {tmp}/stats.json",
          *_NO_SCIPY),
         ("ramsey-fit", "ramsey fit {signal} --out {tmp}/fit.json", *_NO_SCIPY),
+        ("simulate", "photophysics simulate --intensity 10 --isat 3 --t-end 5 "
+         "--out {tmp}/trace.csv", *_NO_SCIPY),
     ],
     "test_solver_commands_load_scipy_optimize_when_they_run": [
         ("charge-decompose", f"{_CHARGE} 0.05 --out {{tmp}}/psi.json", ("scipy.optimize",), ()),
-    ],
-    # scipy.integrate for evolve's DOP853 solver; the readout filter is numpy
-    "test_simulate_imports_its_scipy_modules_when_it_runs": [
-        (None, "photophysics simulate --intensity 10 --isat 3 --t-end 5 --out {tmp}/trace.csv",
-         ("scipy.integrate",), ("scipy.signal",)),
     ],
 }
 
@@ -1023,10 +1041,12 @@ def test_ramsey_fit_refuses_many_lines_at_once(tmp_path):
         ("photophysics simulate --intensity 0.01 --isat 3", 1_130_539, 9.5),
         # the 1024^2 map [1.35 maps]
         ("strain synth --model stationary --shape 1024x1024 --seed 1", 1024 * 1024, 1.45),
+        # the 2048^2 map [1.125 maps]
+        ("strain synth --model stationary --shape 2048x2048 --seed 1", 2048 * 2048, 1.23),
         # the contrast buffer, 1,871,912 samples kept at 1e-3 mW/um^2 [1.64 buffers]
         ("photophysics ti-band --grid 1e-3:1e1:log:40", 1_871_912, 1.75),
     ],
-    ids=["simulate", "strain-synth", "ti-band"],
+    ids=["simulate", "strain-synth", "strain-synth-2048", "ti-band"],
 )
 def test_command_peak_stays_within_its_budget(tmp_path, argv, largest, arrays):
     argv = [*argv.split(), "--out", str(tmp_path / "out.csv")]

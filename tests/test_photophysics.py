@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.linalg import expm, null_space
 from scipy.signal import butter, sosfilt
 
 from nvsk.core import MAX_TRACE_SAMPLES
-from nvsk.errors import ValidationError
+from nvsk.errors import ComputationError, ValidationError
 from nvsk.photophysics import (
     DEFAULT_FILTER_CUTOFF_MHZ,
     GROUND_MS0,
@@ -21,6 +22,11 @@ from nvsk.photophysics import (
     FiveLevelParams,
     PLTrace,
     StateVector,
+    _DOP853_A,
+    _DOP853_B,
+    _DOP853_D,
+    _DOP853_E3,
+    _DOP853_E5,
     _KEPT_BLOCK,
     _MAX_KEPT_SAMPLES,
     _SCAN_BLOCK,
@@ -541,6 +547,61 @@ def test_evolve_equals_solve_ivp(s):
         )
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(traj.populations, sol.y.T)
+
+
+def test_dop853_tableau_is_scipys():
+    for ours, theirs in [
+        (_DOP853_A, dop853_coefficients.A),
+        (_DOP853_B, dop853_coefficients.B),
+        (_DOP853_E3, dop853_coefficients.E3),
+        (_DOP853_E5, dop853_coefficients.E5),
+        (_DOP853_D, dop853_coefficients.D),
+    ]:
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.builds(
+        FiveLevelParams,
+        gamma_rad=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        kappa_45=st.floats(0.0, 5.0, allow_subnormal=False),
+        kappa_35=st.floats(0.0, 5.0, allow_subnormal=False),
+        kappa_52=st.floats(0.0, 1.0, allow_subnormal=False),
+        kappa_51=st.floats(0.0, 1.0, allow_subnormal=False),
+    ),
+    s=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    initial=st.sampled_from([GROUND_MS0, GROUND_MS_PM1]),
+    samples=st.integers(2, 20_000),
+    coarse=st.floats(0.05, 1.0),
+)
+def test_property_evolve_equals_solve_ivp(params, s, initial, samples, coarse):
+    dt = coarse * max_stable_dt(params, s)
+    traj = evolve(params, s, initial, (samples - 1) * dt, dt)
+    grid = np.arange(len(traj.populations)) * dt
+    a = rate_matrix(params, s)
+    sol = solve_ivp(
+        lambda _t, y: a @ y, (0.0, grid[-1]), initial.as_array(), method="DOP853",
+        t_eval=grid, rtol=1e-10, atol=1e-12,
+    )
+    assert np.array_equal(traj.populations, sol.y.T)
+
+
+def test_evolve_fails_where_scipys_dop853_does():
+    # rates of 1e200/us overflow the error norms, whose NaN shrinks the step
+    # below the spacing of doubles at t = 0, as in scipy's solver
+    params = FiveLevelParams(gamma_rad=1e200)
+    dt = max_stable_dt(params, 1.0)
+    a = rate_matrix(params, 1.0)
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(
+            lambda _t, y: a @ y, (0.0, 10 * dt), GROUND_MS0.as_array(), method="DOP853",
+            rtol=1e-10, atol=1e-12,
+        )
+        assert sol.status == -1
+        with pytest.raises(ComputationError, match=re.escape(f"integration failed: {sol.message}")):
+            evolve(params, 1.0, GROUND_MS0, 10 * dt, dt)
 
 
 @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 4095, 4096, 4097, 8193])
